@@ -52,6 +52,21 @@ def ceil_log2_inv(q):
     return (c - 1).bit_length()
 
 
+def literal_bits(length, b):
+    """Literal codeword of a length-`length` string, b bits per symbol."""
+    return _TAG_BITS + gamma_length(length) + length * b
+
+
+def run_bits(length, b):
+    """Run codeword of a constant string of length `length`."""
+    return _TAG_BITS + gamma_length(length) + b
+
+
+def model_bits(i, mass):
+    """Model codeword of a string of positive mass under the i-th model."""
+    return _TAG_BITS + gamma_length(i) + ceil_log2_inv(mass) + 1
+
+
 def khat(x, n, alphabet, model_list=None, schemes=_DEFAULT_SCHEMES):
     """Shortest admissible description length of x at stage n, in bits."""
     if n < 1:
@@ -60,24 +75,20 @@ def khat(x, n, alphabet, model_list=None, schemes=_DEFAULT_SCHEMES):
     if not x:
         return _TAG_BITS
     b = symbol_bits(len(alphabet))
-    best = None
+    lengths = []
     active = [s for s in schemes if _SCHEME_STAGE[s] <= n]
     if "literal" in active:
-        best = _TAG_BITS + gamma_length(len(x)) + len(x) * b
+        lengths.append(literal_bits(len(x), b))
     if "run" in active and len(set(x)) == 1:
-        length = _TAG_BITS + gamma_length(len(x)) + b
-        best = length if best is None else min(best, length)
+        lengths.append(run_bits(len(x), b))
     if "model" in active and model_list:
-        for i, mu in enumerate(model_list, start=1):
-            if i > n:
-                break
+        for i, mu in enumerate(model_list[:n], start=1):
             mass = mu.mass(x)
             if mass > 0:
-                length = _TAG_BITS + gamma_length(i) + ceil_log2_inv(mass) + 1
-                best = length if best is None else min(best, length)
-    if best is None:
+                lengths.append(model_bits(i, mass))
+    if not lengths:
         raise ValueError("no admissible scheme prices %r" % (x,))
-    return best
+    return min(lengths)
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,7 @@ def kraft_audit(estimator, length_cap):
     if "literal" in estimator.schemes:
         length = 1
         while True:
-            bits = _TAG_BITS + gamma_length(length) + length * b
+            bits = literal_bits(length, b)
             if bits > length_cap:  # monotone in length, nothing longer fits
                 break
             total += size**length * Fraction(1, 1 << bits)
@@ -129,14 +140,13 @@ def kraft_audit(estimator, length_cap):
     if "run" in estimator.schemes:
         run = 1
         while True:
-            bits = _TAG_BITS + gamma_length(run) + b
+            bits = run_bits(run, b)
             if bits > length_cap:
                 break
             total += size * Fraction(1, 1 << bits)
             run += 1
     if "model" in estimator.schemes:
         for i in range(1, len(estimator.model_list) + 1):
-            shortest = _TAG_BITS + gamma_length(i) + 1
-            if shortest <= length_cap:
+            if model_bits(i, Fraction(1)) <= length_cap:
                 total += Fraction(1, 1 << (_TAG_BITS + gamma_length(i)))
     return total

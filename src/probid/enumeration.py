@@ -17,7 +17,18 @@ from math import isqrt
 from .errors import IndexOutOfRange
 
 
-class HypothesisList:
+class _Enumeration:
+    """The one least-passing-index scan shared by every identifier."""
+
+    def least_passing(self, n, passes):
+        """Least i <= scan_bound(n) with passes(i, hypothesis at i) true, else None."""
+        for i in range(1, self.scan_bound(n) + 1):
+            if self.has(i) and passes(i, self.get(i)):
+                return i
+        return None
+
+
+class HypothesisList(_Enumeration):
     """Stable 1-based enumeration of hypotheses of one kind."""
 
     def __init__(self, kind, items=None, generator=None, length=None):
@@ -41,6 +52,9 @@ class HypothesisList:
             self._cache[i] = self._generator(i)
         return self._cache[i]
 
+    def has(self, i):
+        return 1 <= i and (self.length is None or i <= self.length)
+
     def scan_bound(self, n):
         """Largest index the identifiers may inspect at sample size n."""
         if self.length is None:
@@ -51,10 +65,6 @@ class HypothesisList:
         if self.length is None:
             raise TypeError("generated list is unbounded")
         return self.length
-
-
-def get(hyp_list, i):
-    return hyp_list.get(i)
 
 
 def interleave_decode(pos):
@@ -73,7 +83,7 @@ def interleave_decode(pos):
     return pos - d * (d - 1) // 2
 
 
-class InterleavedList:
+class InterleavedList(_Enumeration):
     """View of a list in which every element occurs infinitely often.
 
     Over a finite base of length L, positions whose decoded base index

@@ -19,12 +19,18 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from .complexity import ComplexityEstimator
-from .enumeration import HypothesisList, InterleavedList
+from .enumeration import HypothesisList, interleave_decode
 from .errors import ConfigInvalid, EmptyInput, IoError, ProbidError
-from .hypotheses import FinitePmf, GeometricPmf, MarkovChain, build_hypothesis
+from .hypotheses import (
+    FinitePmf,
+    GeometricPmf,
+    MarkovChain,
+    MeasureBase,
+    build_hypothesis,
+)
 from .iid_identify import identify_stream
 from .markov_identify import identify_chain_stream
 from .measure_identify import default_estimator, identify_measure_stream
@@ -48,6 +54,11 @@ class ExperimentConfig:
     start_state: object = None
     n_switch: int = 5
     output: str | None = None
+
+    @cached_property
+    def hypotheses(self):
+        """The HypothesisList of list_decl, built once and shared by every seed."""
+        return _parse_list(self.mode, self.list_decl)
 
     @staticmethod
     def from_obj(obj):
@@ -154,26 +165,20 @@ def _parse_config(obj):
         raise ConfigInvalid("checkpoint", "must be an object")
     stride = _positive_int(checkpoint.get("stride", 100), "checkpoint.stride")
     n_max = _positive_int(_need(obj, "n_max", "n_max"), "n_max")
-    if n_max < stride:
-        # allowed: produces runs with no checkpoints
-        pass
     seeds = _parse_seeds(obj.get("seeds", {"count": 1, "base": 1}), "seeds")
 
     list_decl = _need(obj, "list", "list")
-    specs = _list_specs(list_decl, "list")
-    hypotheses = _build_list(mode, specs, "list")
+    hypotheses = _parse_list(mode, list_decl)
 
     input_sequence = None
     if obj.get("input_sequence") is not None:
         if mode != "measure":
             raise ConfigInvalid("input_sequence", "only allowed in measure mode")
         raw = obj["input_sequence"]
-        if isinstance(raw, str):
-            input_sequence = tuple(raw)
-        elif isinstance(raw, list):
-            input_sequence = tuple(raw)
-        else:
-            raise ConfigInvalid("input_sequence", "must be a string or list")
+        # a string, or a list of JSON scalars (hashable, so usable as symbols)
+        if not isinstance(raw, (str, list)) or {list, dict} & set(map(type, raw)):
+            raise ConfigInvalid("input_sequence", "must be a string or list of symbols")
+        input_sequence = tuple(raw)
         if len(input_sequence) < n_max:
             raise ConfigInvalid("input_sequence", "shorter than n_max")
 
@@ -183,7 +188,7 @@ def _parse_config(obj):
         target_index = _positive_int(
             _need(obj, "target_index", "target_index"), "target_index"
         )
-        if target_index > len(specs):
+        if target_index > hypotheses.length:
             raise ConfigInvalid("target_index", "outside the declared list")
 
     start_state = obj.get("start_state")
@@ -191,17 +196,23 @@ def _parse_config(obj):
         chain = hypotheses.get(target_index)
         if start_state is None:
             start_state = chain.states[0]
-        elif not chain.has_state(start_state):
+        elif isinstance(start_state, (list, dict)) or not chain.has_state(start_state):
             raise ConfigInvalid("start_state", "not a state of the target chain")
 
     estimator = obj.get("estimator", {})
     if not isinstance(estimator, dict):
         raise ConfigInvalid("estimator", "must be an object")
-    for scheme in estimator.get("schemes", []):
+    schemes = estimator.get("schemes", ["literal"])
+    if not isinstance(schemes, list) or "literal" not in schemes:
+        # literal is the one scheme that prices every prefix
+        raise ConfigInvalid("estimator.schemes", "must be a list that includes literal")
+    for scheme in schemes:
         if scheme not in ("literal", "run", "model"):
-            raise ConfigInvalid("estimator.schemes", "unknown scheme %r" % scheme)
+            raise ConfigInvalid("estimator.schemes", "unknown scheme %r" % (scheme,))
+    if estimator.get("stage_cap") is not None:
+        _positive_int(estimator["stage_cap"], "estimator.stage_cap")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         mode=mode,
         list_decl=list_decl,
         target_index=target_index,
@@ -213,6 +224,8 @@ def _parse_config(obj):
         start_state=start_state,
         output=obj.get("output"),
     )
+    cfg.hypotheses = hypotheses  # already parsed; the property's cache
+    return cfg
 
 
 def _list_specs(decl, path):
@@ -238,30 +251,35 @@ def _list_specs(decl, path):
     raise ConfigInvalid(path, "must declare items or family+grid")
 
 
-_KIND_TYPES = {
-    "iid": (FinitePmf, GeometricPmf),
-    "markov": (MarkovChain,),
+def _parse_list(mode, decl):
+    """HypothesisList of a declaration; faults at list.items[k] or list.grid[k]."""
+    specs = _list_specs(decl, "list")
+    return _build_list(mode, specs, "list.items" if "items" in decl else "list.grid")
+
+
+_KINDS = {
+    "iid": ("pmf", (FinitePmf, GeometricPmf)),
+    "markov": ("markov", MarkovChain),
+    "measure": ("measure", MeasureBase),
 }
 
 
 def _build_list(mode, specs, path):
     built = []
     for k, spec in enumerate(specs):
+        path_k = "%s[%d]" % (path, k)
+        if not isinstance(spec, dict) or not isinstance(spec.get("params", {}), dict):
+            raise ConfigInvalid(path_k, "must be an object with a family and params")
         try:
             hyp = build_hypothesis(spec)
         except ProbidError as exc:
-            raise ConfigInvalid("%s[%d]" % (path, k), str(exc))
+            raise ConfigInvalid(path_k, str(exc))
+        except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            raise ConfigInvalid(path_k, "%s: %s" % (type(exc).__name__, exc))
+        if not isinstance(hyp, _KINDS[mode][1]):
+            raise ConfigInvalid(path_k, "wrong kind for mode")
         built.append(hyp)
-    if mode in _KIND_TYPES:
-        for k, hyp in enumerate(built):
-            if not isinstance(hyp, _KIND_TYPES[mode]):
-                raise ConfigInvalid("%s[%d]" % (path, k), "wrong kind for mode")
-    else:
-        for k, hyp in enumerate(built):
-            if not hasattr(hyp, "alphabet"):
-                raise ConfigInvalid("%s[%d]" % (path, k), "wrong kind for mode")
-    kind = {"iid": "pmf", "markov": "markov", "measure": "measure"}[mode]
-    return HypothesisList(kind, built)
+    return HypothesisList(_KINDS[mode][0], built)
 
 
 # ---------------------------------------------------------------------------
@@ -292,41 +310,40 @@ def minimal_equal_index(hyp_list, target_index):
 # ---------------------------------------------------------------------------
 
 
+def _iid_trace(cfg, hyp_list, seed):
+    target = hyp_list.get(cfg.target_index)
+    return identify_stream(hyp_list, target, seed, cfg.n_max, cfg.stride)
+
+
+def _markov_trace(cfg, hyp_list, seed):
+    target = hyp_list.get(cfg.target_index)
+    return identify_chain_stream(
+        hyp_list, target, cfg.start_state, seed, cfg.n_max, cfg.stride
+    )
+
+
+def _measure_trace(cfg, hyp_list, seed):
+    source = cfg.input_sequence or hyp_list.get(cfg.target_index)
+    estimator = _measure_estimator(cfg, hyp_list)
+    return identify_measure_stream(
+        hyp_list, source, seed, cfg.n_max, cfg.stride, estimator
+    )
+
+
+# mode -> (trace of one seed, base list index of a guess).  The functions
+# above look each stream up by name at call time, so rebinding
+# `harness.identify_stream` and the like takes effect.
+_RUNNERS = {
+    "iid": (_iid_trace, lambda g: g),
+    "markov": (_markov_trace, lambda g: g),
+    "measure": (_measure_trace, interleave_decode),
+}
+
+
 def _run_single(cfg, run_id, seed):
-    hyp_list = _build_list(cfg.mode, _list_specs(cfg.list_decl, "list"), "list")
-    if cfg.mode == "iid":
-        trace = identify_stream(
-            hyp_list, hyp_list.get(cfg.target_index), seed, cfg.n_max, cfg.stride
-        )
-        expected = minimal_equal_index(hyp_list, cfg.target_index)
-        guess_to_base = lambda g: g
-    elif cfg.mode == "markov":
-        trace = identify_chain_stream(
-            hyp_list,
-            hyp_list.get(cfg.target_index),
-            cfg.start_state,
-            seed,
-            cfg.n_max,
-            cfg.stride,
-        )
-        expected = minimal_equal_index(hyp_list, cfg.target_index)
-        guess_to_base = lambda g: g
-    else:
-        estimator = _measure_estimator(cfg, hyp_list)
-        source = (
-            cfg.input_sequence
-            if cfg.input_sequence is not None
-            else hyp_list.get(cfg.target_index)
-        )
-        trace = identify_measure_stream(
-            hyp_list, source, seed, cfg.n_max, cfg.stride, estimator
-        )
-        if cfg.target_index is None:
-            expected = None
-        else:
-            expected = minimal_equal_index(hyp_list, cfg.target_index)
-        interleaved = InterleavedList(hyp_list)
-        guess_to_base = lambda g: interleaved.decode(g) if g is not None else None
+    hyp_list = cfg.hypotheses
+    run_trace, base_index = _RUNNERS[cfg.mode]
+    trace = run_trace(cfg, hyp_list, seed)
 
     rows = []
     prev = object()
@@ -334,9 +351,10 @@ def _run_single(cfg, run_id, seed):
         rows.append((n, guess, 1 if guess != prev else 0))
         prev = guess
     correct = None
-    if expected is not None:
+    if cfg.target_index is not None:
+        expected = minimal_equal_index(hyp_list, cfg.target_index)
         final = trace.final_guess
-        correct = final is not None and guess_to_base(final) == expected
+        correct = final is not None and base_index(final) == expected
     return RunRecord(
         run_id=run_id,
         seed=seed,
@@ -348,21 +366,27 @@ def _run_single(cfg, run_id, seed):
 
 
 def _measure_estimator(cfg, hyp_list):
-    extra = cfg.input_sequence or ()
-    est = default_estimator(hyp_list, extra_symbols=extra)
+    est = default_estimator(hyp_list, extra_symbols=cfg.input_sequence or ())
     schemes = tuple(cfg.estimator.get("schemes", est.schemes))
-    stage_cap = cfg.estimator.get("stage_cap")
-    return ComplexityEstimator(
-        alphabet=est.alphabet,
+    return replace(
+        est,
         schemes=schemes,
         model_list=est.model_list if "model" in schemes else (),
-        stage_cap=stage_cap,
+        stage_cap=cfg.estimator.get("stage_cap"),
     )
 
 
-def _run_single_from_obj(args):
-    cfg_obj, run_id, seed = args
-    return _run_single(ExperimentConfig.from_obj(cfg_obj), run_id, seed)
+_worker_cfg = None
+
+
+def _init_worker(cfg_obj):
+    """Pool initializer: parse the config once per worker process."""
+    global _worker_cfg
+    _worker_cfg = ExperimentConfig.from_obj(cfg_obj)
+
+
+def _run_in_worker(task):
+    return _run_single(_worker_cfg, *task)
 
 
 def run_experiment(cfg, jobs=1, out_dir=None):
@@ -376,15 +400,16 @@ def run_experiment(cfg, jobs=1, out_dir=None):
         cfg = ExperimentConfig.from_obj(cfg)
     if cfg.mode == "demo":
         return _run_demo(cfg, out_dir)
-    tasks = [(cfg, run_id, seed) for run_id, seed in enumerate(cfg.seeds, start=1)]
+    tasks = list(enumerate(cfg.seeds, start=1))
     if jobs > 1 and len(tasks) > 1:
-        obj = cfg.to_obj()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(_run_single_from_obj, [(obj, r, s) for _, r, s in tasks])
-            )
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)),
+            initializer=_init_worker,
+            initargs=(cfg.to_obj(),),
+        ) as pool:
+            records = list(pool.map(_run_in_worker, tasks))
     else:
-        records = [_run_single(c, r, s) for c, r, s in tasks]
+        records = [_run_single(cfg, run_id, seed) for run_id, seed in tasks]
     records.sort(key=lambda rec: rec.run_id)
     summary = summarize(records)
     destination = out_dir or cfg.output

@@ -1,10 +1,9 @@
 """Computable probability models: pmfs, Markov chains, cylinder measures.
 
-Every shipped family is exact (rational masses, evaluable with error 0).
-Evaluation methods still take a precision argument so that identifiers are
-written against an approximate-evaluator contract: a hypothesis promises
-|eval(x, eps) - true(x)| <= eps, and the exact families simply return the
-true value for every eps.
+Every shipped family is exact: masses are `Fraction`s evaluated with error
+0, and each hypothesis says so with `exact = True`.  The identifiers
+consume exact values only; they compare them against outward-rounded
+brackets of the irrational thresholds (see `exactnum`).
 
 A hypothesis carries a `HypothesisSpec`, a finite JSON-safe description
 (family tag plus rational parameters) that reconstructs it losslessly.
@@ -102,10 +101,10 @@ class FinitePmf:
             raise IndexOutOfRange("support position %d" % j)
         return self._order[j - 1]
 
-    def mass(self, symbol, eps=ZERO):
+    def mass(self, symbol):
         return self._masses.get(symbol, ZERO)
 
-    def prefix_mass(self, m, eps=ZERO):
+    def prefix_mass(self, m):
         """Exact total mass of the first m support symbols."""
         if m <= 0:
             return ZERO
@@ -143,12 +142,12 @@ class GeometricPmf:
             raise IndexOutOfRange("support position %d" % j)
         return j
 
-    def mass(self, symbol, eps=ZERO):
+    def mass(self, symbol):
         if isinstance(symbol, int) and symbol >= 1:
             return Fraction(1, 1 << symbol)
         return ZERO
 
-    def prefix_mass(self, m, eps=ZERO):
+    def prefix_mass(self, m):
         if m <= 0:
             return ZERO
         return ONE - Fraction(1, 1 << m)
@@ -306,7 +305,7 @@ class MeasureBase:
     alphabet = ()
     spec = None
 
-    def mass(self, prefix, eps=ZERO):
+    def mass(self, prefix):
         raise NotImplementedError
 
     def mass_prefixes(self, symbols):
@@ -336,7 +335,7 @@ class ProductMeasure(MeasureBase):
         self.alphabet = tuple(pmf.support(j) for j in range(1, pmf.support_size + 1))
         self.spec = HypothesisSpec("iid_measure", {"pmf": pmf.spec.to_obj()})
 
-    def mass(self, prefix, eps=ZERO):
+    def mass(self, prefix):
         total = ONE
         for s in prefix:
             p = self._pmf.mass(s)
@@ -382,7 +381,7 @@ class PathMixtureMeasure(MeasureBase):
         # ("switch", first_symbol, switch_after, second_symbol)
         return atom_path[1] if i < atom_path[2] else atom_path[3]
 
-    def mass(self, prefix, eps=ZERO):
+    def mass(self, prefix):
         prefix = tuple(prefix)
         total = ZERO
         for weight, path in self._atoms:
@@ -466,7 +465,7 @@ class MarkedRunMeasure(MeasureBase):
         self.alphabet = tuple(range(1, k + 1))
         self.spec = HypothesisSpec("marked_run", {"k": k, "marker": marker})
 
-    def mass(self, prefix, eps=ZERO):
+    def mass(self, prefix):
         prefix = tuple(prefix)
         if not prefix:
             return ONE
@@ -636,10 +635,6 @@ class MarkovChain:
     def has_state(self, state):
         return state in self._index
 
-    def transition(self, i, j):
-        """Exact transition probability between state labels i and j."""
-        return self.rows[self._index[i]][self._index[j]]
-
     def row(self, state):
         """Transition row out of `state` as (next_state, probability) pairs."""
         i = self._index[state]
@@ -657,10 +652,6 @@ class MarkovChain:
 
     def __repr__(self):
         return "MarkovChain(states=%r)" % (self.states,)
-
-
-def make_markov_chain(states, rows):
-    return MarkovChain(states, rows)
 
 
 # ---------------------------------------------------------------------------

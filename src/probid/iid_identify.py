@@ -10,24 +10,14 @@ The emitted guess is the least passing index not exceeding min(n, length);
 when no index passes the step reports Undecided (None).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .exactnum import BELOW, cmp_against_bracket, tau
-from .sampling import Rng, _pmf_sampler
-
-
-@dataclass(frozen=True)
-class CutoffSet:
-    """Symbols a candidate is tested on at a given sample size."""
-
-    observed: frozenset
-    support_prefix: tuple
-
-    @property
-    def symbols(self):
-        return self.observed | set(self.support_prefix)
+from .sampling import iid_draws
 
 
 @dataclass
@@ -61,9 +51,14 @@ def trace_from_checkpoints(checkpoints):
     return GuessTrace(checkpoints, converged)
 
 
-def observed_support(sample):
-    """Symbols with positive count in the sample."""
-    return frozenset(a for a, c in sample.counts.items() if c > 0)
+def checkpoint_trace(step, n_max, stride):
+    """The checkpoint loop shared by all three identifiers.
+
+    Calls step(n) at n = stride, 2*stride, ... <= n_max and traces the
+    guesses it returns.  Each mode's step grows its one data sequence by
+    the next `stride` symbols, updates its statistics, and runs its scan.
+    """
+    return trace_from_checkpoints((n, step(n)) for n in range(stride, n_max + 1, stride))
 
 
 @lru_cache(maxsize=None)
@@ -83,10 +78,6 @@ def mass_cutoff(pmf, n):
         if size is not None and m >= size:  # tail is 0 from here on
             return tuple(pmf.support(j) for j in range(1, size + 1))
         m += 1
-
-
-def cutoff_set(pmf, sample, n):
-    return CutoffSet(observed_support(sample), mass_cutoff(pmf, n))
 
 
 def _test_frequencies(pmf, freqs, n):
@@ -110,14 +101,15 @@ def candidate_test(pmf, sample, n):
     return _test_frequencies(pmf, _frequencies(sample.counts, n), n)
 
 
+def _least_passing(hyp_list, counts, n):
+    freqs = _frequencies(counts, n)
+    return hyp_list.least_passing(n, lambda i, pmf: _test_frequencies(pmf, freqs, n))
+
+
 def identify_step(hyp_list, sample, n):
     """Least passing index at size n, scanning i = 1..min(n, length);
     None (Undecided) when every scanned candidate fails."""
-    freqs = _frequencies(sample.counts, n)
-    for i in range(1, hyp_list.scan_bound(n) + 1):
-        if _test_frequencies(hyp_list.get(i), freqs, n):
-            return i
-    return None
+    return _least_passing(hyp_list, sample.counts, n)
 
 
 def identify_stream(hyp_list, target_pmf, seed, n_max, stride=100):
@@ -127,21 +119,11 @@ def identify_stream(hyp_list, target_pmf, seed, n_max, stride=100):
     run); checkpoint spacing does not affect limit semantics, only how
     often the guess is recorded.
     """
-    sampler = _pmf_sampler(target_pmf)
-    rng = Rng(seed)
-    counts = {}
-    checkpoints = []
-    next_checkpoint = stride
-    for n in range(1, n_max + 1):
-        s = sampler.pick(rng.next53())
-        counts[s] = counts.get(s, 0) + 1
-        if n == next_checkpoint:
-            freqs = _frequencies(counts, n)
-            guess = None
-            for i in range(1, hyp_list.scan_bound(n) + 1):
-                if _test_frequencies(hyp_list.get(i), freqs, n):
-                    guess = i
-                    break
-            checkpoints.append((n, guess))
-            next_checkpoint += stride
-    return trace_from_checkpoints(checkpoints)
+    draws = iid_draws(target_pmf, seed)
+    counts = Counter()
+
+    def step(n):
+        counts.update(islice(draws, stride))
+        return _least_passing(hyp_list, counts, n)
+
+    return checkpoint_trace(step, n_max, stride)

@@ -8,39 +8,41 @@ distribution at the full-run threshold; it separates chains that agree on
 the visited rows but weight them differently.
 """
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
-from .errors import BadStart
 from .exactnum import BELOW, cmp_against_bracket, tau
 from .hypotheses import MarkovChain
-from .iid_identify import trace_from_checkpoints
-from .sampling import Rng, _Inversion
+from .iid_identify import checkpoint_trace
+from .sampling import chain_states
 
 
-@dataclass(frozen=True)
+@dataclass
 class TransitionCounts:
     """Visit and transition counts of a run prefix of length n."""
 
-    n: int
-    visits: dict
-    trans: dict  # (state, state) -> count
+    n: int = 0
+    visits: Counter = field(default_factory=Counter)
+    trans: Counter = field(default_factory=Counter)  # (state, state) -> count
+    _last: object = field(default=None, init=False, repr=False, compare=False)
 
-    def row_total(self, state):
-        return sum(c for (i, _), c in self.trans.items() if i == state)
+    def extend(self, block):
+        """Count the next states of the run; returns self."""
+        block = tuple(block)
+        if block:
+            path = (self._last,) + block if self.n else block
+            self.visits.update(block)
+            self.trans.update(zip(path, path[1:]))
+            self.n += len(block)
+            self._last = block[-1]
+        return self
 
 
 def empirical(run):
     """Count visits and transitions in a state sequence."""
-    visits = {}
-    trans = {}
-    prev = None
-    for s in run:
-        visits[s] = visits.get(s, 0) + 1
-        if prev is not None:
-            trans[(prev, s)] = trans.get((prev, s), 0) + 1
-        prev = s
-    return TransitionCounts(len(run), visits, trans)
+    return TransitionCounts().extend(run)
 
 
 def stationary(rows):
@@ -104,40 +106,22 @@ def chain_candidate_test(chain, counts):
     return _rows_pass(chain, counts) and _stationary_pass(chain, counts)
 
 
+def _least_passing(hyp_list, counts, n):
+    return hyp_list.least_passing(n, lambda i, chain: chain_candidate_test(chain, counts))
+
+
 def identify_chain(hyp_list, run, n):
     """Least index passing on the length-n run prefix, None if none does."""
-    counts = empirical(run[:n])
-    for i in range(1, hyp_list.scan_bound(n) + 1):
-        if chain_candidate_test(hyp_list.get(i), counts):
-            return i
-    return None
+    return _least_passing(hyp_list, empirical(run[:n]), n)
 
 
 def identify_chain_stream(hyp_list, source, x0, seed, n_max, stride=100):
     """Run the source chain once and identify at every stride checkpoint."""
-    if not source.has_state(x0):
-        raise BadStart("start state %r not in chain" % (x0,))
-    samplers = {s: _Inversion(source.row(s)) for s in source.states}
-    rng = Rng(seed)
-    visits = {}
-    trans = {}
-    state = x0
-    checkpoints = []
-    next_checkpoint = stride
-    prev = None
-    for n in range(1, n_max + 1):
-        state = samplers[state].pick(rng.next53())
-        visits[state] = visits.get(state, 0) + 1
-        if prev is not None:
-            trans[(prev, state)] = trans.get((prev, state), 0) + 1
-        prev = state
-        if n == next_checkpoint:
-            counts = TransitionCounts(n, dict(visits), dict(trans))
-            guess = None
-            for i in range(1, hyp_list.scan_bound(n) + 1):
-                if chain_candidate_test(hyp_list.get(i), counts):
-                    guess = i
-                    break
-            checkpoints.append((n, guess))
-            next_checkpoint += stride
-    return trace_from_checkpoints(checkpoints)
+    states = chain_states(source, x0, seed)
+    counts = TransitionCounts()
+
+    def step(n):
+        counts.extend(islice(states, stride))
+        return _least_passing(hyp_list, counts, n)
+
+    return checkpoint_trace(step, n_max, stride)

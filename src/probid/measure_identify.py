@@ -23,15 +23,15 @@ from math import inf
 
 from .complexity import (
     ComplexityEstimator,
-    ceil_log2_inv,
-    gamma_length,
+    literal_bits,
+    model_bits,
+    run_bits,
     symbol_bits,
-    _TAG_BITS,
 )
 from .enumeration import InterleavedList
 from .errors import ProbidError
 from .exactnum import log2_bracket
-from .iid_identify import trace_from_checkpoints
+from .iid_identify import checkpoint_trace
 from .sampling import draw_from_measure
 
 _log2_upper_cache = {}
@@ -68,14 +68,13 @@ class SigmaTrace:
         self.hyp_list = hyp_list
         self.x = tuple(x)
         self.estimator = estimator
-        run = 0
-        while run < len(self.x) and self.x[run] == self.x[0]:
-            run += 1
-        self._run_len = run
+        self._run_len = next(  # length of the leading run of x
+            (k for k, s in enumerate(self.x) if s != self.x[0]), len(self.x)
+        )
         self._sym_bits = symbol_bits(len(estimator.alphabet))
         self._mass_rows = {}  # id(measure) -> [generator, [masses...]]
         self._l2u = {}  # id(measure) -> [log2(1/mass) uppers or inf]
-        self._litrun = []  # khat over literal+run only, 1-based via index j-1
+        self._litrun = []  # khat over literal and run only, None if neither prices
         self._model_best = {}  # model_count -> [best model bits or None]
         self._prefix_max = {}  # (base_index, model_count) -> running max sigma
 
@@ -103,12 +102,15 @@ class SigmaTrace:
         return values
 
     def _litrun_bits(self, j):
+        schemes = self.estimator.schemes
         while len(self._litrun) < j:
             length = len(self._litrun) + 1
-            bits = _TAG_BITS + gamma_length(length) + length * self._sym_bits
-            if length <= self._run_len:
-                bits = min(bits, _TAG_BITS + gamma_length(length) + self._sym_bits)
-            self._litrun.append(bits)
+            options = []
+            if "literal" in schemes:
+                options.append(literal_bits(length, self._sym_bits))
+            if "run" in schemes and length <= self._run_len:
+                options.append(run_bits(length, self._sym_bits))
+            self._litrun.append(min(options, default=None))
         return self._litrun
 
     def _model_count(self, n):
@@ -128,24 +130,20 @@ class SigmaTrace:
         prev = self._model_best_row(count - 1, j)
         mu = self.estimator.model_list[count - 1]
         masses = self._masses(mu, j)
-        tag_and_index = _TAG_BITS + gamma_length(count)
         for idx in range(len(row), j):
             best = prev[idx] if prev is not None else None
             mass = masses[idx]
             if mass > 0:
-                bits = tag_and_index + ceil_log2_inv(mass) + 1
+                bits = model_bits(count, mass)
                 best = bits if best is None else min(best, bits)
             row.append(best)
         return row
 
     def khat_bits(self, j, n):
         """Estimator value on the length-j prefix at stage n."""
-        litrun = self._litrun_bits(j)[j - 1]
         count = self._model_count(n)
-        if count == 0:
-            return litrun
-        model = self._model_best_row(count, j)[j - 1]
-        return litrun if model is None else min(litrun, model)
+        model = self._model_best_row(count, j) if count else None
+        return _shortest(self._litrun_bits(j), model, j - 1)
 
     # -- sigma values -----------------------------------------------------
 
@@ -173,22 +171,18 @@ class SigmaTrace:
             for idx in range(len(running), n):
                 top = l2u[idx]
                 if top is not inf:
-                    bits = litrun[idx]
-                    if model is not None and model[idx] is not None:
-                        bits = min(bits, model[idx])
-                    top = top - bits
+                    top = top - _shortest(litrun, model, idx)
                 prev = running[-1] if running else -inf
                 running.append(top if top > prev else prev)
         return running[n - 1]
 
 
-def _positions(hyp_list, n):
-    for pos in range(1, n + 1):
-        if isinstance(hyp_list, InterleavedList) and not hyp_list.has(pos):
-            continue
-        if hyp_list.length is not None and pos > hyp_list.length:
-            break
-        yield pos
+def _shortest(litrun, model, idx):
+    """khat at prefix length idx + 1 from its literal/run and model rows."""
+    bits = [b for b in (litrun[idx], model and model[idx]) if b is not None]
+    if not bits:
+        raise ValueError("no admissible scheme prices the length-%d prefix" % (idx + 1))
+    return min(bits)
 
 
 def identify_measure_step(hyp_list, x, n, estimator, trace=None):
@@ -202,10 +196,7 @@ def identify_measure_step(hyp_list, x, n, estimator, trace=None):
         raise ProbidError("need at least n data symbols")
     if trace is None:
         trace = SigmaTrace(hyp_list, x, estimator)
-    for pos in _positions(hyp_list, n):
-        if trace.max_value(pos, n) < pos:
-            return pos
-    return 1
+    return hyp_list.least_passing(n, lambda pos, mu: trace.max_value(pos, n) < pos) or 1
 
 
 def default_estimator(base_list, extra_symbols=()):
@@ -250,9 +241,9 @@ def identify_measure_stream(base_list, source, seed, n_max, stride=100, estimato
     if estimator is None:
         estimator = default_estimator(base_list, extra_symbols=x)
     interleaved = InterleavedList(base_list)
-    trace_table = SigmaTrace(interleaved, x, estimator)
-    checkpoints = []
-    for n in range(stride, n_max + 1, stride):
-        guess = identify_measure_step(interleaved, x, n, estimator, trace=trace_table)
-        checkpoints.append((n, guess))
-    return trace_from_checkpoints(checkpoints)
+    table = SigmaTrace(interleaved, x, estimator)
+
+    def step(n):
+        return identify_measure_step(interleaved, x, n, estimator, trace=table)
+
+    return checkpoint_trace(step, n_max, stride)

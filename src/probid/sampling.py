@@ -11,10 +11,12 @@ doubled until it covers u.  Symbols of zero conditional mass are never
 selected.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .errors import BadStart, ZeroMassPrefix
+from .errors import BadStart
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -55,18 +57,12 @@ class SamplePrefix:
 
     def take(self, n):
         """Sub-prefix of the first n symbols, counts recomputed."""
-        head = self.symbols[:n]
-        counts = {}
-        for s in head:
-            counts[s] = counts.get(s, 0) + 1
-        return SamplePrefix(head, counts)
+        return _sample_prefix(self.symbols[:n])
 
 
 def _sample_prefix(symbols):
-    counts = {}
-    for s in symbols:
-        counts[s] = counts.get(s, 0) + 1
-    return SamplePrefix(tuple(symbols), counts)
+    symbols = tuple(symbols)
+    return SamplePrefix(symbols, Counter(symbols))
 
 
 class _Inversion:
@@ -133,29 +129,41 @@ def _pmf_sampler(pmf):
     return _Inversion(pairs)
 
 
+def _uniforms(seed):
+    """Endless 53-bit uniform numerators of the SplitMix64 stream of `seed`."""
+    return iter(Rng(seed).next53, None)
+
+
+def iid_draws(pmf, seed):
+    """Endless i.i.d. symbols from an exact pmf, one per uniform."""
+    return map(_pmf_sampler(pmf).pick, _uniforms(seed))
+
+
+def chain_states(chain, x0, seed):
+    """Endless states x_1, x_2, ... of a chain run from x0.
+
+    Raises BadStart at the call, before any state is drawn.
+    """
+    if not chain.has_state(x0):
+        raise BadStart("start state %r not in chain" % (x0,))
+    picks = {s: _Inversion(chain.row(s)).pick for s in chain.states}
+    return _walk(picks, x0, _uniforms(seed))
+
+
+def _walk(picks, state, uniforms):
+    for z in uniforms:
+        state = picks[state](z)
+        yield state
+
+
 def draw_iid(pmf, seed, n):
     """Draw n i.i.d. symbols from an exact pmf; returns a SamplePrefix."""
-    sampler = _pmf_sampler(pmf)
-    rng = Rng(seed)
-    pick = sampler.pick
-    next53 = rng.next53
-    symbols = [pick(next53()) for _ in range(n)]
-    return _sample_prefix(symbols)
+    return _sample_prefix(islice(iid_draws(pmf, seed), n))
 
 
 def run_chain(chain, x0, seed, n):
     """Run a chain n steps from x0; returns the state sequence x_1..x_n."""
-    if not chain.has_state(x0):
-        raise BadStart("start state %r not in chain" % (x0,))
-    samplers = {s: _Inversion(chain.row(s)) for s in chain.states}
-    rng = Rng(seed)
-    next53 = rng.next53
-    out = []
-    state = x0
-    for _ in range(n):
-        state = samplers[state].pick(next53())
-        out.append(state)
-    return tuple(out)
+    return tuple(islice(chain_states(chain, x0, seed), n))
 
 
 def draw_from_measure(mu, seed, n):
@@ -164,9 +172,7 @@ def draw_from_measure(mu, seed, n):
     Each step inverts the next-symbol distribution mu(xa)/mu(x); raises
     ZeroMassPrefix if the current prefix somehow has measure zero.
     """
-    rng = Rng(seed)
     prefix = []
-    for _ in range(n):
-        conds = mu.conditional(tuple(prefix))
-        prefix.append(_Inversion(conds).pick(rng.next53()))
+    for z in islice(_uniforms(seed), n):
+        prefix.append(_Inversion(mu.conditional(tuple(prefix))).pick(z))
     return _sample_prefix(prefix)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from probid.enumeration import HypothesisList, InterleavedList, get, interleave_decode
+from probid.enumeration import HypothesisList, InterleavedList, interleave_decode
 from probid.errors import IndexOutOfRange
 from probid.hypotheses import make_simple_pmf
 
@@ -20,12 +20,12 @@ def _brute_force_decode(limit):
 def test_get_is_stable_and_bounded():
     pmfs = [make_simple_pmf(t, 3) for t in ("1", "j", "j*j")]
     hl = HypothesisList("pmf", pmfs)
-    assert get(hl, 2) is pmfs[1]
-    assert get(hl, 2) is get(hl, 2)
+    assert hl.get(2) is pmfs[1]
+    assert hl.get(2) is hl.get(2)
     with pytest.raises(IndexOutOfRange):
-        get(hl, 4)
+        hl.get(4)
     with pytest.raises(IndexOutOfRange):
-        get(hl, 0)
+        hl.get(0)
 
 
 def test_generated_list_is_deterministic_and_memoized():

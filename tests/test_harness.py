@@ -66,12 +66,12 @@ def test_config_error_paths():
     del cfg["list"]
     assert _invalid_path(cfg) == "list"
     cfg = _iid_cfg(list={"items": [{"family": "finite_pmf", "params": {"probs": [[0, "1/2"]]}}]})
-    assert _invalid_path(cfg) == "list[0]"
+    assert _invalid_path(cfg) == "list.items[0]"
 
 
 def test_config_rejects_wrong_kind_for_mode():
     cfg = _iid_cfg(list={"items": [_markov_spec([["1/2", "1/2"], ["1/4", "3/4"]])]}, target_index=1)
-    assert _invalid_path(cfg) == "list[0]"
+    assert _invalid_path(cfg) == "list.items[0]"
 
 
 def test_grid_expansion_order():
@@ -212,16 +212,58 @@ def test_demo_mode(tmp_path):
     assert (tmp_path / "d" / "black_swan.csv").exists()
 
 
+def _markov_cfg(**overrides):
+    cfg = {
+        "mode": "markov",
+        "list": {
+            "items": [
+                _markov_spec([["3/4", "1/4"], ["1/4", "3/4"]]),
+                _markov_spec([["1/2", "1/2"], ["1/4", "3/4"]]),
+            ]
+        },
+        "target_index": 2,
+        "n_max": 4000,
+        "checkpoint": {"stride": 1000},
+        "seeds": [1, 2],
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def _measure_cfg(**overrides):
+    uniform = _pmf_spec(("a", "1/2"), ("b", "1/2"))
+    cfg = {
+        "mode": "measure",
+        "list": {
+            "items": [
+                {"family": "constant_run", "params": {"alphabet": ["a", "b"], "symbol": "a"}},
+                {"family": "iid_measure", "params": {"pmf": uniform}},
+            ]
+        },
+        "target_index": 2,
+        "n_max": 120,
+        "checkpoint": {"stride": 40},
+        "seeds": [1, 2, 3],
+    }
+    cfg.update(overrides)
+    return cfg
+
+
 def test_byte_identical_reruns_and_parallel_equivalence(tmp_path):
-    cfg = _iid_cfg(seeds={"count": 4, "base": 7})
-    dirs = [tmp_path / name for name in ("one", "two", "par")]
-    run_experiment(cfg, jobs=1, out_dir=str(dirs[0]))
-    run_experiment(cfg, jobs=1, out_dir=str(dirs[1]))
-    run_experiment(cfg, jobs=2, out_dir=str(dirs[2]))
-    for name in ("checkpoints.csv", "summary.csv"):
-        base = (dirs[0] / name).read_bytes()
-        assert (dirs[1] / name).read_bytes() == base
-        assert (dirs[2] / name).read_bytes() == base
+    configs = {
+        "iid": _iid_cfg(seeds={"count": 4, "base": 7}),
+        "markov": _markov_cfg(seeds={"count": 3, "base": 5}),
+        "measure": _measure_cfg(),
+    }
+    for mode, cfg in configs.items():
+        dirs = [tmp_path / mode / name for name in ("one", "two", "par")]
+        run_experiment(cfg, jobs=1, out_dir=str(dirs[0]))
+        run_experiment(cfg, jobs=1, out_dir=str(dirs[1]))
+        run_experiment(cfg, jobs=2, out_dir=str(dirs[2]))
+        for name in ("checkpoints.csv", "summary.csv"):
+            base = (dirs[0] / name).read_bytes()
+            assert (dirs[1] / name).read_bytes() == base, (mode, name)
+            assert (dirs[2] / name).read_bytes() == base, (mode, name)
 
 
 # -- summarize -------------------------------------------------------------------
@@ -294,3 +336,34 @@ def test_cli_demo_and_stationary(tmp_path, capsys):
     bad = tmp_path / "bad_chain.json"
     bad.write_text(json.dumps({"states": [0, 1], "rows": [["1", "0"], ["0", "1"]]}))
     assert cli.main(["stationary", "--chain", str(bad)]) == 2
+
+
+_BAD_ITEMS = [
+    {"family": "finite_pmf", "params": {}},
+    {"params": {}},
+    "x",
+    {"family": "simple_pmf", "params": {"term": "j", "size": "3"}},
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        (_measure_cfg(estimator={"stage_cap": "x"}), "estimator.stage_cap"),
+        (_measure_cfg(estimator={"stage_cap": 0}), "estimator.stage_cap"),
+        (_measure_cfg(estimator={"schemes": "literal"}), "estimator.schemes: must be a list"),
+        (_measure_cfg(estimator={"schemes": ["run", "model"]}), "estimator.schemes"),
+        (_measure_cfg(estimator={"schemes": [["literal"]]}), "estimator.schemes"),
+        (_markov_cfg(start_state=[0]), "start_state"),
+        (_measure_cfg(input_sequence=[["a"]] * 120), "input_sequence"),
+    ]
+    + [(_iid_cfg(list={"items": [_pmf_spec((0, "1/2"), (1, "1/2")), item]}), "list.items[1]") for item in _BAD_ITEMS]
+    + [(_iid_cfg(list={"family": "simple_pmf", "grid": {"term": ["j"], "size": [2, "3"]}}), "list.grid[1]")],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_cli_rejects_bad_config_with_field_path(tmp_path, capsys, cfg, path):
+    # exit 2 naming the field, both before a run and instead of one
+    config = _write_cfg(tmp_path, cfg)
+    for command in (["validate", "--config", config], ["run", "--config", config]):
+        assert cli.main(command) == 2
+        assert "config invalid: %s" % path in capsys.readouterr().err

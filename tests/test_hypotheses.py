@@ -109,25 +109,23 @@ def test_geometric_tail_closed_form():
         assert 1 - g.prefix_mass(m) == F(1, 1 << m)
 
 
-# -- approximate-evaluation contract ------------------------------------------
+# -- exactness -----------------------------------------------------------------
 
 
-def test_eps_contract_on_shipped_families():
+def test_shipped_families_are_exact():
     pmfs = [
         make_finite_pmf([(0, F(1, 3)), (1, F(2, 3))]),
         make_simple_pmf("j", 3),
         make_geometric_pmf(),
     ]
-    epsilons = [F(0), F(1, 1 << 10), F(1, 1 << 20)]
     for p in pmfs:
+        assert p.exact
         top = 3 if p.support_size is None else min(3, p.support_size)
-        for eps in epsilons:
-            for j in range(1, top + 1):
-                a = p.support(j)
-                assert abs(p.mass(a, eps) - p.mass(a, F(0))) <= eps
+        masses = [p.mass(p.support(j)) for j in range(1, top + 1)]
+        assert all(isinstance(q, F) for q in masses)
+        assert sum(masses) == p.prefix_mass(top)
     mu = make_mu_k(3, 1)
-    for eps in epsilons:
-        assert abs(mu.mass((1, 1), eps) - mu.mass((1, 1), F(0))) <= eps
+    assert mu.exact and mu.mass((1, 1)) == F(1, 3)
 
 
 # -- measures ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-
+from hypothesis import given, settings, strategies as st
 
 from helpers import separated_pmf, separated_pmf_list
 from probid.enumeration import HypothesisList
@@ -13,7 +13,6 @@ from probid.iid_identify import (
     identify_step,
     identify_stream,
     mass_cutoff,
-    observed_support,
     trace_from_checkpoints,
 )
 from probid.sampling import SamplePrefix, draw_iid
@@ -30,19 +29,18 @@ def _sample(symbols):
 
 
 def test_observed_support():
-    assert observed_support(_sample((3, 1, 3))) == {1, 3}
-    assert observed_support(_sample(())) == frozenset()
-    assert observed_support(_sample(("a", "a", "a"))) == {"a"}
+    # every observed symbol is tested, also one the candidate gives mass 0
+    uniform = make_finite_pmf([(0, HALF), (1, HALF)])
+    assert candidate_test(uniform, _sample((0,) * 50 + (1,) * 50), 100)
+    assert not candidate_test(uniform, _sample((0,) * 35 + (1,) * 35 + (9,) * 30), 100)
 
 
 def test_cutoff_set_union():
-    from probid.iid_identify import cutoff_set
-
     g = make_geometric_pmf()
-    cs = cutoff_set(g, _sample((9, 9, 1)), 16)
-    assert cs.observed == {1, 9}
-    assert cs.support_prefix == (1, 2, 3)
-    assert cs.symbols == {1, 2, 3, 9}
+    assert mass_cutoff(g, 100) == (1, 2, 3, 4)
+    assert candidate_test(g, _sample((1,) * 50 + (2,) * 25 + (3,) * 12 + (4,) * 13), 100)
+    # 9 lies past the cutoff prefix but is observed, so it is tested too
+    assert not candidate_test(g, _sample((1,) * 50 + (2,) * 25 + (9,) * 25), 100)
 
 
 def test_mass_cutoff_geometric():
@@ -164,3 +162,20 @@ def test_stream_guess_matches_step_on_same_prefix():
     sample = draw_iid(target, seed=2, n=4000)
     for n, guess in trace.checkpoints:
         assert identify_step(hl, sample.take(n), n) == guess
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    stride=st.integers(min_value=1, max_value=700),
+    n_max=st.integers(min_value=1, max_value=3000),
+)
+def test_stream_equals_step_at_every_checkpoint(seed, stride, n_max):
+    hl = separated_pmf_list()
+    target = separated_pmf(4)
+    trace = identify_stream(hl, target, seed, n_max=n_max, stride=stride)
+    sample = draw_iid(target, seed, n_max)
+    expected = [
+        (n, identify_step(hl, sample.take(n), n)) for n in range(stride, n_max + 1, stride)
+    ]
+    assert trace.checkpoints == expected

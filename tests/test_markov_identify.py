@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from helpers import chain_3state, chain_a, chain_b
 from probid.enumeration import HypothesisList
@@ -76,6 +77,20 @@ def test_empirical_counts():
     assert c2.trans == {("a", "a"): 2}
     c3 = empirical(())
     assert c3.n == 0 and c3.visits == {} and c3.trans == {}
+
+
+@given(
+    run=st.lists(st.integers(min_value=0, max_value=3), max_size=60),
+    cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=6),
+)
+def test_extend_by_blocks_equals_empirical(run, cuts):
+    counts = TransitionCounts()
+    start = 0
+    for cut in sorted(cuts) + [len(run)]:
+        counts.extend(run[start:cut])
+        start = max(start, cut)
+    whole = empirical(run)
+    assert (counts.n, counts.visits, counts.trans) == (whole.n, whole.visits, whole.trans)
 
 
 def test_counts_invariants_on_sampled_run():
@@ -156,3 +171,19 @@ def test_identify_chain_stream_converges():
     trace = identify_chain_stream(hl, source, 0, seed=1, n_max=20000, stride=5000)
     assert trace.final_guess == 2
     assert trace.converged_at is not None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    stride=st.integers(min_value=1, max_value=700),
+    n_max=st.integers(min_value=1, max_value=3000),
+    x0=st.sampled_from([0, 1, 2]),
+)
+def test_chain_stream_equals_identify_chain_at_every_checkpoint(seed, stride, n_max, x0):
+    source = chain_3state()
+    hl = HypothesisList("markov", [chain_b(), chain_a(), source])
+    trace = identify_chain_stream(hl, source, x0, seed, n_max=n_max, stride=stride)
+    run = run_chain(source, x0, seed, n_max)
+    expected = [(n, identify_chain(hl, run, n)) for n in range(stride, n_max + 1, stride)]
+    assert trace.checkpoints == expected

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import all_a_measure, mixed_measure_list, uniform_ab_measure
 from probid.complexity import ComplexityEstimator
@@ -58,6 +59,64 @@ def test_sigma_stage_agrees_with_trace_table():
         for j in (1, 2, 5, 30):
             for n in (1, 2, 10, 30):
                 assert table.value(pos, j, n) == sigma_stage(mu, x, j, n, est)
+
+
+def test_sigma_trace_honours_the_scheme_set():
+    # literal only: 50 a's cost 2 + gamma(50) + 50 = 63 bits, not the run's 16
+    base = _plain([uniform_ab_measure()])
+    est = ComplexityEstimator(alphabet=("a", "b"), schemes=("literal",))
+    x = ("a",) * 50
+    assert sigma_stage(uniform_ab_measure(), x, 50, 50, est) == 50 - 63
+    assert SigmaTrace(base, x, est).value(1, 50, 50) == 50 - 63
+
+
+_SCHEME_SETS = [
+    tuple(s for s in ("literal", "run", "model") if s in chosen)
+    for chosen in (
+        {"literal"}, {"run"}, {"model"}, {"literal", "run"}, {"literal", "model"},
+        {"run", "model"}, {"literal", "run", "model"},
+    )
+]
+
+
+def _sigma_or_error(fn):
+    try:
+        return fn()
+    except ValueError:
+        return "unpriced"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.lists(st.sampled_from("ab"), min_size=1, max_size=40),
+    schemes=st.sampled_from(_SCHEME_SETS),
+    stage_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    triples=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)), min_size=1, max_size=12),
+)
+def test_sigma_trace_equals_sigma_stage(x, schemes, stage_cap, triples):
+    base = mixed_measure_list()
+    inter = InterleavedList(base)
+    est = ComplexityEstimator(
+        alphabet=("a", "b"),
+        schemes=schemes,
+        model_list=tuple(base.get(i) for i in range(1, 6)) if "model" in schemes else (),
+        stage_cap=stage_cap,
+    )
+    x = tuple(x)
+    table = SigmaTrace(inter, x, est)
+    for pos, j, n in triples:
+        pos, j = 1 + (pos - 1) % 15, 1 + (j - 1) % len(x)
+        if not inter.has(pos):
+            continue
+        mu = inter.get(pos)
+        fast = _sigma_or_error(lambda: table.value(pos, j, n))
+        assert fast == _sigma_or_error(lambda: sigma_stage(mu, x, j, n, est))
+        top = min(n, len(x))
+        fast_max = _sigma_or_error(lambda: table.max_value(pos, top))
+        slow_max = _sigma_or_error(
+            lambda: max(sigma_stage(mu, x, k, top, est) for k in range(1, top + 1))
+        )
+        assert fast_max == slow_max
 
 
 def test_sigma_nondecreasing_in_stage():
