@@ -140,6 +140,13 @@ def _parse_seeds(obj, path):
     raise ConfigInvalid(path, "must be a list or {count, base}")
 
 
+def _parse_output(obj):
+    output = obj.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigInvalid("output", "must be a string or null")
+    return output
+
+
 def _parse_config(obj):
     if not isinstance(obj, dict):
         raise ConfigInvalid("", "config must be an object")
@@ -157,7 +164,7 @@ def _parse_config(obj):
             stride=1,
             seeds=[1],
             n_switch=n_switch,
-            output=obj.get("output"),
+            output=_parse_output(obj),
         )
 
     checkpoint = obj.get("checkpoint", {})
@@ -222,7 +229,7 @@ def _parse_config(obj):
         estimator=estimator,
         input_sequence=input_sequence,
         start_state=start_state,
-        output=obj.get("output"),
+        output=_parse_output(obj),
     )
     cfg.hypotheses = hypotheses  # already parsed; the property's cache
     return cfg
@@ -521,12 +528,12 @@ def write_plot_script(out_dir):
 
 def load_config_file(path):
     try:
-        with open(path, "r") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise IoError(str(exc))
     try:
-        obj = json.loads(text)
+        obj = json.loads(data)
     except ValueError as exc:
         raise ConfigInvalid("", "not valid JSON: %s" % exc)
     return ExperimentConfig.from_obj(obj)

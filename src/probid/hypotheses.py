@@ -299,32 +299,54 @@ def make_simple_pmf(term, size):
 
 
 class MeasureBase:
-    """Shared surface of the shipped cylinder measures."""
+    """Shared surface of the shipped cylinder measures.
+
+    A measure is given by the chain rule mu(xa) = mu(x) mu(a|x): `start` is
+    the state of the empty prefix (mass 1), and `step(state, i, a)` extends
+    a prefix of length i by the symbol a, returning the new state and the
+    mass of the extended prefix.  Once a prefix has mass 0, so does every
+    extension.  Masses and conditionals are derived from `step` alone.
+    """
 
     exact = True
     alphabet = ()
     spec = None
+    start = None
 
-    def mass(self, prefix):
+    def step(self, state, i, a):
         raise NotImplementedError
 
+    def _prefix_state(self, prefix):
+        """(state, mass) of a whole prefix."""
+        state, mass = self.start, ONE
+        for i, a in enumerate(prefix):
+            state, mass = self.step(state, i, a)
+        return state, mass
+
+    def mass(self, prefix):
+        return self._prefix_state(prefix)[1]
+
     def mass_prefixes(self, symbols):
-        """Yield mass of symbols[:1], symbols[:2], ... (generic, quadratic)."""
-        seq = tuple(symbols)
-        for j in range(1, len(seq) + 1):
-            yield self.mass(seq[:j])
+        """Yield mass of symbols[:1], symbols[:2], ..."""
+        state = self.start
+        for i, a in enumerate(symbols):
+            state, mass = self.step(state, i, a)
+            yield mass
 
     def conditional(self, prefix):
         """Next-symbol distribution mu(prefix+a)/mu(prefix) as (symbol, mass) pairs."""
         prefix = tuple(prefix)
-        base = self.mass(prefix)
+        state, base = self._prefix_state(prefix)
         if base == 0:
             raise ZeroMassPrefix("prefix %r has measure zero" % (prefix,))
-        return [(a, self.mass(prefix + (a,)) / base) for a in self.alphabet]
+        i = len(prefix)
+        return [(a, self.step(state, i, a)[1] / base) for a in self.alphabet]
 
 
 class ProductMeasure(MeasureBase):
-    """I.i.d. measure of an exact finite-support pmf: mass is a product."""
+    """I.i.d. measure of an exact finite-support pmf; the state is the mass."""
+
+    start = ONE
 
     def __init__(self, pmf):
         if pmf.support_size is None:
@@ -335,25 +357,9 @@ class ProductMeasure(MeasureBase):
         self.alphabet = tuple(pmf.support(j) for j in range(1, pmf.support_size + 1))
         self.spec = HypothesisSpec("iid_measure", {"pmf": pmf.spec.to_obj()})
 
-    def mass(self, prefix):
-        total = ONE
-        for s in prefix:
-            p = self._pmf.mass(s)
-            if p == 0:
-                return ZERO
-            total *= p
-        return total
-
-    def mass_prefixes(self, symbols):
-        total = ONE
-        for s in symbols:
-            total = total * self._pmf.mass(s) if total != 0 else ZERO
-            yield total
-
-    def conditional(self, prefix):
-        if self.mass(tuple(prefix)) == 0:
-            raise ZeroMassPrefix("prefix %r has measure zero" % (tuple(prefix),))
-        return self._pmf.items()
+    def step(self, state, i, a):
+        mass = state * self._pmf.mass(a)
+        return mass, mass
 
 
 class PathMixtureMeasure(MeasureBase):
@@ -371,7 +377,7 @@ class PathMixtureMeasure(MeasureBase):
         total = sum((w for w, _ in atoms), ZERO)
         if total != 1:
             raise SumNotOne("atom weights sum to %s" % total)
-        self._atoms = tuple(atoms)
+        self.start = tuple(atoms)  # the atoms whose path extends the prefix
         self.spec = spec or HypothesisSpec("path_mixture")
 
     def _symbol_at(self, atom_path, i):
@@ -381,19 +387,9 @@ class PathMixtureMeasure(MeasureBase):
         # ("switch", first_symbol, switch_after, second_symbol)
         return atom_path[1] if i < atom_path[2] else atom_path[3]
 
-    def mass(self, prefix):
-        prefix = tuple(prefix)
-        total = ZERO
-        for weight, path in self._atoms:
-            if all(prefix[i] == self._symbol_at(path, i) for i in range(len(prefix))):
-                total += weight
-        return total
-
-    def mass_prefixes(self, symbols):
-        alive = list(self._atoms)
-        for i, s in enumerate(symbols):
-            alive = [(w, p) for w, p in alive if self._symbol_at(p, i) == s]
-            yield sum((w for w, _ in alive), ZERO)
+    def step(self, state, i, a):
+        alive = tuple((w, p) for w, p in state if self._symbol_at(p, i) == a)
+        return alive, sum((w for w, _ in alive), ZERO)
 
 
 def constant_run_measure(alphabet, symbol):
@@ -454,8 +450,11 @@ class MarkedRunMeasure(MeasureBase):
     locked to the marker forever (so every marker run has mass exactly 1/k);
     any other start continues i.i.d. uniform.  This distributes the
     off-run mass by uniform splitting while preserving the measure
-    equalities exactly.
+    equalities exactly.  The state is "start", "locked" (on the marker
+    run), "free" (off it) or "dead" (mass 0).
     """
+
+    start = "start"
 
     def __init__(self, k, marker):
         if not 1 <= marker <= k:
@@ -465,37 +464,16 @@ class MarkedRunMeasure(MeasureBase):
         self.alphabet = tuple(range(1, k + 1))
         self.spec = HypothesisSpec("marked_run", {"k": k, "marker": marker})
 
-    def mass(self, prefix):
-        prefix = tuple(prefix)
-        if not prefix:
-            return ONE
-        if any(s not in self.alphabet for s in prefix):
-            return ZERO
-        if prefix[0] == self.marker:
-            if all(s == self.marker for s in prefix):
-                return Fraction(1, self.k)
-            return ZERO
-        return Fraction(1, self.k ** len(prefix))
-
-    def mass_prefixes(self, symbols):
-        marker = self.marker
-        k = self.k
-        state = "start"
-        for i, s in enumerate(symbols):
-            if state == "dead" or s not in self.alphabet:
-                state = "dead"
-                yield ZERO
-                continue
-            if state == "start":
-                state = "locked" if s == marker else "free"
-            elif state == "locked" and s != marker:
-                state = "dead"
-                yield ZERO
-                continue
-            if state == "locked":
-                yield Fraction(1, k)
-            else:
-                yield Fraction(1, k ** (i + 1))
+    def step(self, state, i, a):
+        if state == "dead" or a not in self.alphabet:
+            return "dead", ZERO
+        if state == "start":
+            state = "locked" if a == self.marker else "free"
+        elif state == "locked" and a != self.marker:
+            return "dead", ZERO
+        if state == "locked":
+            return state, Fraction(1, self.k)
+        return state, Fraction(1, self.k ** (i + 1))
 
 
 def make_mu_k(k, marker):

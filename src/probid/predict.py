@@ -9,7 +9,7 @@ dependent data can defeat prediction outright even then.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyHistory, UnknownState, ZeroMassPrefix
+from .errors import EmptyHistory, UnknownState
 from .hypotheses import make_black_swan_pair
 
 ONE = Fraction(1)
@@ -57,9 +57,6 @@ def predict_markov(chain, history):
 
 def predict_measure(mu, history):
     """Exact conditionals mu(history + a) / mu(history)."""
-    history = tuple(history)
-    if mu.mass(history) == 0:
-        raise ZeroMassPrefix("history %r has measure zero" % (history,))
     return dict(mu.conditional(history))
 
 

@@ -7,14 +7,15 @@ dyadic rational u = z/2**53 in [0, 1), and we pick the least symbol whose
 exact cumulative mass reaches u.  Ties (u exactly on a boundary) therefore
 resolve to the lower index, and because u < 1 the search always terminates,
 including on infinite supports where the materialized support prefix is
-doubled until it covers u.  Symbols of zero conditional mass are never
+extended until it covers u.  Symbols of zero conditional mass are never
 selected.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 from .errors import BadStart
 
@@ -66,67 +67,37 @@ def _sample_prefix(symbols):
 
 
 class _Inversion:
-    """Inversion sampler over (symbol, exact mass) pairs.
+    """Inversion sampler over a finite or endless (symbol, exact mass) iterator.
 
-    Thresholds are pre-scaled integers: symbol j is selected for the 53-bit
-    draw z iff cum_j >= z/2**53, i.e. num_j << 53 >= z * den_j.  Zero-mass
-    entries are skipped so they can never be selected, even at z = 0.
+    Symbol j is selected for the 53-bit draw z iff it is the least j with
+    cum_j >= z/2**53, i.e. with threshold T_j = floor(cum_j * 2**53) >= z.
+    The thresholds are read from the iterator only until one reaches z.
+    Zero-mass entries are skipped so they can never be selected, even at
+    z = 0.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_pairs", "_cum", "_thresholds", "_symbols")
 
     def __init__(self, pairs):
-        table = []
-        cum = Fraction(0)
-        for symbol, mass in pairs:
-            if mass == 0:
-                continue
-            cum += mass
-            table.append((cum.numerator << 53, cum.denominator, symbol))
-        self._table = table
+        self._pairs = iter(pairs)
+        self._cum = Fraction(0)
+        self._thresholds = []
+        self._symbols = []
 
     def pick(self, z):
-        for num_scaled, den, symbol in self._table:
-            if num_scaled >= z * den:
-                return symbol
+        thresholds = self._thresholds
+        while not thresholds or thresholds[-1] < z:
+            self._extend()
+        return self._symbols[bisect_left(thresholds, z)]
+
+    def _extend(self):
+        for symbol, mass in self._pairs:
+            if mass:
+                cum = self._cum = self._cum + mass
+                self._thresholds.append((cum.numerator << 53) // cum.denominator)
+                self._symbols.append(symbol)
+                return
         raise AssertionError("total mass below the drawn uniform")
-
-
-class _InfiniteInversion:
-    """Inversion over a canonical support enumeration with prefix masses.
-
-    Materializes the support prefix lazily, doubling its length until the
-    exact prefix mass covers the drawn uniform; guaranteed to terminate
-    because u < 1 while prefix masses tend to 1.
-    """
-
-    def __init__(self, pmf):
-        self._pmf = pmf
-        self._m = 1
-        self._rebuild()
-
-    def _rebuild(self):
-        pairs = [
-            (self._pmf.support(j), self._pmf.mass(self._pmf.support(j)))
-            for j in range(1, self._m + 1)
-        ]
-        self._inv = _Inversion(pairs)
-        covered = self._pmf.prefix_mass(self._m)
-        self._cov_num = covered.numerator << 53
-        self._cov_den = covered.denominator
-
-    def pick(self, z):
-        while self._cov_num < z * self._cov_den:
-            self._m *= 2
-            self._rebuild()
-        return self._inv.pick(z)
-
-
-def _pmf_sampler(pmf):
-    if pmf.support_size is None:
-        return _InfiniteInversion(pmf)
-    pairs = [(pmf.support(j), pmf.mass(pmf.support(j))) for j in range(1, pmf.support_size + 1)]
-    return _Inversion(pairs)
 
 
 def _uniforms(seed):
@@ -136,7 +107,10 @@ def _uniforms(seed):
 
 def iid_draws(pmf, seed):
     """Endless i.i.d. symbols from an exact pmf, one per uniform."""
-    return map(_pmf_sampler(pmf).pick, _uniforms(seed))
+    size = pmf.support_size
+    positions = count(1) if size is None else range(1, size + 1)
+    pairs = ((s, pmf.mass(s)) for s in map(pmf.support, positions))
+    return map(_Inversion(pairs).pick, _uniforms(seed))
 
 
 def chain_states(chain, x0, seed):
@@ -169,10 +143,16 @@ def run_chain(chain, x0, seed, n):
 def draw_from_measure(mu, seed, n):
     """Sample a length-n prefix from a measure via exact conditionals.
 
-    Each step inverts the next-symbol distribution mu(xa)/mu(x); raises
-    ZeroMassPrefix if the current prefix somehow has measure zero.
+    The prefix state and mass are carried forward by the chain rule; each
+    step inverts the next-symbol distribution mu(xa)/mu(x) over the
+    alphabet.  A picked symbol has positive mass, so the prefix never
+    reaches mass zero.
     """
+    state, mass = mu.start, Fraction(1)
     prefix = []
-    for z in islice(_uniforms(seed), n):
-        prefix.append(_Inversion(mu.conditional(tuple(prefix))).pick(z))
+    for i, z in enumerate(islice(_uniforms(seed), n)):
+        steps = {a: mu.step(state, i, a) for a in mu.alphabet}
+        a = _Inversion((a, m / mass) for a, (_, m) in steps.items()).pick(z)
+        prefix.append(a)
+        state, mass = steps[a]
     return _sample_prefix(prefix)

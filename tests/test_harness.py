@@ -293,7 +293,10 @@ def test_summarize_lower_median():
 
 def _write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    if isinstance(cfg, bytes):
+        path.write_bytes(cfg)
+    else:
+        path.write_text(json.dumps(cfg))
     return str(path)
 
 
@@ -358,7 +361,9 @@ _BAD_ITEMS = [
         (_measure_cfg(input_sequence=[["a"]] * 120), "input_sequence"),
     ]
     + [(_iid_cfg(list={"items": [_pmf_spec((0, "1/2"), (1, "1/2")), item]}), "list.items[1]") for item in _BAD_ITEMS]
-    + [(_iid_cfg(list={"family": "simple_pmf", "grid": {"term": ["j"], "size": [2, "3"]}}), "list.grid[1]")],
+    + [(_iid_cfg(list={"family": "simple_pmf", "grid": {"term": ["j"], "size": [2, "3"]}}), "list.grid[1]")]
+    + [(_iid_cfg(output=5), "output"), (_iid_cfg(output=["out"]), "output")]
+    + [(b'{"mode": "iid\xff"}', ": not valid JSON")],
     ids=lambda v: v if isinstance(v, str) else None,
 )
 def test_cli_rejects_bad_config_with_field_path(tmp_path, capsys, cfg, path):

@@ -198,15 +198,25 @@ def test_measure_equalities_sweep(mu, depth):
 
 
 def test_mass_prefixes_matches_pointwise_mass():
-    seqs = {
-        make_mu_k(3, 1): (1, 1, 2, 3, 1),
-        make_iid_measure(make_finite_pmf([("a", F(1, 4)), ("b", F(3, 4))])): tuple("abba"),
-        make_black_swan_pair(2)[1]: ("a", "a", "b", "b"),
-    }
-    for mu, seq in seqs.items():
+    mu_k = make_mu_k(3, 1)
+    iid = make_iid_measure(make_finite_pmf([("a", F(1, 4)), ("b", F(3, 4))]))
+    switch = make_black_swan_pair(2)[1]
+    # the last input of each family holds a symbol outside the alphabet
+    cases = [
+        (mu_k, (1, 1, 2, 3, 1), None),
+        (mu_k, (2, 3, 7, 1), 2),
+        (iid, tuple("abba"), None),
+        (iid, tuple("abzb"), 2),
+        (switch, ("a", "a", "b", "b"), None),
+        (switch, ("a", "z", "a"), 1),
+    ]
+    for mu, seq, dead_from in cases:
         streamed = list(mu.mass_prefixes(seq))
         direct = [mu.mass(seq[: j + 1]) for j in range(len(seq))]
         assert streamed == direct
+        if dead_from is not None:
+            assert all(m > 0 for m in streamed[:dead_from])
+            assert streamed[dead_from:] == [0] * (len(seq) - dead_from)
 
 
 def test_measure_monotone_and_bounded():

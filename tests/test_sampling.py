@@ -1,20 +1,25 @@
 """Seeded generation: reproducibility, exact inversion, frequency sanity."""
 
 from fractions import Fraction
+from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import chain_a, uniform_ab_pmf
 from probid.errors import BadStart, ZeroMassPrefix
 from probid.exactnum import tau
 from probid.hypotheses import (
     MarkovChain,
+    constant_run_measure,
     make_black_swan_pair,
     make_finite_pmf,
     make_geometric_pmf,
     make_iid_measure,
+    make_mu_k,
+    switch_pair_measure,
 )
-from probid.sampling import Rng, draw_from_measure, draw_iid, run_chain
+from probid.sampling import Rng, _Inversion, draw_from_measure, draw_iid, run_chain
 
 F = Fraction
 
@@ -66,7 +71,7 @@ def test_geometric_infinite_support_draw():
     s = draw_iid(make_geometric_pmf(), seed=3, n=4000)
     freq1 = F(s.counts.get(1, 0), 4000)
     assert abs(freq1 - F(1, 2)) < F(1, 20)
-    assert max(s.counts) > 3  # the doubling search reached deep symbols
+    assert max(s.counts) > 3  # the extended table reached deep symbols
 
 
 def test_deterministic_chain_row():
@@ -139,3 +144,129 @@ def test_per_symbol_deviation_guard():
         dev = max(abs(F(counts.get(s, 0), n) - F(1, 4)) for s in range(4))
         good += dev <= bound
     assert good >= 19
+
+
+# -- the documented inversion rule, against a test-local oracle -------------------
+
+
+def _oracle_pick(pairs, z):
+    """Least j with cum_j >= z/2**53 over the positive masses of `pairs`."""
+    u = F(z, 1 << 53)
+    cum = F(0)
+    for symbol, mass in pairs:
+        if mass > 0:
+            cum += mass
+            if cum >= u:
+                return symbol
+    raise AssertionError("masses sum below u")
+
+
+def _uniforms(seed, n):
+    rng = Rng(seed)
+    return [rng.next53() for _ in range(n)]
+
+
+def test_inversion_ties_and_zero_masses():
+    # random draws almost never land on a threshold, so pin the edges here
+    half = 1 << 52  # z/2**53 = 1/2 exactly
+    inv = _Inversion([("a", F(0)), ("b", F(1, 2)), ("c", F(0)), ("d", F(1, 2))])
+    assert [inv.pick(z) for z in (0, half, half + 1, (1 << 53) - 1)] == ["b", "b", "d", "d"]
+    third = _Inversion([("a", F(1, 3)), ("b", F(2, 3))])
+    t = (1 << 53) // 3  # t/2**53 < 1/3 < (t+1)/2**53
+    assert [third.pick(t), third.pick(t + 1)] == ["a", "b"]
+    endless = _Inversion((j, F(1, 1 << j)) for j in count(1))
+    assert [endless.pick(z) for z in (0, half, half + 1, (1 << 53) - 1)] == [1, 1, 2, 53]
+
+
+_seeds = st.integers(0, (1 << 64) - 1)
+_weights = st.lists(st.integers(1, 1 << 64) | st.integers(1, 4), min_size=1, max_size=5)
+
+
+def _pmf(weights):
+    total = sum(weights)
+    return make_finite_pmf([(j, F(w, total)) for j, w in enumerate(weights)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=_weights, seed=_seeds, n=st.integers(0, 200))
+def test_draw_iid_follows_inversion_rule(weights, seed, n):
+    p = _pmf(weights)
+    expected = tuple(_oracle_pick(p.items(), z) for z in _uniforms(seed, n))
+    assert draw_iid(p, seed, n).symbols == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_seeds, n=st.integers(0, 300))
+def test_geometric_draw_follows_inversion_rule(seed, n):
+    g = make_geometric_pmf()
+    expected = tuple(
+        _oracle_pick(((j, g.mass(j)) for j in count(1)), z) for z in _uniforms(seed, n)
+    )
+    assert draw_iid(g, seed, n).symbols == expected
+
+
+@st.composite
+def _chains_with_zeros(draw):
+    # a cycle 0 -> 1 -> ... -> 0 plus a self-loop at 0 keeps the chain
+    # ergodic whatever the other entries are, zeros included
+    size = draw(st.integers(1, 4))
+    rows = []
+    for i in range(size):
+        row = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        row[(i + 1) % size] += 1
+        if i == 0:
+            row[0] += 1
+        rows.append([F(v, sum(row)) for v in row])
+    return MarkovChain(tuple(range(size)), rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=_chains_with_zeros(), seed=_seeds, n=st.integers(0, 200))
+def test_run_chain_follows_inversion_rule(chain, seed, n):
+    state, expected = 0, []
+    for z in _uniforms(seed, n):
+        state = _oracle_pick(chain.row(state), z)
+        expected.append(state)
+    assert run_chain(chain, 0, seed, n) == tuple(expected)
+
+
+_measures = st.one_of(
+    _weights.map(lambda w: make_iid_measure(_pmf(w))),
+    st.integers(1, 4).flatmap(lambda k: st.builds(make_mu_k, st.just(k), st.integers(1, k))),
+    st.sampled_from(["a", "b", "c"]).map(lambda s: constant_run_measure(("a", "b", "c"), s)),
+    st.builds(
+        switch_pair_measure,
+        st.just(("a", "b", "c")),
+        st.sampled_from("abc"),
+        st.sampled_from("abc"),
+        st.integers(1, 6),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mu=_measures, seed=_seeds, n=st.integers(0, 40))
+def test_draw_from_measure_follows_inversion_rule(mu, seed, n):
+    prefix = ()
+    for z in _uniforms(seed, n):
+        prefix += (_oracle_pick(mu.conditional(prefix), z),)
+    assert draw_from_measure(mu, seed, n).symbols == prefix
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        make_iid_measure(make_finite_pmf([("a", F(1, 3)), ("b", F(2, 3))])),
+        make_mu_k(3, 2),
+        constant_run_measure(("a", "b", "c"), "c"),
+        switch_pair_measure(("a", "b"), "a", "b", 4),
+    ],
+)
+def test_draw_from_measure_steps_once_per_symbol_and_letter(mu):
+    calls = []
+    step = mu.step
+    mu.step = lambda *args: calls.append(args) or step(*args)
+    for n in (0, 1, 50):
+        calls.clear()
+        draw_from_measure(mu, seed=3, n=n)
+        assert len(calls) == n * len(mu.alphabet)
