@@ -9,7 +9,7 @@ checks convergence empirically at desk scale.
 __version__ = "0.1.0"
 
 from .enumeration import HypothesisList, InterleavedList, interleave_decode
-from .exactnum import Bracket, Rational, cmp_against_bracket, tau
+from .exactnum import Bracket, Rational, tau
 from .hypotheses import (
     HypothesisSpec,
     MarkovChain,
@@ -40,7 +40,6 @@ __all__ = [
     "black_swan_demo",
     "build_hypothesis",
     "candidate_test",
-    "cmp_against_bracket",
     "draw_from_measure",
     "draw_iid",
     "ergodic_mean",

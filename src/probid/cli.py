@@ -51,6 +51,8 @@ def _build_parser():
 def _cmd_run(args):
     cfg = load_config_file(args.config)
     out_dir = args.out or cfg.output
+    if args.emit_plot_script and not out_dir and cfg.mode != "demo":
+        raise ConfigInvalid("output", "plot script needs an output directory")
     result, summary = run_experiment(cfg, jobs=args.jobs, out_dir=out_dir)
     if cfg.mode == "demo":
         print(result.as_text())
@@ -58,8 +60,6 @@ def _cmd_run(args):
     if summary is not None:
         print(summary.as_text())
     if args.emit_plot_script:
-        if not out_dir:
-            raise ConfigInvalid("output", "plot script needs an output directory")
         write_plot_script(out_dir)
     if out_dir:
         print("results written to %s" % out_dir)

@@ -5,13 +5,15 @@ The identification loops decide strict inequalities such as
 the threshold is irrational, so it is evaluated as a rational interval
 (`Bracket`) with outward rounding.  Comparing a rational against a bracket
 is then exact and platform independent; only values falling inside the
-bracket are ambiguous, and callers resolve those conservatively.
+bracket are ambiguous, and callers resolve those conservatively.  Two
+places make such decisions: `iid_identify.within_band` compares frequency
+deviations against the lower end of `tau`, and `measure_identify.SigmaTrace`
+takes the upper end of `log2_bracket`.
 
 Rationals are `fractions.Fraction` (arbitrary precision, normalized with a
 positive denominator), re-exported as `Rational`.
 """
 
-import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -25,21 +27,7 @@ Rational = Fraction
 BRACKET_EPS = Fraction(1, 1 << 20)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _THIRD = Fraction(1, 3)
-
-
-class Side(enum.Enum):
-    """Placement of an exact rational relative to a bracket."""
-
-    BELOW = "below"
-    INSIDE = "inside"
-    ABOVE = "above"
-
-
-BELOW = Side.BELOW
-INSIDE = Side.INSIDE
-ABOVE = Side.ABOVE
 
 
 class Bracket(NamedTuple):
@@ -51,22 +39,6 @@ class Bracket(NamedTuple):
     @property
     def width(self):
         return self.hi - self.lo
-
-    def __contains__(self, value):
-        return self.lo <= value <= self.hi
-
-
-def cmp_against_bracket(v, b):
-    """Place rational `v` relative to bracket `b`.
-
-    Returns BELOW iff v < b.lo, ABOVE iff v > b.hi, INSIDE otherwise.
-    Exactly one of the three outcomes holds for every well-formed bracket.
-    """
-    if v < b.lo:
-        return BELOW
-    if v > b.hi:
-        return ABOVE
-    return INSIDE
 
 
 def _atanh_twice(z, eps):

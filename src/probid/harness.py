@@ -29,6 +29,7 @@ from .hypotheses import (
     GeometricPmf,
     MarkovChain,
     MeasureBase,
+    ProductMeasure,
     build_hypothesis,
 )
 from .iid_identify import identify_stream
@@ -299,6 +300,8 @@ def _equal_hypotheses(a, b):
         return a.equal_pmf(b)
     if hasattr(a, "equal_chain"):
         return a.equal_chain(b)
+    if isinstance(a, ProductMeasure) and isinstance(b, ProductMeasure):
+        return a.pmf.equal_pmf(b.pmf)
     # Extensional equality of measures is undecidable; spec-level equality
     # is the decidable stand-in for the shipped families.
     return a.spec == b.spec

@@ -1,9 +1,8 @@
 """Computable probability models: pmfs, Markov chains, cylinder measures.
 
 Every shipped family is exact: masses are `Fraction`s evaluated with error
-0, and each hypothesis says so with `exact = True`.  The identifiers
-consume exact values only; they compare them against outward-rounded
-brackets of the irrational thresholds (see `exactnum`).
+0.  The identifiers consume exact values only; they compare them against
+outward-rounded brackets of the irrational thresholds (see `exactnum`).
 
 A hypothesis carries a `HypothesisSpec`, a finite JSON-safe description
 (family tag plus rational parameters) that reconstructs it losslessly.
@@ -60,8 +59,6 @@ class HypothesisSpec:
 
 class FinitePmf:
     """Exact pmf on a finite ordered support; all masses strictly positive."""
-
-    exact = True
 
     def __init__(self, probs, spec=None):
         order = []
@@ -131,7 +128,6 @@ class GeometricPmf:
     the tail cutoffs of the i.i.d. identifier consume.
     """
 
-    exact = True
     support_size = None
 
     def __init__(self):
@@ -308,7 +304,6 @@ class MeasureBase:
     extension.  Masses and conditionals are derived from `step` alone.
     """
 
-    exact = True
     alphabet = ()
     spec = None
     start = None
@@ -351,14 +346,12 @@ class ProductMeasure(MeasureBase):
     def __init__(self, pmf):
         if pmf.support_size is None:
             raise BadSymbol("product measure needs a finite-support pmf")
-        if not pmf.exact:
-            raise BadSymbol("product measure needs an exact pmf")
-        self._pmf = pmf
+        self.pmf = pmf
         self.alphabet = tuple(pmf.support(j) for j in range(1, pmf.support_size + 1))
         self.spec = HypothesisSpec("iid_measure", {"pmf": pmf.spec.to_obj()})
 
     def step(self, state, i, a):
-        mass = state * self._pmf.mass(a)
+        mass = state * self.pmf.mass(a)
         return mass, mass
 
 
@@ -568,8 +561,6 @@ class MarkovChain:
     transition graph) and aperiodicity (gcd of cycle length differences is
     1), then solves the stationary distribution exactly.
     """
-
-    exact = True
 
     def __init__(self, states, rows, spec=None):
         states = tuple(states)

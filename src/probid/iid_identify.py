@@ -12,11 +12,10 @@ when no index passes the step reports Undecided (None).
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from .exactnum import BELOW, cmp_against_bracket, tau
+from .exactnum import tau
 from .sampling import iid_draws
 
 
@@ -80,30 +79,37 @@ def mass_cutoff(pmf, n):
         m += 1
 
 
-def _test_frequencies(pmf, freqs, n):
-    bracket = tau(n)
-    symbols = set(freqs)
-    symbols.update(mass_cutoff(pmf, n))
-    for a in symbols:
-        dev = abs(pmf.mass(a) - freqs.get(a, 0))
-        if cmp_against_bracket(dev, bracket) is not BELOW:
+def within_band(mass, symbols, counts, total, bracket):
+    """True iff |mass(a) - c/total| < bracket.lo for every a in `symbols`
+    and every a with a positive count c = counts[a].
+
+    The one frequency-band test: i.i.d. candidates, markov rows and the
+    stationary clause all decide through it.  A deviation inside the
+    bracket fails.  The comparison is made in integers,
+    |q.num*total - c*q.den| * lo.den < lo.num * q.den * total.
+    """
+    lo = bracket.lo
+    bound, scale = lo.numerator * total, lo.denominator
+    checked = set(symbols)
+    checked.update(a for a, c in counts.items() if c > 0)
+    for a in checked:
+        q = mass(a)
+        den = q.denominator
+        if abs(q.numerator * total - counts.get(a, 0) * den) * scale >= bound * den:
             return False
     return True
-
-
-def _frequencies(counts, n):
-    return {a: Fraction(c, n) for a, c in counts.items() if c > 0}
 
 
 def candidate_test(pmf, sample, n):
     """True iff the candidate's masses sit strictly inside the
     sqrt(ln n / n) band around the observed frequencies on the cutoff set."""
-    return _test_frequencies(pmf, _frequencies(sample.counts, n), n)
+    return within_band(pmf.mass, mass_cutoff(pmf, n), sample.counts, n, tau(n))
 
 
 def _least_passing(hyp_list, counts, n):
-    freqs = _frequencies(counts, n)
-    return hyp_list.least_passing(n, lambda i, pmf: _test_frequencies(pmf, freqs, n))
+    return hyp_list.least_passing(
+        n, lambda i, pmf: within_band(pmf.mass, mass_cutoff(pmf, n), counts, n, tau(n))
+    )
 
 
 def identify_step(hyp_list, sample, n):

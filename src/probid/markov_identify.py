@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .exactnum import BELOW, cmp_against_bracket, tau
+from .exactnum import tau
 from .hypotheses import MarkovChain
-from .iid_identify import checkpoint_trace
+from .iid_identify import checkpoint_trace, within_band
 from .sampling import chain_states
 
 
@@ -65,34 +65,17 @@ def ergodic_mean(chain):
 
 
 def _rows_pass(chain, counts):
-    n = counts.n
-    row_totals = {}
+    successors = {}  # state -> {next state: count}
     for (i, j), c in counts.trans.items():
-        row_totals[i] = row_totals.get(i, 0) + c
+        successors.setdefault(i, {})[j] = c
     for state, v in counts.visits.items():
-        if not chain.has_state(state):
-            return False
-        if v * v < n:
+        if v * v < counts.n:
             continue
-        total = row_totals.get(state, 0)
-        if total == 0:
+        row = successors.get(state)
+        if not row:
             continue  # gated state with no outgoing data (run endpoint)
-        bracket = tau(total)
-        for succ, q in chain.row(state):
-            observed = Fraction(counts.trans.get((state, succ), 0), total)
-            if cmp_against_bracket(abs(q - observed), bracket) is not BELOW:
-                return False
-    return True
-
-
-def _stationary_pass(chain, counts):
-    n = counts.n
-    if n == 0:
-        return False
-    bracket = tau(n)
-    for state in chain.states:
-        freq = Fraction(counts.visits.get(state, 0), n)
-        if cmp_against_bracket(abs(chain.stationary_mass(state) - freq), bracket) is not BELOW:
+        total = sum(row.values())
+        if not within_band(dict(chain.row(state)).get, chain.states, row, total, tau(total)):
             return False
     return True
 
@@ -103,7 +86,9 @@ def chain_candidate_test(chain, counts):
         return False
     if any(not chain.has_state(s) for s in counts.visits):
         return False
-    return _rows_pass(chain, counts) and _stationary_pass(chain, counts)
+    return _rows_pass(chain, counts) and within_band(
+        chain.stationary_mass, chain.states, counts.visits, counts.n, tau(counts.n)
+    )
 
 
 def _least_passing(hyp_list, counts, n):

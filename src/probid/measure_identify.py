@@ -34,25 +34,13 @@ from .exactnum import log2_bracket
 from .iid_identify import checkpoint_trace
 from .sampling import draw_from_measure
 
-_log2_upper_cache = {}
-
-
-def _log2_inv_upper(mass):
-    """Upper bracket endpoint of log2(1/mass); exact for dyadic masses."""
-    value = _log2_upper_cache.get(mass)
-    if value is None:
-        value = log2_bracket(1 / mass).hi
-        _log2_upper_cache[mass] = value
-    return value
-
-
 def sigma_stage(mu, x, j, n, estimator):
     """Stage-n deficiency of mu on the length-j prefix of x; +inf at mass 0."""
     prefix = tuple(x)[:j]
     mass = mu.mass(prefix)
     if mass == 0:
         return inf
-    return _log2_inv_upper(mass) - estimator.khat(prefix, n)
+    return log2_bracket(1 / mass).hi - estimator.khat(prefix, n)
 
 
 class SigmaTrace:
@@ -98,7 +86,7 @@ class SigmaTrace:
             masses = self._masses(mu, j)
             for idx in range(len(values), j):
                 m = masses[idx]
-                values.append(inf if m == 0 else _log2_inv_upper(m))
+                values.append(inf if m == 0 else log2_bracket(1 / m).hi)
         return values
 
     def _litrun_bits(self, j):

@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from probid.exactnum import (
-    ABOVE,
-    BELOW,
     BRACKET_EPS,
-    INSIDE,
     Bracket,
-    cmp_against_bracket,
     ln_bracket,
     log2_bracket,
     tau,
@@ -71,21 +67,6 @@ def test_tau_drops_below_one_twentieth():
         assert tau(n).hi < Fraction(1, 20)
     for n in (1500, 1900, 3200):
         assert tau(n).lo > Fraction(1, 20)
-
-
-def test_cmp_examples():
-    eps = Fraction(1, 1 << 20)
-    b = Bracket(Fraction(1, 4), Fraction(1, 4) + eps)
-    assert cmp_against_bracket(Fraction(1, 8), b) is BELOW
-    assert cmp_against_bracket(Fraction(1, 2), b) is ABOVE
-    assert cmp_against_bracket(Fraction(1, 4) + Fraction(1, 1 << 21), b) is INSIDE
-
-
-@given(v=rationals, lo=rationals, w=st.fractions(min_value=0, max_value=1, max_denominator=1000))
-def test_cmp_is_exhaustive_and_exclusive(v, lo, w):
-    b = Bracket(lo, lo + w)
-    side = cmp_against_bracket(v, b)
-    assert side is (BELOW if v < b.lo else ABOVE if v > b.hi else INSIDE)
 
 
 @given(a=rationals, b=rationals, c=rationals)

@@ -2,11 +2,14 @@
 
 import json
 import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probid import cli
+from probid.enumeration import interleave_decode
 from probid.errors import ConfigInvalid, EmptyInput
 from probid.harness import (
     ExperimentConfig,
@@ -206,6 +209,28 @@ def test_run_measure_mode_with_sampled_target():
     assert summary.fraction_correct == 1.0
 
 
+def test_measure_mode_equal_product_measures_count_as_correct():
+    # the two product measures list the same pmf in a different symbol order
+    cfg = {
+        "mode": "measure",
+        "list": {
+            "items": [
+                {"family": "constant_run", "params": {"alphabet": ["a", "b"], "symbol": "a"}},
+                {"family": "iid_measure", "params": {"pmf": _pmf_spec(("a", "1/2"), ("b", "1/2"))}},
+                {"family": "iid_measure", "params": {"pmf": _pmf_spec(("b", "1/2"), ("a", "1/2"))}},
+            ]
+        },
+        "target_index": 3,
+        "n_max": 400,
+        "checkpoint": {"stride": 100},
+        "seeds": [1, 2],
+    }
+    records, summary = run_experiment(cfg)
+    assert [r.final_guess for r in records] == [3, 3]
+    assert interleave_decode(3) == 2  # the first of the two equal measures
+    assert summary.fraction_correct == 1.0
+
+
 def test_demo_mode(tmp_path):
     report, _ = run_experiment({"mode": "demo", "n_switch": 4, "output": str(tmp_path / "d")})
     assert report.switch_prediction["b"] == F(1, 2)
@@ -319,6 +344,18 @@ def test_cli_exit_code_on_invalid_config(tmp_path):
     assert cli.main(["run", "--config", path]) == 2
 
 
+def test_cli_plot_script_without_output_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_sweep)
+    path = _write_cfg(tmp_path, _iid_cfg(seeds=[1]))
+    assert cli.main(["run", "--config", path, "--emit-plot-script"]) == 2
+    captured = capsys.readouterr()
+    assert "config invalid: output" in captured.err
+    assert "fraction correct" not in captured.out and captured.out == ""
+
+
 def test_cli_exit_code_on_io_error(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
@@ -372,3 +409,66 @@ def test_cli_rejects_bad_config_with_field_path(tmp_path, capsys, cfg, path):
     for command in (["validate", "--config", config], ["run", "--config", config]):
         assert cli.main(command) == 2
         assert "config invalid: %s" % path in capsys.readouterr().err
+
+
+# -- config fuzzing -----------------------------------------------------------------
+
+# Small integers and short strings only, so that a mutated seed count, size or
+# term cannot ask for a huge sweep or power while parsing.
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(-1e6, 1e6)
+    | st.text("abj01/ ", max_size=4)
+    | st.sampled_from(["iid", "markov", "measure", "demo", "literal", "run", "items", "family"])
+)
+_KEYS = st.sampled_from(["n_max", "seeds", "list", "items", "family", "params", "count", "extra"])
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _slots(obj):
+    """Every (container, key) pair inside a JSON value."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+    elif isinstance(obj, list):
+        items = list(enumerate(obj))
+    else:
+        items = []
+    for key, value in items:
+        yield obj, key
+        yield from _slots(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from([_iid_cfg, _markov_cfg, _measure_cfg]), data=st.data())
+def test_config_mutations_parse_or_raise_config_invalid(base, data):
+    # replace, delete or add up to three values anywhere in a valid config
+    cfg = base()
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(_slots(cfg))
+        if not slots:
+            break
+        container, key = data.draw(st.sampled_from(slots))
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            container[key] = data.draw(_JSON)
+        elif action == "delete":
+            del container[key]
+        elif isinstance(container, dict):
+            container[data.draw(_KEYS)] = data.draw(_JSON)
+        else:
+            container.append(data.draw(_JSON))
+    try:
+        ExperimentConfig.from_obj(cfg)
+    except ConfigInvalid:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as handle:
+            json.dump(cfg, handle)
+        assert cli.main(["validate", "--config", path]) in (0, 2)

@@ -119,13 +119,12 @@ def test_shipped_families_are_exact():
         make_geometric_pmf(),
     ]
     for p in pmfs:
-        assert p.exact
         top = 3 if p.support_size is None else min(3, p.support_size)
         masses = [p.mass(p.support(j)) for j in range(1, top + 1)]
         assert all(isinstance(q, F) for q in masses)
         assert sum(masses) == p.prefix_mass(top)
     mu = make_mu_k(3, 1)
-    assert mu.exact and mu.mass((1, 1)) == F(1, 3)
+    assert mu.mass((1, 1)) == F(1, 3)
 
 
 # -- measures ------------------------------------------------------------------

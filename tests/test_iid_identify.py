@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import separated_pmf, separated_pmf_list
 from probid.enumeration import HypothesisList
-from probid.exactnum import tau
+from probid.exactnum import Bracket, tau
 from probid.hypotheses import make_finite_pmf, make_geometric_pmf
 from probid.iid_identify import (
     candidate_test,
@@ -14,6 +14,7 @@ from probid.iid_identify import (
     identify_stream,
     mass_cutoff,
     trace_from_checkpoints,
+    within_band,
 )
 from probid.sampling import SamplePrefix, draw_iid
 
@@ -61,6 +62,46 @@ def test_mass_cutoff_finite_support():
     assert mass_cutoff(p, 100) == (0, 1)
     # at n=99 the first symbol suffices: tail^2*n = 99/100 < 1
     assert mass_cutoff(p, 99) == (0,)
+
+
+_ALPHABET = range(5)
+
+
+@st.composite
+def _band_inputs(draw):
+    """Masses, tested symbols, counts (zero entries included), total and a
+    bracket: a tau bracket (tau(1) is [0, 0]), one whose lower end equals a
+    tested deviation exactly, or a free one."""
+    total = draw(st.integers(1, 300))
+    fractions = st.fractions(0, 1, max_denominator=40)
+    masses = draw(st.dictionaries(st.sampled_from(_ALPHABET), fractions))
+    counts = draw(st.dictionaries(st.sampled_from(_ALPHABET), st.integers(0, total)))
+    symbols = draw(st.lists(st.sampled_from(_ALPHABET), max_size=4))
+    kind = draw(st.sampled_from(["tau", "at_deviation", "free"]))
+    if kind == "tau":
+        return masses, symbols, counts, total, tau(draw(st.integers(1, 3000)))
+    lo = draw(fractions)
+    tested = set(symbols) | {a for a, c in counts.items() if c > 0}
+    if kind == "at_deviation" and tested:
+        a = draw(st.sampled_from(sorted(tested)))
+        lo = abs(masses.get(a, F(0)) - F(counts.get(a, 0), total))
+    return masses, symbols, counts, total, Bracket(lo, lo + draw(fractions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_band_inputs())
+@example(({0: F(1)}, [0], {0: 1}, 1, tau(1)))  # exact fit still fails [0, 0]
+@example(({0: HALF, 1: HALF}, [0], {0: 3, 1: 1}, 4, Bracket(F(1, 4), F(1, 3))))  # at lo
+@example(({0: F(1), 1: F(1)}, [0], {0: 10, 1: 0}, 10, tau(10)))  # a zero count is not observed
+def test_within_band_matches_fraction_rule(inputs):
+    masses, symbols, counts, total, bracket = inputs
+
+    def mass(a):
+        return masses.get(a, F(0))
+
+    tested = set(symbols) | {a for a, c in counts.items() if c > 0}
+    expected = all(abs(mass(a) - F(counts.get(a, 0), total)) < bracket.lo for a in tested)
+    assert within_band(mass, symbols, counts, total, bracket) is expected
 
 
 def test_candidate_test_at_hundred():

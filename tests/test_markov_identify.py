@@ -1,5 +1,6 @@
 """Chain identification: exact stationary solve, counts, two-clause test."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -144,25 +145,32 @@ def test_ergodic_mean_examples():
 
 def test_iid_reduction_row_clause():
     # equal-rows chain: transitions out of any state are i.i.d. draws of p,
-    # and the row clause coincides with the i.i.d. candidate test per state
-    p = make_finite_pmf([(0, F(1, 3)), (1, F(2, 3))])
-    rows = [[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]]
-    chain = MarkovChain((0, 1), rows)
-    run = run_chain(chain, 0, seed=8, n=3000)
+    # and the row clause coincides with the i.i.d. candidate test per state,
+    # for the source's own rows and for rows the data rule out
+    source = MarkovChain((0, 1), [[F(1, 3), F(2, 3)]] * 2)
+    run = run_chain(source, 0, seed=8, n=3000)
     counts = empirical(run)
     successors = {0: [], 1: []}
     for a, b in zip(run, run[1:]):
         successors[a].append(b)
-    expected = True
-    for state, succ in successors.items():
-        if counts.visits[state] ** 2 < counts.n:
-            continue
-        tally = {}
-        for s in succ:
-            tally[s] = tally.get(s, 0) + 1
-        sample = SamplePrefix(tuple(succ), tally)
-        expected = expected and candidate_test(p, sample, len(succ))
-    assert _rows_pass(chain, counts) == expected
+    outcomes = set()
+    for probs in ((F(1, 3), F(2, 3)), (HALF, HALF)):
+        p = make_finite_pmf(list(zip((0, 1), probs)))
+        chain = MarkovChain((0, 1), [probs, probs])
+        expected = True
+        for state, succ in successors.items():
+            if counts.visits[state] ** 2 < counts.n:
+                continue
+            tally = Counter(succ)
+            v = len(succ)
+            trans = Counter({(state, s): c for s, c in tally.items()})
+            row_only = TransitionCounts(v, Counter({state: v}), trans)
+            passes = candidate_test(p, SamplePrefix(tuple(succ), tally), v)
+            assert _rows_pass(chain, row_only) == passes, (probs, state)
+            expected = expected and passes
+            outcomes.add(passes)
+        assert _rows_pass(chain, counts) == expected
+    assert outcomes == {True, False}
 
 
 def test_identify_chain_stream_converges():
