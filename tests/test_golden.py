@@ -1,0 +1,120 @@
+"""Golden output digests: small configs whose CSV bytes must never move.
+
+Each config runs through `run_experiment` and the sha256 of its
+`checkpoints.csv` and `summary.csv` is compared with a pinned value.  A
+change that alters which guess is emitted at any checkpoint, or how it is
+written, fails here.  The measure configs reach non-dyadic prefix masses
+(the 3/4-1/4 i.i.d. measure) as well as dyadic ones, so a change to how
+`log2(1/mass)` enters the deficiency is caught too.
+"""
+
+import hashlib
+
+import pytest
+
+from probid.harness import run_experiment
+
+
+def _pmf(*pairs):
+    return {"family": "finite_pmf", "params": {"probs": [list(p) for p in pairs]}}
+
+
+def _markov(rows):
+    return {"family": "markov", "params": {"states": [0, 1], "rows": rows}}
+
+
+def _iid_measure(*pairs):
+    return {"family": "iid_measure", "params": {"pmf": _pmf(*pairs)}}
+
+
+_ALL_A = {"family": "constant_run", "params": {"alphabet": ["a", "b"], "symbol": "a"}}
+_SKEWED = _iid_measure(("a", "3/4"), ("b", "1/4"))
+_UNIFORM = _iid_measure(("a", "1/2"), ("b", "1/2"))
+
+GOLDEN = {
+    "iid": (
+        {
+            "mode": "iid",
+            "list": {
+                "items": [
+                    _pmf((0, "9/10"), (1, "1/10")),
+                    _pmf((0, "1/2"), (1, "1/2")),
+                    _pmf((0, "1/3"), (1, "1/3"), (2, "1/3")),
+                ]
+            },
+            "target_index": 2,
+            "n_max": 3000,
+            "checkpoint": {"stride": 10},
+            "seeds": {"count": 4, "base": 1},
+        },
+        "b2dcec8fdcf8f2c765238d5884e673d720c98d48c5dc7d900948518d0a767c60",
+        "b5091c3575d31fcd247f67ef3d67568698909fc6c922c187f89d06efaf0d6462",
+    ),
+    "markov": (
+        {
+            "mode": "markov",
+            "list": {
+                "items": [
+                    _markov([["3/4", "1/4"], ["1/4", "3/4"]]),
+                    _markov([["1/2", "1/2"], ["1/4", "3/4"]]),
+                ]
+            },
+            "target_index": 2,
+            "start_state": 0,
+            "n_max": 4000,
+            "checkpoint": {"stride": 40},
+            "seeds": [1, 2, 3],
+        },
+        "fd78653b3ef2b82e2c60d37d467351612b2c3d0c942897b03d5c39ee55516045",
+        "a5818c2cb0786698e1b9c8c4f11be2756cf74a142f0ca21d6d5cebee4badd82a",
+    ),
+    "measure-dyadic": (
+        {
+            "mode": "measure",
+            "list": {"items": [_ALL_A, _UNIFORM]},
+            "target_index": 2,
+            "n_max": 400,
+            "checkpoint": {"stride": 4},
+            "seeds": [1, 2, 3],
+        },
+        "6d24d5bfc594edf4cfa10d1b3ba33982c99c885ff8990c7992b0d7b9b82e7fef",
+        "bf73784aec3a01082dee7bc2e29c24d3eabe4888c960a30c2c6e34fbc204a365",
+    ),
+    "measure-skewed": (
+        {
+            "mode": "measure",
+            "list": {"items": [_ALL_A, _SKEWED, _UNIFORM]},
+            "target_index": 2,
+            "n_max": 400,
+            "checkpoint": {"stride": 4},
+            "seeds": [1, 2],
+        },
+        "c475d4a8e3b0c5d196f5f05a16cefecfc41b2a260c5ceb6f43ba6843a3878593",
+        "15aa45b407e9ae300bbf2893d1312bf806be09b1eca6e9242629adc8f8ccbf31",
+    ),
+    "measure-fixed-capped": (
+        {
+            "mode": "measure",
+            "list": {"items": [_ALL_A, _SKEWED, _UNIFORM]},
+            "input_sequence": "aaab" * 75,
+            "estimator": {"schemes": ["literal", "run", "model"], "stage_cap": 3},
+            "n_max": 300,
+            "checkpoint": {"stride": 3},
+            "seeds": [1],
+        },
+        "10f28eb2cf702d8e2fa1641b9e5e9cd805886f8f18350345fa1067adaf4d3814",
+        "427dbbcab6972aab1db7142851fe3ac181045060171c93ee5cd01a72b33b6903",
+    ),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_csv_digests(name, tmp_path):
+    cfg, checkpoints, summary = GOLDEN[name]
+    run_experiment(cfg, out_dir=str(tmp_path))
+    assert _sha256(tmp_path / "checkpoints.csv") == checkpoints
+    assert _sha256(tmp_path / "summary.csv") == summary
