@@ -16,6 +16,8 @@ gamma code, gamma(k) = 2*floor(log2 k) + 1 bits; b = ceil(log2 |L|)):
   model   (tag 10, stage index 2): 2 + gamma(i) + ceil(log2 1/mu_i(x)) + 1,
           for the i-th measure of the model list, i <= stage, mu_i(x) > 0
 
+`model_bits` reads ceil(log2 1/mu_i(x)) as -floor(log2 mu_i(x)), the lower
+end of `exactnum.log2_bracket`, so every length here is an exact integer.
 The empty string is priced at 2 bits (tag only) by convention.  The model
 code's extra bit halves each codeword so that, within any one prefix
 length, a hypothesis spends at most half of its gamma-weighted budget
@@ -26,6 +28,8 @@ and run codewords exhaustively.
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .exactnum import log2_bracket
 
 _TAG_BITS = 2
 _SCHEME_STAGE = {"literal": 0, "run": 1, "model": 2}
@@ -46,12 +50,6 @@ def symbol_bits(alphabet_size):
     return (alphabet_size - 1).bit_length()
 
 
-def ceil_log2_inv(q):
-    """Least integer t with 2**t >= 1/q, for rational q in (0, 1]."""
-    c = -(-q.denominator // q.numerator)  # ceil(1/q)
-    return (c - 1).bit_length()
-
-
 def literal_bits(length, b):
     """Literal codeword of a length-`length` string, b bits per symbol."""
     return _TAG_BITS + gamma_length(length) + length * b
@@ -64,7 +62,8 @@ def run_bits(length, b):
 
 def model_bits(i, mass):
     """Model codeword of a string of positive mass under the i-th model."""
-    return _TAG_BITS + gamma_length(i) + ceil_log2_inv(mass) + 1
+    # -floor(log2 mass) = ceil(log2 1/mass), negated to keep 1/mass unbuilt
+    return _TAG_BITS + gamma_length(i) - log2_bracket(mass).lo + 1
 
 
 def khat(x, n, alphabet, model_list=None, schemes=_DEFAULT_SCHEMES):

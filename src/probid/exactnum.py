@@ -1,14 +1,18 @@
-"""Exact rational arithmetic and bracketed evaluation of sqrt(ln n / n).
+"""Exact rational arithmetic, a bracket of sqrt(ln n / n), and integer log2.
 
-The identification loops decide strict inequalities such as
+The i.i.d. and markov loops decide strict inequalities such as
 |q(a) - freq(a)| < sqrt(ln n / n).  The left side is an exact rational but
-the threshold is irrational, so it is evaluated as a rational interval
-(`Bracket`) with outward rounding.  Comparing a rational against a bracket
-is then exact and platform independent; only values falling inside the
-bracket are ambiguous, and callers resolve those conservatively.  Two
-places make such decisions: `iid_identify.within_band` compares frequency
-deviations against the lower end of `tau`, and `measure_identify.SigmaTrace`
-takes the upper end of `log2_bracket`.
+the threshold is irrational, so `tau` evaluates it as a rational interval
+(`Bracket`) of width below 2**-20 with outward rounding.  Comparing a
+rational against a bracket is then exact and platform independent; only
+values falling inside the bracket are ambiguous, and
+`iid_identify.within_band` resolves those conservatively by comparing
+against the lower end.
+
+`log2_bracket` needs no such care: it returns the integer pair
+floor(log2 q), ceil(log2 q), read from bit lengths.  That is all the
+description lengths need, since every other term they are compared with
+is an integer (see `complexity` and `measure_identify`).
 
 Rationals are `fractions.Fraction` (arbitrary precision, normalized with a
 positive denominator), re-exported as `Rational`.
@@ -23,7 +27,7 @@ from .errors import ProbidError
 
 Rational = Fraction
 
-#: Guaranteed maximum width of brackets produced by `tau` and `log2_bracket`.
+#: Guaranteed maximum width of the brackets `tau` produces.
 BRACKET_EPS = Fraction(1, 1 << 20)
 
 _ZERO = Fraction(0)
@@ -31,7 +35,7 @@ _THIRD = Fraction(1, 3)
 
 
 class Bracket(NamedTuple):
-    """Closed rational interval [lo, hi] known to contain a real value."""
+    """Closed rational (or integer) interval [lo, hi] containing a real value."""
 
     lo: Fraction
     hi: Fraction
@@ -69,18 +73,6 @@ def _ln2(eps):
     return _atanh_twice(_THIRD, eps)
 
 
-def _floor_log2(q):
-    """Largest e with 2**e <= q, for rational q >= 1."""
-    e = q.numerator.bit_length() - q.denominator.bit_length()
-    if e < 0:
-        e = 0
-    while (q.numerator >> e) < q.denominator:  # 2**e > q
-        e -= 1
-    while (q.numerator >> (e + 1)) >= q.denominator:  # 2**(e+1) <= q
-        e += 1
-    return e
-
-
 def ln_bracket(q, eps=BRACKET_EPS):
     """Bracket the natural logarithm of a positive rational, width < eps."""
     q = Fraction(q)
@@ -91,7 +83,7 @@ def ln_bracket(q, eps=BRACKET_EPS):
     if q < 1:
         lo, hi = ln_bracket(1 / q, eps)
         return Bracket(-hi, -lo)
-    e = _floor_log2(q)
+    e = log2_bracket(q).lo
     m = q / (1 << e)  # in [1, 2)
     if e == 0:
         mlo, mhi = _atanh_twice((m - 1) / (m + 1), eps)
@@ -136,33 +128,19 @@ def tau(n):
     return Bracket(_sqrt_lower(r_lo, 24), _sqrt_upper(r_hi, 24))
 
 
-def _dyadic_log2(q):
-    """Exact log2 for q that is a power of two, else None."""
-    num, den = q.numerator, q.denominator
-    if num & (num - 1) == 0 and den & (den - 1) == 0:
-        return (num.bit_length() - 1) - (den.bit_length() - 1)
-    return None
+def log2_bracket(q):
+    """Integer bracket [floor(log2 q), ceil(log2 q)] of a positive rational.
 
-
-def log2_bracket(q, eps=BRACKET_EPS):
-    """Bracket log2 of a positive rational, width < eps.
-
-    Exact (zero-width) for powers of two, which covers every mass produced
-    by the dyadic measure fixtures; otherwise computed as ln q / ln 2 with
-    directed rounding.
+    Read from bit lengths alone: with e = len(num) - len(den) in bits,
+    2**(e-1) < q < 2**(e+1), and one shifted comparison settles which side
+    of 2**e q lies on.  The width is 0 exactly on powers of two.  Accepts a
+    `Fraction` or an int.
     """
-    q = Fraction(q)
-    if q <= 0:
+    num, den = q.numerator, q.denominator
+    if num <= 0:
         raise ProbidError("log2 of nonpositive rational")
-    exact = _dyadic_log2(q)
-    if exact is not None:
-        f = Fraction(exact)
-        return Bracket(f, f)
-    if q < 1:
-        lo, hi = log2_bracket(1 / q, eps)
-        return Bracket(-hi, -lo)
-    # ln q <= bits, a safe integer overestimate used for error budgeting.
-    bits = q.numerator.bit_length() - q.denominator.bit_length() + 1
-    nlo, nhi = ln_bracket(q, eps / 4)
-    dlo, dhi = _ln2(eps / (8 * max(bits, 1)))
-    return Bracket(nlo / dhi, nhi / dlo)
+    e = num.bit_length() - den.bit_length()
+    if num << max(-e, 0) < den << max(e, 0):  # q < 2**e
+        e -= 1
+    exact = num & (num - 1) == 0 and den & (den - 1) == 0
+    return Bracket(e, e if exact else e + 1)

@@ -14,9 +14,12 @@ qualifies.  Run against a list in which every measure occurs at infinitely
 many positions, a typical measure eventually sits at a position exceeding
 its deficiency bound, so the guess stabilizes.
 
-The log2 term is evaluated as an exact rational bracket and the comparison
-uses the bracket's upper endpoint: a borderline value delays admission,
-which is harmless in the limit.  Zero-mass prefixes give sigma = +inf.
+Only floor(log2(1/mu_i(x_1..x_j))) enters: the estimator value and the
+position are integers, and for a real L and integers K, i, L - K < i holds
+iff floor(L) - K < i.  So each sigma is stored as that integer, taken from
+the upper end of `exactnum.log2_bracket(mass)` (floor(log2 1/m) =
+-ceil(log2 m)), and the step rule is decided exactly, with no rounding
+margin.  Zero-mass prefixes give sigma = +inf.
 """
 
 from math import inf
@@ -35,18 +38,18 @@ from .iid_identify import checkpoint_trace
 from .sampling import draw_from_measure
 
 def sigma_stage(mu, x, j, n, estimator):
-    """Stage-n deficiency of mu on the length-j prefix of x; +inf at mass 0."""
+    """Floored stage-n deficiency of mu on the length-j prefix of x; +inf at mass 0."""
     prefix = tuple(x)[:j]
     mass = mu.mass(prefix)
     if mass == 0:
         return inf
-    return log2_bracket(1 / mass).hi - estimator.khat(prefix, n)
+    return -log2_bracket(mass).hi - estimator.khat(prefix, n)
 
 
 class SigmaTrace:
     """Lazy table of stage deficiencies for one data sequence and one list.
 
-    Masses, bracketed logs, and per-stage description lengths are shared
+    Masses, floored logs, and per-stage description lengths are shared
     across positions (an interleaved list hits the same base measure at
     many positions) and across checkpoints, so streaming evaluation costs
     amortized O(1) per (position, prefix) pair.
@@ -61,7 +64,7 @@ class SigmaTrace:
         )
         self._sym_bits = symbol_bits(len(estimator.alphabet))
         self._mass_rows = {}  # id(measure) -> [generator, [masses...]]
-        self._l2u = {}  # id(measure) -> [log2(1/mass) uppers or inf]
+        self._l2u = {}  # id(measure) -> [floor(log2(1/mass)) or inf]
         self._litrun = []  # khat over literal and run only, None if neither prices
         self._model_best = {}  # model_count -> [best model bits or None]
         self._prefix_max = {}  # (base_index, model_count) -> running max sigma
@@ -86,7 +89,7 @@ class SigmaTrace:
             masses = self._masses(mu, j)
             for idx in range(len(values), j):
                 m = masses[idx]
-                values.append(inf if m == 0 else log2_bracket(1 / m).hi)
+                values.append(inf if m == 0 else -log2_bracket(m).hi)
         return values
 
     def _litrun_bits(self, j):

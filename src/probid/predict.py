@@ -29,13 +29,13 @@ def predict_iid(pmf, history=(), coverage=None):
     """Next-symbol distribution under i.i.d. draws: the pmf itself.
 
     Finite supports come back exactly.  Infinite supports are truncated at
-    the requested coverage, with the leftover tail mass filed under REST so
-    the returned masses still sum to exactly 1.
+    the requested coverage, which must be below 1, with the leftover tail
+    mass filed under REST so the returned masses still sum to exactly 1.
     """
     if pmf.support_size is not None:
         return dict(pmf.items())
-    if coverage is None:
-        raise ValueError("infinite support needs a coverage level")
+    if coverage is None or coverage >= 1:  # no finite prefix holds mass 1
+        raise ValueError("infinite support needs a coverage level below 1")
     m = 1
     while pmf.prefix_mass(m) < coverage:
         m += 1

@@ -172,6 +172,35 @@ def test_a5_measure_identification_fixtures():
     )
 
 
+def _measure_spec(symbol_masses):
+    probs = [[s, "%d/%d" % (q.numerator, q.denominator)] for s, q in symbol_masses]
+    pmf = {"family": "finite_pmf", "params": {"probs": probs}}
+    return {"family": "iid_measure", "params": {"pmf": pmf}}
+
+
+@pytest.mark.parametrize("target", [1, 2, 3])
+def test_a5b_sampled_measure_sweep(target):
+    # data drawn from a list member are typical for it almost surely, so the
+    # decoded final guess must name the target, as in A2 and A3
+    cfg = {
+        "mode": "measure",
+        "list": {
+            "items": [
+                {"family": "constant_run", "params": {"alphabet": ["a", "b"], "symbol": "a"}},
+                _measure_spec([("a", F(3, 4)), ("b", F(1, 4))]),
+                _measure_spec([("a", F(1, 2)), ("b", F(1, 2))]),
+            ]
+        },
+        "target_index": target,
+        "n_max": 2000,
+        "checkpoint": {"stride": 100},
+        "seeds": {"count": 100, "base": 1},
+    }
+    records, _ = run_experiment(cfg, jobs=2)
+    good = sum(rec.correct for rec in records)
+    _report("A5b measure-sampled target %d" % target, good >= 99, "%d/100 correct" % good)
+
+
 def test_a6_black_swan_prediction():
     report = black_swan_demo(5)
     ok = (

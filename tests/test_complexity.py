@@ -14,12 +14,12 @@ import pytest
 from helpers import all_a_measure, mixed_measure_list, uniform_ab_measure
 from probid.complexity import (
     ComplexityEstimator,
-    ceil_log2_inv,
     gamma_length,
     khat,
     kraft_audit,
     symbol_bits,
 )
+from probid.exactnum import log2_bracket
 from probid.sampling import Rng
 
 F = Fraction
@@ -34,11 +34,12 @@ def test_symbol_bits():
 
 
 def test_ceil_log2_inv():
-    assert ceil_log2_inv(F(1)) == 0
-    assert ceil_log2_inv(F(1, 2)) == 1
-    assert ceil_log2_inv(F(4, 9)) == 2
-    assert ceil_log2_inv(F(2, 3)) == 1
-    assert ceil_log2_inv(F(1, 1024)) == 10
+    # ceil(log2 1/q), as model_bits reads it: -floor(log2 q)
+    assert -log2_bracket(F(1)).lo == 0
+    assert -log2_bracket(F(1, 2)).lo == 1
+    assert -log2_bracket(F(4, 9)).lo == 2
+    assert -log2_bracket(F(2, 3)).lo == 1
+    assert -log2_bracket(F(1, 1024)).lo == 10
 
 
 def test_khat_run_of_hundred_is_sixteen_bits():

@@ -1,10 +1,11 @@
 """Bracket arithmetic against high-precision oracles."""
 
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from probid.exactnum import (
     BRACKET_EPS,
@@ -13,6 +14,7 @@ from probid.exactnum import (
     log2_bracket,
     tau,
 )
+from probid.errors import ProbidError
 
 mpmath.mp.dps = 50
 
@@ -94,6 +96,40 @@ def test_log2_bracket_exact_on_powers_of_two():
 @pytest.mark.parametrize("q", [Fraction(3), Fraction(4, 9), Fraction(1, 3), Fraction(1000, 7)])
 def test_log2_bracket_contains_oracle(q):
     b = log2_bracket(q)
-    v = _mp_frac(mpmath.log(q.numerator, 2) - mpmath.log(q.denominator, 2))
+    exact = mpmath.log(q.numerator, 2) - mpmath.log(q.denominator, 2)
+    v = _mp_frac(exact)
     assert b.lo <= v <= b.hi
-    assert b.width <= BRACKET_EPS
+    assert b.lo == int(mpmath.floor(exact))
+    assert b.hi == int(mpmath.ceil(exact))
+
+
+@pytest.mark.parametrize("q", [0, Fraction(-1, 3)])
+def test_log2_bracket_rejects_nonpositive(q):
+    with pytest.raises(ProbidError):
+        log2_bracket(q)
+
+
+_BIG = 1 << 200
+positive_rationals = st.one_of(
+    st.integers(1, _BIG),
+    st.builds(Fraction, st.integers(1, _BIG), st.integers(1, _BIG)),
+    st.builds(Fraction, st.integers(1, 1 << 12), st.integers(1, 1 << 12)),
+    # powers of two, some nudged by a factor within 2**-200 of 1
+    st.builds(
+        lambda k, num_off, den_off: Fraction(2) ** k * Fraction(1 + num_off, 1 + den_off),
+        st.integers(-200, 200),
+        st.sampled_from([0, 0, 0, Fraction(1, _BIG), -Fraction(1, _BIG)]),
+        st.sampled_from([0, 0, 0, Fraction(1, _BIG), -Fraction(1, _BIG)]),
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(q=positive_rationals)
+def test_log2_bracket_is_the_integer_floor_and_ceiling(q):
+    lo, hi = log2_bracket(q)
+    assert type(lo) is int and type(hi) is int
+    assert Fraction(2) ** lo <= q <= Fraction(2) ** hi
+    assert hi - lo in (0, 1)
+    power_of_two = q == Fraction(2) ** round(math.log2(q))
+    assert (lo == hi) == power_of_two

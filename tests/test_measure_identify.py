@@ -86,26 +86,50 @@ def _sigma_or_error(fn):
         return "unpriced"
 
 
+def _skewed_ab_measure():
+    return make_iid_measure(make_finite_pmf([("a", F(3, 4)), ("b", F(1, 4))]))
+
+
+def _non_dyadic_list():
+    """mixed_measure_list plus two i.i.d. measures whose masses are not powers
+    of two, so floor(log2 1/mass) and ceil(log2 1/mass) differ."""
+    base = mixed_measure_list()
+    thirds = make_finite_pmf([("a", F(1, 3)), ("b", F(1, 3)), ("c", F(1, 3))])
+    return _plain(
+        [base.get(i) for i in range(1, 6)]
+        + [_skewed_ab_measure(), make_iid_measure(thirds)]
+    )
+
+
+def test_sigma_floors_a_non_dyadic_log2():
+    # log2(1/(3/4)^10) = 4.15..., floored to 4; literal a^10 costs 2 + 7 + 10
+    est = ComplexityEstimator(alphabet=("a", "b"), schemes=("literal",))
+    x = ("a",) * 10
+    assert sigma_stage(_skewed_ab_measure(), x, 10, 1, est) == -15
+    assert SigmaTrace(_plain([_skewed_ab_measure()]), x, est).value(1, 10, 1) == -15
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     x=st.lists(st.sampled_from("ab"), min_size=1, max_size=40),
     schemes=st.sampled_from(_SCHEME_SETS),
-    stage_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    stage_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
     triples=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)), min_size=1, max_size=12),
 )
 def test_sigma_trace_equals_sigma_stage(x, schemes, stage_cap, triples):
-    base = mixed_measure_list()
+    # positions up to 36 reach every base index of the seven-measure list
+    base = _non_dyadic_list()
     inter = InterleavedList(base)
     est = ComplexityEstimator(
         alphabet=("a", "b"),
         schemes=schemes,
-        model_list=tuple(base.get(i) for i in range(1, 6)) if "model" in schemes else (),
+        model_list=tuple(base.get(i) for i in range(1, 8)) if "model" in schemes else (),
         stage_cap=stage_cap,
     )
     x = tuple(x)
     table = SigmaTrace(inter, x, est)
     for pos, j, n in triples:
-        pos, j = 1 + (pos - 1) % 15, 1 + (j - 1) % len(x)
+        pos, j = 1 + (pos - 1) % 36, 1 + (j - 1) % len(x)
         if not inter.has(pos):
             continue
         mu = inter.get(pos)

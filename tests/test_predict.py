@@ -43,6 +43,9 @@ def test_predict_iid_infinite_support_truncates_exactly():
     assert pred[REST] == F(1, 16)
     with pytest.raises(ValueError):
         predict_iid(g)
+    for coverage in (1, F(3, 2)):  # no finite prefix reaches it
+        with pytest.raises(ValueError):
+            predict_iid(g, coverage=coverage)
 
 
 def test_predict_markov_rows():
