@@ -20,7 +20,6 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from .enumeration import HypothesisList, interleave_decode
 from .errors import ConfigInvalid, EmptyInput, IoError, ProbidError
@@ -56,29 +55,11 @@ class ExperimentConfig:
     n_switch: int = 5
     output: str | None = None
 
-    @cached_property
-    def hypotheses(self):
-        """The HypothesisList of list_decl, built once and shared by every seed."""
-        return _parse_list(self.mode, self.list_decl)
+    hypotheses: HypothesisList | None = None  # built from list_decl, shared by every seed
 
     @staticmethod
     def from_obj(obj):
         return _parse_config(obj)
-
-    def to_obj(self):
-        return {
-            "mode": self.mode,
-            "list": self.list_decl,
-            "target_index": self.target_index,
-            "n_max": self.n_max,
-            "checkpoint": {"stride": self.stride},
-            "seeds": list(self.seeds),
-            "estimator": self.estimator,
-            "input_sequence": list(self.input_sequence) if self.input_sequence else None,
-            "start_state": self.start_state,
-            "n_switch": self.n_switch,
-            "output": self.output,
-        }
 
 
 @dataclass
@@ -220,7 +201,7 @@ def _parse_config(obj):
     if estimator.get("stage_cap") is not None:
         _positive_int(estimator["stage_cap"], "estimator.stage_cap")
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         mode=mode,
         list_decl=list_decl,
         target_index=target_index,
@@ -231,9 +212,8 @@ def _parse_config(obj):
         input_sequence=input_sequence,
         start_state=start_state,
         output=_parse_output(obj),
+        hypotheses=hypotheses,
     )
-    cfg.hypotheses = hypotheses  # already parsed; the property's cache
-    return cfg
 
 
 def _list_specs(decl, path):
@@ -389,10 +369,10 @@ def _measure_estimator(cfg, hyp_list):
 _worker_cfg = None
 
 
-def _init_worker(cfg_obj):
-    """Pool initializer: parse the config once per worker process."""
+def _init_worker(cfg):
+    """Pool initializer: keep the parsed config for this worker's runs."""
     global _worker_cfg
-    _worker_cfg = ExperimentConfig.from_obj(cfg_obj)
+    _worker_cfg = cfg
 
 
 def _run_in_worker(task):
@@ -415,7 +395,7 @@ def run_experiment(cfg, jobs=1, out_dir=None):
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(tasks)),
             initializer=_init_worker,
-            initargs=(cfg.to_obj(),),
+            initargs=(cfg,),
         ) as pool:
             records = list(pool.map(_run_in_worker, tasks))
     else:

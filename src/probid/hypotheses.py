@@ -562,7 +562,7 @@ class MarkovChain:
     1), then solves the stationary distribution exactly.
     """
 
-    def __init__(self, states, rows, spec=None):
+    def __init__(self, states, rows):
         states = tuple(states)
         if len(set(states)) != len(states) or not states:
             raise InvalidTransitionMatrix("states must be nonempty and distinct")
@@ -593,7 +593,7 @@ class MarkovChain:
         for j in range(n):
             if sum(self.pi[i] * self.rows[i][j] for i in range(n)) != self.pi[j]:
                 raise SingularSystem("pi Q != pi after solve")
-        self.spec = spec or HypothesisSpec(
+        self.spec = HypothesisSpec(
             "markov",
             {
                 "states": list(states),

@@ -49,27 +49,23 @@ def sigma_stage(mu, x, j, n, estimator):
 class SigmaTrace:
     """Lazy table of stage deficiencies for one data sequence and one list.
 
-    Masses, floored logs, and per-stage description lengths are shared
-    across positions (an interleaved list hits the same base measure at
-    many positions) and across checkpoints, so streaming evaluation costs
-    amortized O(1) per (position, prefix) pair.
+    It keeps three rows, each grown only as far as a query needs: the prefix
+    masses of each measure, shared by every position and model code that
+    names it, so each measure steps once per prefix position; one khat row
+    per model count c, the number of model-list measures the stage admits
+    (row 0 is min(literal, run), row c the min of row c-1 and the model code
+    of measure c where its mass is positive, None where nothing prices);
+    and the running max of sigma per (measure, c).  Both queries read sigma
+    through `_sigma`.
     """
 
     def __init__(self, hyp_list, x, estimator):
         self.hyp_list = hyp_list
         self.x = tuple(x)
         self.estimator = estimator
-        self._run_len = next(  # length of the leading run of x
-            (k for k, s in enumerate(self.x) if s != self.x[0]), len(self.x)
-        )
-        self._sym_bits = symbol_bits(len(estimator.alphabet))
         self._mass_rows = {}  # id(measure) -> [generator, [masses...]]
-        self._l2u = {}  # id(measure) -> [floor(log2(1/mass)) or inf]
-        self._litrun = []  # khat over literal and run only, None if neither prices
-        self._model_best = {}  # model_count -> [best model bits or None]
-        self._prefix_max = {}  # (base_index, model_count) -> running max sigma
-
-    # -- shared mass and length rows ------------------------------------
+        self._khat_rows = {}  # model count -> [khat or None per prefix length]
+        self._max_rows = {}  # (id(measure), model count) -> running max sigma
 
     def _masses(self, mu, j):
         if j > len(self.x):
@@ -83,27 +79,6 @@ class SigmaTrace:
             values.append(next(gen))
         return values
 
-    def _l2u_row(self, mu, j):
-        values = self._l2u.setdefault(id(mu), [])
-        if len(values) < j:
-            masses = self._masses(mu, j)
-            for idx in range(len(values), j):
-                m = masses[idx]
-                values.append(inf if m == 0 else -log2_bracket(m).hi)
-        return values
-
-    def _litrun_bits(self, j):
-        schemes = self.estimator.schemes
-        while len(self._litrun) < j:
-            length = len(self._litrun) + 1
-            options = []
-            if "literal" in schemes:
-                options.append(literal_bits(length, self._sym_bits))
-            if "run" in schemes and length <= self._run_len:
-                options.append(run_bits(length, self._sym_bits))
-            self._litrun.append(min(options, default=None))
-        return self._litrun
-
     def _model_count(self, n):
         est = self.estimator
         stage = est.stage(n)
@@ -111,69 +86,62 @@ class SigmaTrace:
             return 0
         return min(stage, len(est.model_list))
 
-    def _model_best_row(self, count, j):
-        """Best model-code bits over hypotheses 1..count, per prefix length."""
-        if count == 0:
-            return None
-        row = self._model_best.setdefault(count, [])
+    def _khat(self, count, j):
+        """khat per prefix length with model-list measures 1..count admitted."""
+        row = self._khat_rows.setdefault(count, [])
         if len(row) >= j:
             return row
-        prev = self._model_best_row(count - 1, j)
-        mu = self.estimator.model_list[count - 1]
-        masses = self._masses(mu, j)
+        if count == 0:
+            schemes = self.estimator.schemes
+            b = symbol_bits(len(self.estimator.alphabet))
+            x = self.x
+            run_len = next((k for k, s in enumerate(x) if s != x[0]), len(x))
+            for length in range(len(row) + 1, j + 1):
+                options = []
+                if "literal" in schemes:
+                    options.append(literal_bits(length, b))
+                if "run" in schemes and length <= run_len:
+                    options.append(run_bits(length, b))
+                row.append(min(options, default=None))
+            return row
+        prev = self._khat(count - 1, j)
+        masses = self._masses(self.estimator.model_list[count - 1], j)
         for idx in range(len(row), j):
-            best = prev[idx] if prev is not None else None
-            mass = masses[idx]
-            if mass > 0:
-                bits = model_bits(count, mass)
+            best = prev[idx]
+            if masses[idx] > 0:
+                bits = model_bits(count, masses[idx])
                 best = bits if best is None else min(best, bits)
             row.append(best)
         return row
 
-    def khat_bits(self, j, n):
-        """Estimator value on the length-j prefix at stage n."""
-        count = self._model_count(n)
-        model = self._model_best_row(count, j) if count else None
-        return _shortest(self._litrun_bits(j), model, j - 1)
-
-    # -- sigma values -----------------------------------------------------
-
     def value(self, pos, j, n):
         """sigma at interleaved position pos, prefix length j, stage n."""
-        mu = self.hyp_list.get(pos)
-        l2u = self._l2u_row(mu, j)[j - 1]
-        if l2u is inf:
-            return inf
-        return l2u - self.khat_bits(j, n)
+        masses = self._masses(self.hyp_list.get(pos), j)
+        return _sigma(masses, self._khat(self._model_count(n), j), j - 1)
 
     def max_value(self, pos, n):
         """max over 1 <= j <= n of the stage-n sigma at one position."""
         mu = self.hyp_list.get(pos)
         count = self._model_count(n)
-        key = (id(mu), count)
-        running = self._prefix_max.get(key)
-        if running is None:
-            running = []
-            self._prefix_max[key] = running
+        running = self._max_rows.setdefault((id(mu), count), [])
         if len(running) < n:
-            l2u = self._l2u_row(mu, n)
-            litrun = self._litrun_bits(n)
-            model = self._model_best_row(count, n) if count else None
+            masses = self._masses(mu, n)
+            khat = self._khat(count, n)
+            top = running[-1] if running else -inf
             for idx in range(len(running), n):
-                top = l2u[idx]
-                if top is not inf:
-                    top = top - _shortest(litrun, model, idx)
-                prev = running[-1] if running else -inf
-                running.append(top if top > prev else prev)
+                top = max(top, _sigma(masses, khat, idx))
+                running.append(top)
         return running[n - 1]
 
 
-def _shortest(litrun, model, idx):
-    """khat at prefix length idx + 1 from its literal/run and model rows."""
-    bits = [b for b in (litrun[idx], model and model[idx]) if b is not None]
-    if not bits:
+def _sigma(masses, khat, idx):
+    """Floored sigma at prefix length idx + 1 from its mass and khat rows."""
+    mass = masses[idx]
+    if mass == 0:
+        return inf
+    if khat[idx] is None:
         raise ValueError("no admissible scheme prices the length-%d prefix" % (idx + 1))
-    return min(bits)
+    return -log2_bracket(mass).hi - khat[idx]
 
 
 def identify_measure_step(hyp_list, x, n, estimator, trace=None):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import tempfile
 from fractions import Fraction
 
@@ -289,6 +290,58 @@ def test_byte_identical_reruns_and_parallel_equivalence(tmp_path):
             base = (dirs[0] / name).read_bytes()
             assert (dirs[1] / name).read_bytes() == base, (mode, name)
             assert (dirs[2] / name).read_bytes() == base, (mode, name)
+
+
+def _every_family_configs():
+    """One config per list form; together they hold every shipped family."""
+    iid_items = _iid_cfg(
+        list={
+            "items": [
+                _pmf_spec((0, "1/2"), (1, "1/2")),
+                {"family": "simple_pmf", "params": {"term": "j*j", "size": 3}},
+                {"family": "geometric_pmf", "params": {}},
+            ]
+        },
+        target_index=1,
+        n_max=200,
+        checkpoint={"stride": 100},
+        seeds=[1, 2],
+    )
+    iid_grid = _iid_cfg(
+        list={"family": "simple_pmf", "grid": {"term": ["1", "j"], "size": [2, 3]}},
+        target_index=3,
+        n_max=200,
+        checkpoint={"stride": 100},
+        seeds=[1, 2],
+    )
+    measure = _measure_cfg(
+        list={
+            "items": [
+                {"family": "constant_run", "params": {"alphabet": ["a", "b"], "symbol": "a"}},
+                {"family": "iid_measure", "params": {"pmf": _pmf_spec(("a", "1/2"), ("b", "1/2"))}},
+                {
+                    "family": "switch_pair",
+                    "params": {
+                        "alphabet": ["a", "b"],
+                        "run_symbol": "a",
+                        "switch_symbol": "b",
+                        "n_switch": 3,
+                    },
+                },
+                {"family": "marked_run", "params": {"k": 2, "marker": 1}},
+            ]
+        },
+        seeds=[1, 2],
+    )
+    return [iid_items, iid_grid, _markov_cfg(), measure]
+
+
+@pytest.mark.parametrize("obj", _every_family_configs(), ids=["iid", "grid", "markov", "measure"])
+def test_parsed_config_survives_pickling(obj):
+    # pool workers receive the parsed config pickled, hypothesis list and all
+    cfg = ExperimentConfig.from_obj(obj)
+    clone = pickle.loads(pickle.dumps(cfg))
+    assert run_experiment(clone)[0] == run_experiment(cfg)[0]
 
 
 # -- summarize -------------------------------------------------------------------

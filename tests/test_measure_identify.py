@@ -1,5 +1,6 @@
 """Deficiency table, step rule, interleaved stream convergence."""
 
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
@@ -141,6 +142,34 @@ def test_sigma_trace_equals_sigma_stage(x, schemes, stage_cap, triples):
             lambda: max(sigma_stage(mu, x, k, top, est) for k in range(1, top + 1))
         )
         assert fast_max == slow_max
+
+
+def test_table_steps_each_base_measure_once_per_position():
+    # the interleaved list and the default model list both reuse the five
+    # base measures; the table shares one mass row per measure
+    base = mixed_measure_list()
+    calls = Counter()
+    for i in range(1, 6):
+        mu = base.get(i)
+
+        def counted(state, k, a, mu=mu, step=mu.step):
+            calls[id(mu)] += 1
+            return step(state, k, a)
+
+        mu.step = counted
+    identify_measure_stream(base, ("a", "b") * 150, seed=0, n_max=300, stride=7)
+    assert [calls[id(base.get(i))] for i in range(1, 6)] == [294] * 5
+
+
+def test_table_rejects_a_prefix_past_the_data():
+    base = mixed_measure_list()
+    x = ("a", "b") * 5
+    table = SigmaTrace(InterleavedList(base), x, default_estimator(base))
+    for pos in (1, 3, 5):
+        with pytest.raises(ProbidError):
+            table.value(pos, len(x) + 1, len(x))
+        with pytest.raises(ProbidError):
+            table.max_value(pos, len(x) + 1)
 
 
 def test_sigma_nondecreasing_in_stage():
