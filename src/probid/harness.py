@@ -446,6 +446,10 @@ def _atomic_write(path, text):
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError:
         if os.path.exists(tmp):

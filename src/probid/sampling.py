@@ -2,6 +2,15 @@
 
 The generator is SplitMix64, chosen for its trivially portable integer
 recurrence: equal seeds give byte-identical streams on every platform.
+
+`Rng` is the scalar reference, one output per call.  The samplers read the
+same stream from `_uniforms`, which computes it 1024 outputs at a time in
+one Python int: lane k occupies bits 128k..128k+127, its low 64 bits hold
+the state of output k of the block and its high 64 bits are scratch that
+catches what a right shift leaks in from lane k+1.  Each lane is masked
+back to 64 bits before every multiply, so no product carries into the next
+lane.  A stream holds one such block (16 KiB), never its whole length.
+
 Symbols are drawn by exact inversion: the 53-bit output z maps to the
 dyadic rational u = z/2**53 in [0, 1), and we pick the least symbol whose
 exact cumulative mass reaches u.  Ties (u exactly on a boundary) therefore
@@ -11,6 +20,7 @@ extended until it covers u.  Symbols of zero conditional mass are never
 selected.
 """
 
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -25,9 +35,34 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U53_DEN = 1 << 53
 
+# Lane-packed SplitMix64 (see the module docstring): `_LANE_ONES` has a 1
+# at the bottom of every 128-bit lane, so `x * _LANE_ONES` repeats a 64-bit
+# x in every lane.
+_LANES = 1024
+_BLOCK_BYTES = 16 * _LANES
+_LANE_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+_LANE_MASK = _MASK * _LANE_ONES
+_LANE_STEP = (_LANES * _GOLDEN & _MASK) * _LANE_ONES
+_LANE_OFFSETS = int.from_bytes(
+    b"".join(((k + 1) * _GOLDEN & _MASK).to_bytes(16, "little") for k in range(_LANES)),
+    "little",
+)
+# A block is serialised in the host's byte order and read as native 64-bit
+# words; the low word of lane k is word 2k counted from the least
+# significant end, which is the first end on a little-endian host and the
+# last on a big-endian one.  No big-endian host was available to test the
+# second branch.
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+
 
 class Rng:
-    """SplitMix64 stream."""
+    """SplitMix64 stream, one output per call.
+
+    This is the scalar reference: `_uniforms(seed)` must yield exactly
+    `Rng(seed).next53()` repeated, and the tests check that it does.
+    Output i of the stream mixes the state seed + (i+1)*_GOLDEN mod 2**64,
+    which is what lane i mod 1024 of block i // 1024 holds in `_uniforms`.
+    """
 
     __slots__ = ("state",)
 
@@ -101,8 +136,21 @@ class _Inversion:
 
 
 def _uniforms(seed):
-    """Endless 53-bit uniform numerators of the SplitMix64 stream of `seed`."""
-    return iter(Rng(seed).next53, None)
+    """Endless 53-bit uniform numerators of the SplitMix64 stream of `seed`.
+
+    Equal to `Rng(seed).next53` called repeatedly, computed a block of
+    `_LANES` outputs per pass of big-integer operations.
+    """
+    state = ((seed & _MASK) * _LANE_ONES + _LANE_OFFSETS) & _LANE_MASK
+    while True:
+        z = ((state ^ (state >> 30)) & _LANE_MASK) * _MIX1 & _LANE_MASK
+        z = ((z ^ (z >> 27)) & _LANE_MASK) * _MIX2 & _LANE_MASK
+        # z ^ (z >> 31) leaves bits 64-96 of each lane zero, so after the
+        # >> 11 the low word of a lane is its 53-bit output; what lane k+1
+        # leaks in lands in the high word, which is never read
+        z = (z ^ (z >> 31)) >> 11
+        yield from memoryview(z.to_bytes(_BLOCK_BYTES, sys.byteorder)).cast("Q")[_LOW_WORDS]
+        state = (state + _LANE_STEP) & _LANE_MASK
 
 
 def iid_draws(pmf, seed):

@@ -391,6 +391,22 @@ def test_cli_validate_and_run(tmp_path, capsys):
     assert "fraction correct" in printed
 
 
+@pytest.mark.skipif(os.name == "nt", reason="POSIX file modes")
+def test_output_files_take_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        out = tmp_path / "results"
+        path = _write_cfg(tmp_path, _iid_cfg(seeds=[1]))
+        assert cli.main(["run", "--config", path, "--out", str(out), "--emit-plot-script"]) == 0
+        demo = _write_cfg(tmp_path, {"mode": "demo", "n_switch": 4}, name="demo.json")
+        assert cli.main(["run", "--config", demo, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    names = ["checkpoints.csv", "summary.csv", "plot.gp", "black_swan.csv"]
+    assert {n: oct(os.stat(out / n).st_mode & 0o777) for n in names} == dict.fromkeys(names, "0o644")
+    assert sorted(os.listdir(out)) == sorted(names)
+
+
 def test_cli_exit_code_on_invalid_config(tmp_path):
     path = _write_cfg(tmp_path, _iid_cfg(checkpoint={"stride": 0}))
     assert cli.main(["validate", "--config", path]) == 2

@@ -1,12 +1,15 @@
 """Seeded generation: reproducibility, exact inversion, frequency sanity."""
 
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import chain_a, uniform_ab_pmf
+from helpers import chain_a, separated_pmf, uniform_ab_pmf
+from probid import sampling
 from probid.errors import BadStart, ZeroMassPrefix
 from probid.exactnum import tau
 from probid.hypotheses import (
@@ -19,7 +22,15 @@ from probid.hypotheses import (
     make_mu_k,
     switch_pair_measure,
 )
-from probid.sampling import Rng, _Inversion, draw_from_measure, draw_iid, run_chain
+from probid.sampling import (
+    Rng,
+    _Inversion,
+    chain_states,
+    draw_from_measure,
+    draw_iid,
+    iid_draws,
+    run_chain,
+)
 
 F = Fraction
 
@@ -30,6 +41,43 @@ def test_splitmix64_reference_stream():
     assert rng.next64() == 0xE220A8397B1DCDAF
     assert rng.next64() == 0x6E789E6AA1B965F4
     assert rng.next64() == 0x06C45D188009454F
+
+
+# `_uniforms(seed, k)` below is the scalar reference: k calls of Rng.next53
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, (1 << 64) - 1, (1 << 64) + 3, 1 << 70])
+@pytest.mark.parametrize("k", [0, 1, 1023, 1024, 1025, 3 * 1024 + 5])
+def test_lane_packed_stream_equals_scalar_rng(seed, k):
+    assert list(islice(sampling._uniforms(seed), k)) == _uniforms(seed, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(-(1 << 80), 1 << 80), k=st.integers(0, 2 * 1024 + 3))
+def test_lane_packed_stream_equals_scalar_rng_on_any_seed(seed, k):
+    assert list(islice(sampling._uniforms(seed), k)) == _uniforms(seed, k)
+
+
+def _peak_bytes(stream):
+    """Peak traced allocation while counting 100 blocks of 1000 draws."""
+    tracemalloc.start()
+    try:
+        draws = stream()
+        counts = Counter()
+        for _ in range(100):
+            counts.update(islice(draws, 1000))
+        assert sum(counts.values()) == 10**5
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stream_memory_does_not_grow_with_its_length():
+    # 10**5 uniforms kept in a list would take about 4 MiB
+    target = separated_pmf(6)
+    chain = chain_a()
+    assert _peak_bytes(lambda: iid_draws(target, 1)) < 256 * 1024
+    assert _peak_bytes(lambda: chain_states(chain, 0, 1)) < 256 * 1024
 
 
 def test_draws_are_reproducible():
