@@ -6,43 +6,76 @@ state visited v times are v draws from that row, so rows with enough visits
 checks the visit frequencies against the candidate's exact stationary
 distribution at the full-run threshold; it separates chains that agree on
 the visited rows but weight them differently.
+
+The stream never counts states pair by pair.  It tallies the sampler's
+steps, each an index into the chain's tuple of transitions, and derives
+the visit and transition counts from that tally at each checkpoint
+(`counts_from_steps`), in time proportional to the number of transitions
+rather than to the length of the run.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, pairwise
 
 from .exactnum import tau
 from .hypotheses import MarkovChain
 from .iid_identify import checkpoint_trace, within_band
-from .sampling import chain_states
+from .sampling import chain_steps
 
 
 @dataclass
 class TransitionCounts:
     """Visit and transition counts of a run prefix of length n."""
 
-    n: int = 0
-    visits: Counter = field(default_factory=Counter)
-    trans: Counter = field(default_factory=Counter)  # (state, state) -> count
-    _last: object = field(default=None, init=False, repr=False, compare=False)
-
-    def extend(self, block):
-        """Count the next states of the run; returns self."""
-        block = tuple(block)
-        if block:
-            path = (self._last,) + block if self.n else block
-            self.visits.update(block)
-            self.trans.update(zip(path, path[1:]))
-            self.n += len(block)
-            self._last = block[-1]
-        return self
+    n: int
+    visits: Counter
+    trans: Counter  # (state, state) -> count
 
 
 def empirical(run):
     """Count visits and transitions in a state sequence."""
-    return TransitionCounts().extend(run)
+    return TransitionCounts(len(run), Counter(run), Counter(pairwise(run)))
+
+
+def counts_from_steps(pairs, tally, first):
+    """Counts of the run x_1..x_n whose steps are tallied in `tally`.
+
+    `tally` maps an index into `pairs` to the number of steps
+    (x_{t-1}, x_t), t = 1..n, that took that transition, and `first` is the
+    index of step 1.  Each step enters its target state once, so the tally
+    gives the visits; the transitions within x_1..x_n are every step but
+    the first, which leaves the start state x_0.
+    """
+    n, visits, trans = 0, Counter(), Counter()
+    for k, c in tally.items():
+        pair = pairs[k]
+        n += c
+        visits[pair[1]] += c
+        if k == first:
+            c -= 1
+        if c:
+            trans[pair] = c
+    return TransitionCounts(n, visits, trans)
+
+
+def chain_counts(source, x0, seed, stride):
+    """Counts of the run prefixes of length stride, 2*stride, ... of a chain.
+
+    Raises BadStart at the call, before any state is drawn.
+    """
+    steps, pairs = chain_steps(source, x0, seed)
+    return _checkpoint_counts(steps, pairs, stride)
+
+
+def _checkpoint_counts(steps, pairs, stride):
+    first = next(steps)
+    tally = Counter((first,))
+    tally.update(islice(steps, stride - 1))
+    while True:
+        yield counts_from_steps(pairs, tally, first)
+        tally.update(islice(steps, stride))
 
 
 def stationary(rows):
@@ -101,12 +134,12 @@ def identify_chain(hyp_list, run, n):
 
 
 def identify_chain_stream(hyp_list, source, x0, seed, n_max, stride=100):
-    """Run the source chain once and identify at every stride checkpoint."""
-    states = chain_states(source, x0, seed)
-    counts = TransitionCounts()
+    """Run the source chain once and identify at every stride checkpoint.
 
-    def step(n):
-        counts.extend(islice(states, stride))
-        return _least_passing(hyp_list, counts, n)
-
-    return checkpoint_trace(step, n_max, stride)
+    The counts at each checkpoint come from the running tally of the run's
+    steps (see `chain_counts`).
+    """
+    counts = chain_counts(source, x0, seed, stride)
+    return checkpoint_trace(
+        lambda n: _least_passing(hyp_list, next(counts), n), n_max, stride
+    )

@@ -18,6 +18,14 @@ resolve to the lower index, and because u < 1 the search always terminates,
 including on infinite supports where the materialized support prefix is
 extended until it covers u.  Symbols of zero conditional mass are never
 selected.
+
+One rule, `_thresholds`, turns masses into the integer thresholds
+floor(cum * 2**53) that z is bisected against.  `_Inversion` reads it
+lazily, as far as the draws reach (i.i.d. draws and measures).  A chain's
+rows are finite, so `chain_steps` reads each one whole, once, into one
+threshold tuple per state.  Its walk yields steps rather than states: step
+t is the index of the transition (x_{t-1}, x_t) in the chain's tuple of
+positive-mass transitions, which is what the markov counts tally.
 """
 
 import sys
@@ -25,7 +33,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from .errors import BadStart
 
@@ -33,7 +41,6 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_U53_DEN = 1 << 53
 
 # Lane-packed SplitMix64 (see the module docstring): `_LANE_ONES` has a 1
 # at the bottom of every 128-bit lane, so `x * _LANE_ONES` repeats a 64-bit
@@ -101,21 +108,31 @@ def _sample_prefix(symbols):
     return SamplePrefix(symbols, Counter(symbols))
 
 
-class _Inversion:
-    """Inversion sampler over a finite or endless (symbol, exact mass) iterator.
+def _thresholds(pairs):
+    """(symbol, floor(cum * 2**53)) over the positive masses of `pairs`, in order.
 
     Symbol j is selected for the 53-bit draw z iff it is the least j with
     cum_j >= z/2**53, i.e. with threshold T_j = floor(cum_j * 2**53) >= z.
-    The thresholds are read from the iterator only until one reaches z.
     Zero-mass entries are skipped so they can never be selected, even at
     z = 0.
     """
+    cum = Fraction(0)
+    for symbol, mass in pairs:
+        if mass:
+            cum += mass
+            yield symbol, (cum.numerator << 53) // cum.denominator
 
-    __slots__ = ("_pairs", "_cum", "_thresholds", "_symbols")
+
+class _Inversion:
+    """Inversion sampler over a finite or endless (symbol, exact mass) iterator.
+
+    The thresholds are read from the iterator only until one reaches z.
+    """
+
+    __slots__ = ("_entries", "_thresholds", "_symbols")
 
     def __init__(self, pairs):
-        self._pairs = iter(pairs)
-        self._cum = Fraction(0)
+        self._entries = _thresholds(pairs)
         self._thresholds = []
         self._symbols = []
 
@@ -126,12 +143,10 @@ class _Inversion:
         return self._symbols[bisect_left(thresholds, z)]
 
     def _extend(self):
-        for symbol, mass in self._pairs:
-            if mass:
-                cum = self._cum = self._cum + mass
-                self._thresholds.append((cum.numerator << 53) // cum.denominator)
-                self._symbols.append(symbol)
-                return
+        for symbol, threshold in self._entries:
+            self._thresholds.append(threshold)
+            self._symbols.append(symbol)
+            return
         raise AssertionError("total mass below the drawn uniform")
 
 
@@ -139,18 +154,24 @@ def _uniforms(seed):
     """Endless 53-bit uniform numerators of the SplitMix64 stream of `seed`.
 
     Equal to `Rng(seed).next53` called repeatedly, computed a block of
-    `_LANES` outputs per pass of big-integer operations.
+    `_LANES` outputs per pass of big-integer operations.  The blocks are
+    chained in C, so reading the stream runs no Python frame per output.
     """
-    state = ((seed & _MASK) * _LANE_ONES + _LANE_OFFSETS) & _LANE_MASK
-    while True:
+    start = ((seed & _MASK) * _LANE_ONES + _LANE_OFFSETS) & _LANE_MASK
+
+    def block(b):
+        # lane k of block b holds the state seed + (1024b + k + 1)*_GOLDEN
+        # mod 2**64 (exact while b < 2**64, so that no lane carries over)
+        state = (start + b * _LANE_STEP) & _LANE_MASK
         z = ((state ^ (state >> 30)) & _LANE_MASK) * _MIX1 & _LANE_MASK
         z = ((z ^ (z >> 27)) & _LANE_MASK) * _MIX2 & _LANE_MASK
         # z ^ (z >> 31) leaves bits 64-96 of each lane zero, so after the
         # >> 11 the low word of a lane is its 53-bit output; what lane k+1
         # leaks in lands in the high word, which is never read
         z = (z ^ (z >> 31)) >> 11
-        yield from memoryview(z.to_bytes(_BLOCK_BYTES, sys.byteorder)).cast("Q")[_LOW_WORDS]
-        state = (state + _LANE_STEP) & _LANE_MASK
+        return memoryview(z.to_bytes(_BLOCK_BYTES, sys.byteorder)).cast("Q")[_LOW_WORDS]
+
+    return chain.from_iterable(map(block, count()))
 
 
 def iid_draws(pmf, seed):
@@ -161,21 +182,42 @@ def iid_draws(pmf, seed):
     return map(_Inversion(pairs).pick, _uniforms(seed))
 
 
+def chain_steps(chain, x0, seed):
+    """Endless steps of a chain run from x0, and the transitions they index.
+
+    Returns (steps, pairs): `pairs` is the tuple of (state, next_state)
+    transitions of positive mass in row order, and step t of `steps` is the
+    index of (x_{t-1}, x_t) in `pairs`.  Raises BadStart at the call,
+    before any state is drawn.
+    """
+    if not chain.has_state(x0):
+        raise BadStart("start state %r not in chain" % (x0,))
+    pairs, tables = [], {}
+    for state in chain.states:
+        entries = tuple(_thresholds(chain.row(state)))
+        tables[state] = (tuple(t for _, t in entries), len(pairs))
+        pairs.extend((state, target) for target, _ in entries)
+    # the table of the state each transition enters, so a step is one
+    # bisect and two lookups
+    then = [tables[target] for _, target in pairs]
+    return _walk(then, tables[x0], _uniforms(seed)), tuple(pairs)
+
+
+def _walk(then, table, uniforms):
+    for z in uniforms:
+        thresholds, base = table
+        k = base + bisect_left(thresholds, z)
+        table = then[k]
+        yield k
+
+
 def chain_states(chain, x0, seed):
     """Endless states x_1, x_2, ... of a chain run from x0.
 
     Raises BadStart at the call, before any state is drawn.
     """
-    if not chain.has_state(x0):
-        raise BadStart("start state %r not in chain" % (x0,))
-    picks = {s: _Inversion(chain.row(s)).pick for s in chain.states}
-    return _walk(picks, x0, _uniforms(seed))
-
-
-def _walk(picks, state, uniforms):
-    for z in uniforms:
-        state = picks[state](z)
-        yield state
+    steps, pairs = chain_steps(chain, x0, seed)
+    return map(tuple(target for _, target in pairs).__getitem__, steps)
 
 
 def draw_iid(pmf, seed, n):

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from probid.enumeration import HypothesisList
 from probid.hypotheses import (
     MarkovChain,
@@ -48,6 +50,24 @@ def chain_3state():
         [quarter, quarter, half],
     ]
     return MarkovChain((0, 1, 2), rows)
+
+
+@st.composite
+def chains_with_zeros(draw):
+    """Ergodic chains on states 0..size-1, size 1..4, zero entries allowed.
+
+    A cycle 0 -> 1 -> ... -> 0 plus a self-loop at 0 keeps the chain
+    ergodic whatever the other entries are, zeros included.
+    """
+    size = draw(st.integers(1, 4))
+    rows = []
+    for i in range(size):
+        row = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        row[(i + 1) % size] += 1
+        if i == 0:
+            row[0] += 1
+        rows.append([F(v, sum(row)) for v in row])
+    return MarkovChain(tuple(range(size)), rows)
 
 
 def uniform_ab_pmf():

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from helpers import chain_3state, chain_a, chain_b
+from helpers import chain_3state, chain_a, chain_b, chains_with_zeros
 from probid.enumeration import HypothesisList
 from probid.errors import NotErgodic
 from probid.hypotheses import MarkovChain, make_finite_pmf
@@ -15,6 +15,7 @@ from probid.iid_identify import candidate_test
 from probid.markov_identify import (
     TransitionCounts,
     chain_candidate_test,
+    chain_counts,
     empirical,
     ergodic_mean,
     identify_chain,
@@ -80,18 +81,30 @@ def test_empirical_counts():
     assert c3.n == 0 and c3.visits == {} and c3.trans == {}
 
 
+def _strings(chain):
+    """The same chain with state i renamed "s<i>"."""
+    return MarkovChain(tuple("s%d" % i for i in range(len(chain.states))), chain.rows)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    run=st.lists(st.integers(min_value=0, max_value=3), max_size=60),
-    cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=6),
+    chain=chains_with_zeros().map(_strings),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    stride=st.integers(min_value=1, max_value=300),
+    n_max=st.integers(min_value=1, max_value=1500),
+    start=st.integers(min_value=0, max_value=3),
 )
-def test_extend_by_blocks_equals_empirical(run, cuts):
-    counts = TransitionCounts()
-    start = 0
-    for cut in sorted(cuts) + [len(run)]:
-        counts.extend(run[start:cut])
-        start = max(start, cut)
-    whole = empirical(run)
-    assert (counts.n, counts.visits, counts.trans) == (whole.n, whole.visits, whole.trans)
+def test_stream_counts_equal_empirical_at_every_checkpoint(chain, seed, stride, n_max, start):
+    x0 = chain.states[start % len(chain.states)]
+    counts = chain_counts(chain, x0, seed, stride)
+    run = run_chain(chain, x0, seed, n_max)
+    for n in range(stride, n_max + 1, stride):
+        c, expected = next(counts), empirical(run[:n])
+        assert (c.n, dict(c.visits), dict(c.trans)) == (
+            expected.n,
+            dict(expected.visits),
+            dict(expected.trans),
+        )
 
 
 def test_counts_invariants_on_sampled_run():

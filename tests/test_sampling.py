@@ -8,7 +8,7 @@ from itertools import count, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import chain_a, separated_pmf, uniform_ab_pmf
+from helpers import chain_a, chains_with_zeros, separated_pmf, uniform_ab_pmf
 from probid import sampling
 from probid.errors import BadStart, ZeroMassPrefix
 from probid.exactnum import tau
@@ -26,6 +26,7 @@ from probid.sampling import (
     Rng,
     _Inversion,
     chain_states,
+    chain_steps,
     draw_from_measure,
     draw_iid,
     iid_draws,
@@ -78,6 +79,7 @@ def test_stream_memory_does_not_grow_with_its_length():
     chain = chain_a()
     assert _peak_bytes(lambda: iid_draws(target, 1)) < 256 * 1024
     assert _peak_bytes(lambda: chain_states(chain, 0, 1)) < 256 * 1024
+    assert _peak_bytes(lambda: chain_steps(chain, 0, 1)[0]) < 256 * 1024
 
 
 def test_draws_are_reproducible():
@@ -253,29 +255,23 @@ def test_geometric_draw_follows_inversion_rule(seed, n):
     assert draw_iid(g, seed, n).symbols == expected
 
 
-@st.composite
-def _chains_with_zeros(draw):
-    # a cycle 0 -> 1 -> ... -> 0 plus a self-loop at 0 keeps the chain
-    # ergodic whatever the other entries are, zeros included
-    size = draw(st.integers(1, 4))
-    rows = []
-    for i in range(size):
-        row = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
-        row[(i + 1) % size] += 1
-        if i == 0:
-            row[0] += 1
-        rows.append([F(v, sum(row)) for v in row])
-    return MarkovChain(tuple(range(size)), rows)
-
-
 @settings(max_examples=40, deadline=None)
-@given(chain=_chains_with_zeros(), seed=_seeds, n=st.integers(0, 200))
+@given(chain=chains_with_zeros(), seed=_seeds, n=st.integers(0, 200))
 def test_run_chain_follows_inversion_rule(chain, seed, n):
     state, expected = 0, []
     for z in _uniforms(seed, n):
         state = _oracle_pick(chain.row(state), z)
         expected.append(state)
     assert run_chain(chain, 0, seed, n) == tuple(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=chains_with_zeros(), seed=_seeds, n=st.integers(0, 200))
+def test_chain_steps_index_the_transitions_of_the_run(chain, seed, n):
+    steps, pairs = chain_steps(chain, 0, seed)
+    assert pairs == tuple((s, t) for s in chain.states for t, m in chain.row(s) if m)
+    run = (0,) + run_chain(chain, 0, seed, n)
+    assert [pairs[k] for k in islice(steps, n)] == list(zip(run, run[1:]))
 
 
 _measures = st.one_of(
