@@ -49,6 +49,8 @@ def _build_parser():
 
 
 def _cmd_run(args):
+    if args.jobs < 1:
+        raise ConfigInvalid("--jobs", "must be >= 1")
     cfg = load_config_file(args.config)
     out_dir = args.out or cfg.output
     if args.emit_plot_script and not out_dir and cfg.mode != "demo":

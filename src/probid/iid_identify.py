@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .exactnum import tau
-from .sampling import iid_draws
+from .sampling import iid_steps
 
 
 @dataclass
@@ -118,18 +118,22 @@ def identify_step(hyp_list, sample, n):
     return _least_passing(hyp_list, sample.counts, n)
 
 
+def iid_counts(pmf, seed, stride):
+    """Symbol counts of the sample prefixes of length stride, 2*stride, ...,
+    mapped from the tally of support indices in O(support drawn)."""
+    steps, symbols = iid_steps(pmf, seed)
+    tally = Counter()
+    while True:
+        tally.update(islice(steps, stride))
+        yield {symbols[k]: c for k, c in tally.items()}
+
+
 def identify_stream(hyp_list, target_pmf, seed, n_max, stride=100):
     """Grow one sample from the target and record guesses every `stride`.
 
     The same prefix is reused across checkpoints (one data sequence per
     run); checkpoint spacing does not affect limit semantics, only how
-    often the guess is recorded.
+    often the guess is recorded.  The counts come from `iid_counts`.
     """
-    draws = iid_draws(target_pmf, seed)
-    counts = Counter()
-
-    def step(n):
-        counts.update(islice(draws, stride))
-        return _least_passing(hyp_list, counts, n)
-
-    return checkpoint_trace(step, n_max, stride)
+    counts = iid_counts(target_pmf, seed, stride)
+    return checkpoint_trace(lambda n: _least_passing(hyp_list, next(counts), n), n_max, stride)

@@ -13,19 +13,16 @@ lane.  A stream holds one such block (16 KiB), never its whole length.
 
 Symbols are drawn by exact inversion: the 53-bit output z maps to the
 dyadic rational u = z/2**53 in [0, 1), and we pick the least symbol whose
-exact cumulative mass reaches u.  Ties (u exactly on a boundary) therefore
-resolve to the lower index, and because u < 1 the search always terminates,
-including on infinite supports where the materialized support prefix is
-extended until it covers u.  Symbols of zero conditional mass are never
-selected.
+exact cumulative mass reaches u.  Ties (u exactly on a boundary) resolve
+to the lower index; symbols of zero mass are never selected.
 
 One rule, `_thresholds`, turns masses into the integer thresholds
-floor(cum * 2**53) that z is bisected against.  `_Inversion` reads it
-lazily, as far as the draws reach (i.i.d. draws and measures).  A chain's
-rows are finite, so `chain_steps` reads each one whole, once, into one
-threshold tuple per state.  Its walk yields steps rather than states: step
-t is the index of the transition (x_{t-1}, x_t) in the chain's tuple of
-positive-mass transitions, which is what the markov counts tally.
+floor(cum * 2**53) that z is bisected against.  No symbol after the first
+threshold >= 2**53 - 1 can be drawn, so `iid_steps` reads a pmf's table up
+to there, once (53 entries for the geometric pmf), and `chain_steps` one
+whole table per chain state.  Both yield steps, the index of each draw in
+the support or in the chain's tuple of positive-mass transitions, which
+the streams tally.  `_pick` reads the rule lazily, per measure conditional.
 """
 
 import sys
@@ -33,6 +30,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, count, islice
 
 from .errors import BadStart
@@ -123,31 +121,20 @@ def _thresholds(pairs):
             yield symbol, (cum.numerator << 53) // cum.denominator
 
 
-class _Inversion:
-    """Inversion sampler over a finite or endless (symbol, exact mass) iterator.
+def _pick(pairs, z):
+    """Symbol of the first threshold of `pairs` that reaches the draw z."""
+    return next(symbol for symbol, threshold in _thresholds(pairs) if threshold >= z)
 
-    The thresholds are read from the iterator only until one reaches z.
-    """
 
-    __slots__ = ("_entries", "_thresholds", "_symbols")
-
-    def __init__(self, pairs):
-        self._entries = _thresholds(pairs)
-        self._thresholds = []
-        self._symbols = []
-
-    def pick(self, z):
-        thresholds = self._thresholds
-        while not thresholds or thresholds[-1] < z:
-            self._extend()
-        return self._symbols[bisect_left(thresholds, z)]
-
-    def _extend(self):
-        for symbol, threshold in self._entries:
-            self._thresholds.append(threshold)
-            self._symbols.append(symbol)
-            return
-        raise AssertionError("total mass below the drawn uniform")
+def _table(pairs):
+    """(symbols, thresholds) of `pairs` up to the first threshold that
+    reaches the largest draw, 2**53 - 1; the rest can never be drawn."""
+    entries = []
+    for entry in _thresholds(pairs):
+        entries.append(entry)
+        if entry[1] >= (1 << 53) - 1:
+            break
+    return tuple(zip(*entries))
 
 
 def _uniforms(seed):
@@ -174,12 +161,19 @@ def _uniforms(seed):
     return chain.from_iterable(map(block, count()))
 
 
-def iid_draws(pmf, seed):
-    """Endless i.i.d. symbols from an exact pmf, one per uniform."""
+def iid_steps(pmf, seed):
+    """Endless i.i.d. draws from an exact pmf as (steps, symbols): step t is
+    the index of draw t in `symbols`, the support prefix draws can reach."""
     size = pmf.support_size
     positions = count(1) if size is None else range(1, size + 1)
-    pairs = ((s, pmf.mass(s)) for s in map(pmf.support, positions))
-    return map(_Inversion(pairs).pick, _uniforms(seed))
+    symbols, thresholds = _table((s, pmf.mass(s)) for s in map(pmf.support, positions))
+    return map(partial(bisect_left, thresholds), _uniforms(seed)), symbols
+
+
+def iid_draws(pmf, seed):
+    """Endless i.i.d. symbols from an exact pmf, one per uniform."""
+    steps, symbols = iid_steps(pmf, seed)
+    return map(symbols.__getitem__, steps)
 
 
 def chain_steps(chain, x0, seed):
@@ -242,7 +236,7 @@ def draw_from_measure(mu, seed, n):
     prefix = []
     for i, z in enumerate(islice(_uniforms(seed), n)):
         steps = {a: mu.step(state, i, a) for a in mu.alphabet}
-        a = _Inversion((a, m / mass) for a, (_, m) in steps.items()).pick(z)
+        a = _pick(((a, m / mass) for a, (_, m) in steps.items()), z)
         prefix.append(a)
         state, mass = steps[a]
     return _sample_prefix(prefix)

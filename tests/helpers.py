@@ -70,6 +70,18 @@ def chains_with_zeros(draw):
     return MarkovChain(tuple(range(size)), rows)
 
 
+def pmf_weights():
+    """Integer weights of a finite pmf, 1..5 symbols.  Weights up to 2**64
+    give masses below 2**-53, which no 53-bit draw can reach."""
+    return st.lists(st.integers(1, 1 << 64) | st.integers(1, 4), min_size=1, max_size=5)
+
+
+def weights_pmf(weights):
+    """The finite pmf on symbols 0..len(weights)-1 with these weights."""
+    total = sum(weights)
+    return make_finite_pmf([(j, F(w, total)) for j, w in enumerate(weights)])
+
+
 def uniform_ab_pmf():
     return make_finite_pmf([("a", F(1, 2)), ("b", F(1, 2))])
 

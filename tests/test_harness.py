@@ -425,6 +425,19 @@ def test_cli_plot_script_without_output_fails_before_the_sweep(tmp_path, capsys,
     assert "fraction correct" not in captured.out and captured.out == ""
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_sweep)
+    out = tmp_path / "results"
+    path = _write_cfg(tmp_path, _iid_cfg(seeds=[1, 2]))
+    assert cli.main(["run", "--config", path, "--out", str(out), "--jobs", jobs]) == 2
+    assert "config invalid: --jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_code_on_io_error(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import separated_pmf, separated_pmf_list
+from helpers import pmf_weights, separated_pmf, separated_pmf_list, weights_pmf
 from probid.enumeration import HypothesisList
 from probid.exactnum import Bracket, tau
 from probid.hypotheses import make_finite_pmf, make_geometric_pmf
@@ -12,6 +12,7 @@ from probid.iid_identify import (
     candidate_test,
     identify_step,
     identify_stream,
+    iid_counts,
     mass_cutoff,
     trace_from_checkpoints,
     within_band,
@@ -220,3 +221,16 @@ def test_stream_equals_step_at_every_checkpoint(seed, stride, n_max):
         (n, identify_step(hl, sample.take(n), n)) for n in range(stride, n_max + 1, stride)
     ]
     assert trace.checkpoints == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pmf=pmf_weights().map(weights_pmf) | st.just(make_geometric_pmf()),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    stride=st.integers(min_value=1, max_value=300),
+    n_max=st.integers(min_value=1, max_value=1500),
+)
+def test_stream_counts_equal_draw_iid_at_every_checkpoint(pmf, seed, stride, n_max):
+    counts = iid_counts(pmf, seed, stride)
+    for n in range(stride, n_max + 1, stride):
+        assert next(counts) == dict(draw_iid(pmf, seed, n).counts)

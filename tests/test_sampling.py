@@ -1,6 +1,7 @@
 """Seeded generation: reproducibility, exact inversion, frequency sanity."""
 
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import count, islice
@@ -8,7 +9,14 @@ from itertools import count, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import chain_a, chains_with_zeros, separated_pmf, uniform_ab_pmf
+from helpers import (
+    chain_a,
+    chains_with_zeros,
+    pmf_weights,
+    separated_pmf,
+    uniform_ab_pmf,
+    weights_pmf,
+)
 from probid import sampling
 from probid.errors import BadStart, ZeroMassPrefix
 from probid.exactnum import tau
@@ -24,12 +32,14 @@ from probid.hypotheses import (
 )
 from probid.sampling import (
     Rng,
-    _Inversion,
+    _pick,
+    _table,
     chain_states,
     chain_steps,
     draw_from_measure,
     draw_iid,
     iid_draws,
+    iid_steps,
     run_chain,
 )
 
@@ -78,6 +88,7 @@ def test_stream_memory_does_not_grow_with_its_length():
     target = separated_pmf(6)
     chain = chain_a()
     assert _peak_bytes(lambda: iid_draws(target, 1)) < 256 * 1024
+    assert _peak_bytes(lambda: iid_steps(target, 1)[0]) < 256 * 1024
     assert _peak_bytes(lambda: chain_states(chain, 0, 1)) < 256 * 1024
     assert _peak_bytes(lambda: chain_steps(chain, 0, 1)[0]) < 256 * 1024
 
@@ -216,31 +227,61 @@ def _uniforms(seed, n):
     return [rng.next53() for _ in range(n)]
 
 
+def _table_pick(pairs, z):
+    symbols, thresholds = _table(pairs)
+    return symbols[bisect_left(thresholds, z)]
+
+
 def test_inversion_ties_and_zero_masses():
-    # random draws almost never land on a threshold, so pin the edges here
+    # random draws almost never land on a threshold, so pin the edges here;
+    # the lazy pick and the whole table must agree on them
     half = 1 << 52  # z/2**53 = 1/2 exactly
-    inv = _Inversion([("a", F(0)), ("b", F(1, 2)), ("c", F(0)), ("d", F(1, 2))])
-    assert [inv.pick(z) for z in (0, half, half + 1, (1 << 53) - 1)] == ["b", "b", "d", "d"]
-    third = _Inversion([("a", F(1, 3)), ("b", F(2, 3))])
+    edges = (0, half, half + 1, (1 << 53) - 1)
     t = (1 << 53) // 3  # t/2**53 < 1/3 < (t+1)/2**53
-    assert [third.pick(t), third.pick(t + 1)] == ["a", "b"]
-    endless = _Inversion((j, F(1, 1 << j)) for j in count(1))
-    assert [endless.pick(z) for z in (0, half, half + 1, (1 << 53) - 1)] == [1, 1, 2, 53]
+    for pick in (_pick, _table_pick):
+        zeros = [("a", F(0)), ("b", F(1, 2)), ("c", F(0)), ("d", F(1, 2))]
+        assert [pick(zeros, z) for z in edges] == ["b", "b", "d", "d"]
+        third = [("a", F(1, 3)), ("b", F(2, 3))]
+        assert [pick(third, t), pick(third, t + 1)] == ["a", "b"]
+        endless = [pick(((j, F(1, 1 << j)) for j in count(1)), z) for z in edges]
+        assert endless == [1, 1, 2, 53]
+
+
+def test_geometric_table_ends_at_the_largest_draw():
+    g = make_geometric_pmf()
+    symbols, thresholds = _table((j, g.mass(j)) for j in count(1))
+    assert symbols == tuple(range(1, 54))
+    assert thresholds[-1] == (1 << 53) - 1 > thresholds[-2]
+    assert iid_steps(g, 1)[1] == symbols
+
+
+@pytest.mark.parametrize(
+    "weights, reached",
+    [
+        ([(1 << 64) - 1, 1], (0,)),
+        ([1, (1 << 64) - 3, 1, 1], (0, 1)),
+        ([3, 1 << 62, 1, 2], (0, 1)),
+    ],
+)
+def test_table_stops_before_a_tail_no_draw_reaches(weights, reached):
+    # the masses after `reached` sum to at most 2**-53, so no 53-bit draw
+    # reaches them
+    p = weights_pmf(weights)
+    symbols = iid_steps(p, 1)[1]
+    assert symbols == reached
+    assert _table_pick(p.items(), (1 << 53) - 1) == symbols[-1]
+    for seed in (0, 1, 2):
+        expected = [_oracle_pick(p.items(), z) for z in _uniforms(seed, 300)]
+        assert list(islice(iid_draws(p, seed), 300)) == expected
 
 
 _seeds = st.integers(0, (1 << 64) - 1)
-_weights = st.lists(st.integers(1, 1 << 64) | st.integers(1, 4), min_size=1, max_size=5)
-
-
-def _pmf(weights):
-    total = sum(weights)
-    return make_finite_pmf([(j, F(w, total)) for j, w in enumerate(weights)])
 
 
 @settings(max_examples=60, deadline=None)
-@given(weights=_weights, seed=_seeds, n=st.integers(0, 200))
+@given(weights=pmf_weights(), seed=_seeds, n=st.integers(0, 200))
 def test_draw_iid_follows_inversion_rule(weights, seed, n):
-    p = _pmf(weights)
+    p = weights_pmf(weights)
     expected = tuple(_oracle_pick(p.items(), z) for z in _uniforms(seed, n))
     assert draw_iid(p, seed, n).symbols == expected
 
@@ -275,7 +316,7 @@ def test_chain_steps_index_the_transitions_of_the_run(chain, seed, n):
 
 
 _measures = st.one_of(
-    _weights.map(lambda w: make_iid_measure(_pmf(w))),
+    pmf_weights().map(lambda w: make_iid_measure(weights_pmf(w))),
     st.integers(1, 4).flatmap(lambda k: st.builds(make_mu_k, st.just(k), st.integers(1, k))),
     st.sampled_from(["a", "b", "c"]).map(lambda s: constant_run_measure(("a", "b", "c"), s)),
     st.builds(
