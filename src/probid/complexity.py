@@ -16,8 +16,9 @@ gamma code, gamma(k) = 2*floor(log2 k) + 1 bits; b = ceil(log2 |L|)):
   model   (tag 10, stage index 2): 2 + gamma(i) + ceil(log2 1/mu_i(x)) + 1,
           for the i-th measure of the model list, i <= stage, mu_i(x) > 0
 
-`model_bits` reads ceil(log2 1/mu_i(x)) as -floor(log2 mu_i(x)), the lower
-end of `exactnum.log2_bracket`, so every length here is an exact integer.
+`model_bits` takes floor(log2 mu_i(x)), the lower end of
+`exactnum.log2_bracket`, and reads ceil(log2 1/mu_i(x)) as its negation, so
+every length here is an exact integer.
 The empty string is priced at 2 bits (tag only) by convention.  The model
 code's extra bit halves each codeword so that, within any one prefix
 length, a hypothesis spends at most half of its gamma-weighted budget
@@ -26,8 +27,8 @@ supremum any single decodable slice can reach) and enumerates the literal
 and run codewords exhaustively.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import log2_bracket
 
@@ -60,10 +61,11 @@ def run_bits(length, b):
     return _TAG_BITS + gamma_length(length) + b
 
 
-def model_bits(i, mass):
-    """Model codeword of a string of positive mass under the i-th model."""
-    # -floor(log2 mass) = ceil(log2 1/mass), negated to keep 1/mass unbuilt
-    return _TAG_BITS + gamma_length(i) - log2_bracket(mass).lo + 1
+def model_bits(i, log2_lo):
+    """Model codeword of a string whose mass m > 0 under the i-th model has
+    floor(log2 m) = log2_lo, the lower end of `log2_bracket(m)`."""
+    # ceil(log2 1/m) = -floor(log2 m)
+    return _TAG_BITS + gamma_length(i) - log2_lo + 1
 
 
 def khat(x, n, alphabet, model_list=None, schemes=_DEFAULT_SCHEMES):
@@ -84,14 +86,13 @@ def khat(x, n, alphabet, model_list=None, schemes=_DEFAULT_SCHEMES):
         for i, mu in enumerate(model_list[:n], start=1):
             mass = mu.mass(x)
             if mass > 0:
-                lengths.append(model_bits(i, mass))
+                lengths.append(model_bits(i, log2_bracket(mass).lo))
     if not lengths:
         raise ValueError("no admissible scheme prices %r" % (x,))
     return min(lengths)
 
 
-@dataclass(frozen=True)
-class ComplexityEstimator:
+class ComplexityEstimator(NamedTuple):
     """Scheme set, alphabet, and optional model measures for khat.
 
     `stage_cap` freezes the effective stage, which pins the estimator to a
@@ -146,6 +147,6 @@ def kraft_audit(estimator, length_cap):
             run += 1
     if "model" in estimator.schemes:
         for i in range(1, len(estimator.model_list) + 1):
-            if model_bits(i, Fraction(1)) <= length_cap:
+            if model_bits(i, 0) <= length_cap:  # mass 1, the shortest
                 total += Fraction(1, 1 << (_TAG_BITS + gamma_length(i)))
     return total

@@ -18,8 +18,7 @@ import itertools
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .enumeration import HypothesisList, interleave_decode
 from .errors import ConfigInvalid, EmptyInput, IoError, ProbidError
@@ -41,15 +40,14 @@ _CHECKPOINT_HEADER = ["run_id", "seed", "n", "guess", "changed"]
 _SUMMARY_HEADER = ["run_id", "seed", "final_guess", "converged_at", "correct"]
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     mode: str
     list_decl: dict | None
     target_index: int | None
     n_max: int
     stride: int
     seeds: list
-    estimator: dict = field(default_factory=dict)
+    estimator: dict
     input_sequence: tuple | None = None
     start_state: object = None
     n_switch: int = 5
@@ -62,8 +60,7 @@ class ExperimentConfig:
         return _parse_config(obj)
 
 
-@dataclass
-class RunRecord:
+class RunRecord(NamedTuple):
     run_id: int
     seed: int
     checkpoints: list  # [(n, guess-or-None, changed), ...]
@@ -72,8 +69,7 @@ class RunRecord:
     correct: bool | None
 
 
-@dataclass
-class Summary:
+class Summary(NamedTuple):
     n_runs: int
     fraction_converged: float
     fraction_correct: float | None
@@ -145,6 +141,7 @@ def _parse_config(obj):
             n_max=1,
             stride=1,
             seeds=[1],
+            estimator={},
             n_switch=n_switch,
             output=_parse_output(obj),
         )
@@ -185,7 +182,8 @@ def _parse_config(obj):
         chain = hypotheses.get(target_index)
         if start_state is None:
             start_state = chain.states[0]
-        elif isinstance(start_state, (list, dict)) or not chain.has_state(start_state):
+        # the JSON type must match too: true == 1 and 1.0 == 1, yet neither names state 1
+        elif not any(type(s) is type(start_state) and s == start_state for s in chain.states):
             raise ConfigInvalid("start_state", "not a state of the target chain")
 
     estimator = obj.get("estimator", {})
@@ -358,8 +356,7 @@ def _run_single(cfg, run_id, seed):
 def _measure_estimator(cfg, hyp_list):
     est = default_estimator(hyp_list, extra_symbols=cfg.input_sequence or ())
     schemes = tuple(cfg.estimator.get("schemes", est.schemes))
-    return replace(
-        est,
+    return est._replace(
         schemes=schemes,
         model_list=est.model_list if "model" in schemes else (),
         stage_cap=cfg.estimator.get("stage_cap"),
@@ -392,6 +389,9 @@ def run_experiment(cfg, jobs=1, out_dir=None):
         return _run_demo(cfg, out_dir)
     tasks = list(enumerate(cfg.seeds, start=1))
     if jobs > 1 and len(tasks) > 1:
+        # imported here: the pool's modules cost a serial run's start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(tasks)),
             initializer=_init_worker,

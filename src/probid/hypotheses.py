@@ -8,9 +8,9 @@ A hypothesis carries a `HypothesisSpec`, a finite JSON-safe description
 (family tag plus rational parameters) that reconstructs it losslessly.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     BadSymbol,
@@ -33,8 +33,7 @@ def _frac_str(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-@dataclass(frozen=True)
-class HypothesisSpec:
+class HypothesisSpec(NamedTuple):
     """Finite code for a hypothesis: family tag + JSON-safe parameters.
 
     Parameters are stored in serialized form (rationals as "num/den"
@@ -42,7 +41,7 @@ class HypothesisSpec:
     """
 
     family: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def to_obj(self):
         return {"family": self.family, "params": self.params}
@@ -131,7 +130,7 @@ class GeometricPmf:
     support_size = None
 
     def __init__(self):
-        self.spec = HypothesisSpec("geometric_pmf")
+        self.spec = HypothesisSpec("geometric_pmf", {})
 
     def support(self, j):
         if j < 1:
@@ -371,7 +370,7 @@ class PathMixtureMeasure(MeasureBase):
         if total != 1:
             raise SumNotOne("atom weights sum to %s" % total)
         self.start = tuple(atoms)  # the atoms whose path extends the prefix
-        self.spec = spec or HypothesisSpec("path_mixture")
+        self.spec = spec or HypothesisSpec("path_mixture", {})
 
     def _symbol_at(self, atom_path, i):
         kind = atom_path[0]

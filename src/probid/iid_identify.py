@@ -11,16 +11,15 @@ when no index passes the step reports Undecided (None).
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 from .exactnum import tau
 from .sampling import iid_steps
 
 
-@dataclass
-class GuessTrace:
+class GuessTrace(NamedTuple):
     """Guesses recorded at increasing checkpoint sizes.
 
     converged_at is the least recorded n0 such that every guess from n0 on

@@ -15,9 +15,9 @@ rather than to the length of the run.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, pairwise
+from typing import NamedTuple
 
 from .exactnum import tau
 from .hypotheses import MarkovChain
@@ -25,8 +25,7 @@ from .iid_identify import checkpoint_trace, within_band
 from .sampling import chain_steps
 
 
-@dataclass
-class TransitionCounts:
+class TransitionCounts(NamedTuple):
     """Visit and transition counts of a run prefix of length n."""
 
     n: int

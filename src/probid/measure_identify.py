@@ -49,9 +49,11 @@ def sigma_stage(mu, x, j, n, estimator):
 class SigmaTrace:
     """Lazy table of stage deficiencies for one data sequence and one list.
 
-    It keeps three rows, each grown only as far as a query needs: the prefix
-    masses of each measure, shared by every position and model code that
-    names it, so each measure steps once per prefix position; one khat row
+    It keeps three rows, each grown only as far as a query needs: the
+    `log2_bracket` of each prefix mass of each measure (None at mass 0),
+    shared by every position and model code that names it, so each measure
+    steps once per prefix position and no exact mass outlives its step (a
+    length-j mass has O(j) bits, its bracket two small ints); one khat row
     per model count c, the number of model-list measures the stage admits
     (row 0 is min(literal, run), row c the min of row c-1 and the model code
     of measure c where its mass is positive, None where nothing prices);
@@ -63,7 +65,7 @@ class SigmaTrace:
         self.hyp_list = hyp_list
         self.x = tuple(x)
         self.estimator = estimator
-        self._mass_rows = {}  # id(measure) -> [generator, [masses...]]
+        self._mass_rows = {}  # id(measure) -> [generator, [log2 bracket or None...]]
         self._khat_rows = {}  # model count -> [khat or None per prefix length]
         self._max_rows = {}  # (id(measure), model count) -> running max sigma
 
@@ -76,7 +78,8 @@ class SigmaTrace:
             self._mass_rows[id(mu)] = row
         gen, values = row
         while len(values) < j:
-            values.append(next(gen))
+            mass = next(gen)
+            values.append(log2_bracket(mass) if mass else None)
         return values
 
     def _model_count(self, n):
@@ -108,8 +111,8 @@ class SigmaTrace:
         masses = self._masses(self.estimator.model_list[count - 1], j)
         for idx in range(len(row), j):
             best = prev[idx]
-            if masses[idx] > 0:
-                bits = model_bits(count, masses[idx])
+            if masses[idx] is not None:
+                bits = model_bits(count, masses[idx].lo)
                 best = bits if best is None else min(best, bits)
             row.append(best)
         return row
@@ -136,12 +139,12 @@ class SigmaTrace:
 
 def _sigma(masses, khat, idx):
     """Floored sigma at prefix length idx + 1 from its mass and khat rows."""
-    mass = masses[idx]
-    if mass == 0:
+    log2 = masses[idx]
+    if log2 is None:
         return inf
     if khat[idx] is None:
         raise ValueError("no admissible scheme prices the length-%d prefix" % (idx + 1))
-    return -log2_bracket(mass).hi - khat[idx]
+    return -log2.hi - khat[idx]
 
 
 def identify_measure_step(hyp_list, x, n, estimator, trace=None):

@@ -6,8 +6,8 @@ the unknowable lock-in point, and the black-swan report below shows why
 dependent data can defeat prediction outright even then.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import EmptyHistory, UnknownState
 from .hypotheses import make_black_swan_pair
@@ -60,8 +60,7 @@ def predict_measure(mu, history):
     return dict(mu.conditional(history))
 
 
-@dataclass(frozen=True)
-class BlackSwanReport:
+class BlackSwanReport(NamedTuple):
     """Two measures, one shared history, two irreconcilable predictions."""
 
     n_switch: int

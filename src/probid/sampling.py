@@ -28,10 +28,10 @@ the streams tally.  `_pick` reads the rule lazily, per measure conditional.
 import sys
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, count, islice
+from typing import NamedTuple
 
 from .errors import BadStart
 
@@ -86,14 +86,13 @@ class Rng:
         return self.next64() >> 11
 
 
-@dataclass(frozen=True)
-class SamplePrefix:
+class SamplePrefix(NamedTuple):
     """A drawn prefix x_1..x_n plus its per-symbol occurrence counts."""
 
     symbols: tuple
     counts: dict
 
-    def __len__(self):
+    def __len__(self):  # the prefix length n, so _make and _replace do not apply
         return len(self.symbols)
 
     def take(self, n):

@@ -3,12 +3,15 @@
 import json
 import os
 import pickle
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import probid
 from probid import cli
 from probid.enumeration import interleave_decode
 from probid.errors import ConfigInvalid, EmptyInput
@@ -338,10 +341,24 @@ def _every_family_configs():
 
 @pytest.mark.parametrize("obj", _every_family_configs(), ids=["iid", "grid", "markov", "measure"])
 def test_parsed_config_survives_pickling(obj):
-    # pool workers receive the parsed config pickled, hypothesis list and all
+    # pool workers receive the parsed config pickled, hypothesis list and all,
+    # and send their run records back pickled
     cfg = ExperimentConfig.from_obj(obj)
     clone = pickle.loads(pickle.dumps(cfg))
-    assert run_experiment(clone)[0] == run_experiment(cfg)[0]
+    assert type(clone) is ExperimentConfig
+    assert clone._replace(hypotheses=None) == cfg._replace(hypotheses=None)
+    records = run_experiment(cfg)[0]
+    assert run_experiment(clone)[0] == records
+    returned = pickle.loads(pickle.dumps(records))
+    assert returned == records and all(type(r) is RunRecord for r in returned)
+
+
+@pytest.mark.parametrize("states, start", [(["x", "y"], "y"), ([True, False], False)])
+def test_string_and_bool_start_states_run(states, start):
+    chain = {"family": "markov", "params": {"states": states, "rows": [["1/2", "1/2"], ["1/4", "3/4"]]}}
+    cfg = ExperimentConfig.from_obj(_markov_cfg(list={"items": [chain]}, target_index=1, start_state=start))
+    assert cfg.start_state is start
+    assert run_experiment(cfg)[0][0].final_guess == 1
 
 
 # -- summarize -------------------------------------------------------------------
@@ -405,6 +422,21 @@ def test_output_files_take_the_umask_mode(tmp_path):
     names = ["checkpoints.csv", "summary.csv", "plot.gp", "black_swan.csv"]
     assert {n: oct(os.stat(out / n).st_mode & 0o777) for n in names} == dict.fromkeys(names, "0o644")
     assert sorted(os.listdir(out)) == sorted(names)
+
+
+def test_cli_import_leaves_out_the_pool_and_dataclasses():
+    # a serial run never starts the pool, so it must not pay to import it; -S keeps
+    # site hooks from importing anything first
+    code = "import sys, probid.cli; print(sorted(set(sys.modules) & {%r, %r, %r}))" % (
+        "concurrent.futures",
+        "multiprocessing",
+        "dataclasses",
+    )
+    path = [os.path.dirname(os.path.dirname(probid.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_cli_exit_code_on_invalid_config(tmp_path):
@@ -491,6 +523,16 @@ def test_cli_rejects_bad_config_with_field_path(tmp_path, capsys, cfg, path):
     for command in (["validate", "--config", config], ["run", "--config", config]):
         assert cli.main(command) == 2
         assert "config invalid: %s" % path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", [True, 1.0], ids=["true", "1.0"])
+def test_cli_rejects_start_state_of_another_json_type(tmp_path, capsys, start):
+    # true == 1 and 1.0 == 1 in Python, yet neither names the integer state 1
+    out = tmp_path / "results"
+    config = _write_cfg(tmp_path, _markov_cfg(start_state=start))
+    assert cli.main(["run", "--config", config, "--out", str(out)]) == 2
+    assert "config invalid: start_state" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- config fuzzing -----------------------------------------------------------------

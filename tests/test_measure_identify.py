@@ -1,5 +1,6 @@
 """Deficiency table, step rule, interleaved stream convergence."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import inf
@@ -282,6 +283,23 @@ def test_stream_sampled_source():
     base = _plain([mu_run, mu_switch])
     trace = identify_measure_stream(base, mu_run, seed=9, n_max=200, stride=40)
     assert trace.final_guess == 1
+
+
+def _stream_peak_bytes(n_max):
+    skewed = make_iid_measure(make_finite_pmf([("a", F(3, 4)), ("b", F(1, 4))]))
+    base = _plain([all_a_measure(), skewed, uniform_ab_measure()])
+    tracemalloc.start()
+    try:
+        identify_measure_stream(base, skewed, seed=1, n_max=n_max, stride=500)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stream_memory_grows_linearly_in_n_max():
+    # an exact length-j prefix mass has O(j) bits, so keeping one per prefix
+    # would grow about 4x per doubling; its log2 bracket is two small ints
+    assert _stream_peak_bytes(4000) <= 2.5 * _stream_peak_bytes(2000)
 
 
 def test_stream_empty_when_stride_exceeds_n_max():
