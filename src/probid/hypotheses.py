@@ -255,9 +255,17 @@ def _eval_term(node, j):
     raise AssertionError(op)
 
 
+# The parser recurses four frames per parenthesis and `_eval_term` one per
+# operator, so a cap on the tokens of a term keeps both far inside the
+# interpreter's recursion limit.
+_MAX_TERM_TOKENS = 256
+
+
 def parse_term(text):
     """Compile a closed term over the variable j into an int -> int function."""
     tokens = _tokenize_term(text)
+    if len(tokens) > _MAX_TERM_TOKENS:
+        raise _TermSyntax("term longer than %d tokens" % _MAX_TERM_TOKENS)
     node, pos = _parse_expr(tokens, 0)
     if pos != len(tokens):
         raise _TermSyntax("trailing input in term %r" % text)
@@ -633,6 +641,13 @@ def _parse_frac(value):
     return Fraction(value)
 
 
+def _int_param(params, name):
+    value = params[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadSymbol("%s must be an integer" % name)
+    return value
+
+
 def build_hypothesis(spec):
     """Reconstruct a hypothesis from its HypothesisSpec (or raw spec dict)."""
     if isinstance(spec, dict):
@@ -642,7 +657,7 @@ def build_hypothesis(spec):
     if family == "finite_pmf":
         return make_finite_pmf([(s, _parse_frac(v)) for s, v in p["probs"]])
     if family == "simple_pmf":
-        return make_simple_pmf(p["term"], p["size"])
+        return make_simple_pmf(p["term"], _int_param(p, "size"))
     if family == "geometric_pmf":
         return make_geometric_pmf()
     if family == "markov":
@@ -652,11 +667,14 @@ def build_hypothesis(spec):
     if family == "iid_measure":
         return make_iid_measure(build_hypothesis(p["pmf"]))
     if family == "marked_run":
-        return make_mu_k(p["k"], p["marker"])
+        return make_mu_k(_int_param(p, "k"), _int_param(p, "marker"))
     if family == "constant_run":
         return constant_run_measure(tuple(p["alphabet"]), p["symbol"])
     if family == "switch_pair":
         return switch_pair_measure(
-            tuple(p["alphabet"]), p["run_symbol"], p["switch_symbol"], p["n_switch"]
+            tuple(p["alphabet"]),
+            p["run_symbol"],
+            p["switch_symbol"],
+            _int_param(p, "n_switch"),
         )
     raise BadSymbol("unknown hypothesis family %r" % family)

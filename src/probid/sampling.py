@@ -4,12 +4,13 @@ The generator is SplitMix64, chosen for its trivially portable integer
 recurrence: equal seeds give byte-identical streams on every platform.
 
 `Rng` is the scalar reference, one output per call.  The samplers read the
-same stream from `_uniforms`, which computes it 1024 outputs at a time in
-one Python int: lane k occupies bits 128k..128k+127, its low 64 bits hold
-the state of output k of the block and its high 64 bits are scratch that
+same stream from `_lanes`, which computes it 1024 outputs at a time in one
+Python int: lane k occupies bits 128k..128k+127, its low 64 bits hold the
+state of output k of the block and its high 64 bits are scratch that
 catches what a right shift leaks in from lane k+1.  Each lane is masked
 back to 64 bits before every multiply, so no product carries into the next
-lane.  A stream holds one such block (16 KiB), never its whole length.
+lane.  A stream holds one such block (16 KiB), never its whole length;
+`_uniforms` reads each block as 1024 53-bit numerators.
 
 Symbols are drawn by exact inversion: the 53-bit output z maps to the
 dyadic rational u = z/2**53 in [0, 1), and we pick the least symbol whose
@@ -19,10 +20,15 @@ to the lower index; symbols of zero mass are never selected.
 One rule, `_thresholds`, turns masses into the integer thresholds
 floor(cum * 2**53) that z is bisected against.  No symbol after the first
 threshold >= 2**53 - 1 can be drawn, so `iid_steps` reads a pmf's table up
-to there, once (53 entries for the geometric pmf), and `chain_steps` one
-whole table per chain state.  Both yield steps, the index of each draw in
-the support or in the chain's tuple of positive-mass transitions, which
-the streams tally.  `_pick` reads the rule lazily, per measure conditional.
+to there, once (53 entries for the geometric pmf), and maps a bisect in C
+over the uniforms.  `chain_steps` reads one whole table per chain state and
+a guide table over the 256 cells of the top byte of z (Chen and Asau's
+indexed search): where no threshold of the state splits the cell of a
+draw, its step is one lookup by that byte, and only the draws in a cell
+that some state splits are bisected.  Both yield steps, the index of each
+draw in the support or in the chain's tuple of positive-mass transitions,
+which the streams tally.  `_pick` reads the rule lazily, per measure
+conditional.
 """
 
 import sys
@@ -58,6 +64,8 @@ _LANE_OFFSETS = int.from_bytes(
 # last on a big-endian one.  No big-endian host was available to test the
 # second branch.
 _LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+# `chain_steps` names its chain `chain`, which hides itertools.chain
+_flatten = chain.from_iterable
 
 
 class Rng:
@@ -66,7 +74,7 @@ class Rng:
     This is the scalar reference: `_uniforms(seed)` must yield exactly
     `Rng(seed).next53()` repeated, and the tests check that it does.
     Output i of the stream mixes the state seed + (i+1)*_GOLDEN mod 2**64,
-    which is what lane i mod 1024 of block i // 1024 holds in `_uniforms`.
+    which is what lane i mod 1024 of block i // 1024 holds in `_lanes`.
     """
 
     __slots__ = ("state",)
@@ -136,12 +144,12 @@ def _table(pairs):
     return tuple(zip(*entries))
 
 
-def _uniforms(seed):
-    """Endless 53-bit uniform numerators of the SplitMix64 stream of `seed`.
+def _lanes(seed):
+    """Endless blocks of the SplitMix64 stream of `seed`, one int per block.
 
-    Equal to `Rng(seed).next53` called repeatedly, computed a block of
-    `_LANES` outputs per pass of big-integer operations.  The blocks are
-    chained in C, so reading the stream runs no Python frame per output.
+    Lane k of block b holds z ^ (z >> 31) for output 1024b + k: its low 64
+    bits are that output of `Rng(seed).next64`, bits 64-96 are zero and
+    bits 97-127 hold what lane k+1 leaked in.
     """
     start = ((seed & _MASK) * _LANE_ONES + _LANE_OFFSETS) & _LANE_MASK
 
@@ -151,13 +159,26 @@ def _uniforms(seed):
         state = (start + b * _LANE_STEP) & _LANE_MASK
         z = ((state ^ (state >> 30)) & _LANE_MASK) * _MIX1 & _LANE_MASK
         z = ((z ^ (z >> 27)) & _LANE_MASK) * _MIX2 & _LANE_MASK
-        # z ^ (z >> 31) leaves bits 64-96 of each lane zero, so after the
-        # >> 11 the low word of a lane is its 53-bit output; what lane k+1
-        # leaks in lands in the high word, which is never read
-        z = (z ^ (z >> 31)) >> 11
-        return memoryview(z.to_bytes(_BLOCK_BYTES, sys.byteorder)).cast("Q")[_LOW_WORDS]
+        return z ^ (z >> 31)
 
-    return chain.from_iterable(map(block, count()))
+    return map(block, count())
+
+
+def _low_words(lanes):
+    # after the >> 11 the low word of a lane is its 53-bit output; what
+    # lane k+1 leaked in lands in the high word, which is never read
+    words = memoryview((lanes >> 11).to_bytes(_BLOCK_BYTES, sys.byteorder)).cast("Q")
+    return words[_LOW_WORDS]
+
+
+def _uniforms(seed):
+    """Endless 53-bit uniform numerators of the SplitMix64 stream of `seed`.
+
+    Equal to `Rng(seed).next53` called repeatedly, computed a block of
+    `_LANES` outputs per pass of big-integer operations.  The blocks are
+    chained in C, so reading the stream runs no Python frame per output.
+    """
+    return chain.from_iterable(map(_low_words, _lanes(seed)))
 
 
 def iid_steps(pmf, seed):
@@ -185,23 +206,64 @@ def chain_steps(chain, x0, seed):
     """
     if not chain.has_state(x0):
         raise BadStart("start state %r not in chain" % (x0,))
-    pairs, tables = [], {}
+    pairs, rows = [], {}
     for state in chain.states:
-        entries = tuple(_thresholds(chain.row(state)))
-        tables[state] = (tuple(t for _, t in entries), len(pairs))
-        pairs.extend((state, target) for target, _ in entries)
-    # the table of the state each transition enters, so a step is one
-    # bisect and two lookups
-    then = [tables[target] for _, target in pairs]
-    return _walk(then, tables[x0], _uniforms(seed)), tuple(pairs)
+        targets, thresholds = zip(*_thresholds(chain.row(state)))
+        rows[state] = (_guide(thresholds, len(pairs)), thresholds, len(pairs))
+        pairs.extend((state, target) for target in targets)
+    guides = [guide for guide, _, _ in rows.values()]
+    split = bytes(any(guide[c] is None for guide in guides) for c in range(256))
+    # the row of the state each step enters, then x0's, where the walk starts
+    then = [rows[target] for _, target in pairs] + [rows[x0]]
+    return _flatten(_walk(then, split, _lanes(seed))), tuple(pairs)
 
 
-def _walk(then, table, uniforms):
-    for z in uniforms:
-        thresholds, base = table
-        k = base + bisect_left(thresholds, z)
-        table = then[k]
-        yield k
+def _guide(thresholds, base):
+    """256 cells of one state's row: cell c holds the draws z with top byte
+    z >> 45 == c, and entry c is base + the index that `bisect_left` gives
+    every one of them, or None where a threshold splits the cell."""
+    guide = []
+    for c in range(256):
+        k = bisect_left(thresholds, c << 45)
+        guide.append(base + k if k == bisect_left(thresholds, ((c + 1) << 45) - 1) else None)
+    return tuple(guide)
+
+
+def _walk(then, split, lanes):
+    """Steps of a chain run, one list per block of lanes.
+
+    `then[k]` is the (guide, thresholds, base) row of the state that step k
+    enters, and the walk starts from the last.  The cell of draw i is byte
+    16i + 7 of the block in little-endian order, the top byte of its lane's
+    low word.  A draw in a cell that no state splits takes two lookups, its
+    step in the current guide and the guide of the state it enters; a
+    draw whose cell `split` marks is read whole and bisected.
+    """
+    guides = [guide for guide, _, _ in then]
+    k = len(then) - 1
+    guide = guides[k]
+    for block in lanes:
+        raw = block.to_bytes(_BLOCK_BYTES, "little")
+        cells = raw[7::16]
+        marks = cells.translate(split) + b"\x01"  # the end of the block ends the last run
+        steps = []
+        append = steps.append
+        start = 0
+        while True:
+            stop = marks.find(1, start)
+            for c in cells[start:stop]:
+                k = guide[c]
+                guide = guides[k]
+                append(k)
+            if stop == _LANES:
+                break
+            _, thresholds, base = then[k]
+            z = int.from_bytes(raw[16 * stop : 16 * stop + 8], "little") >> 11
+            k = base + bisect_left(thresholds, z)
+            guide = guides[k]
+            append(k)
+            start = stop + 1
+        yield steps
 
 
 def chain_states(chain, x0, seed):

@@ -70,6 +70,25 @@ def chains_with_zeros(draw):
     return MarkovChain(tuple(range(size)), rows)
 
 
+# rows whose thresholds split cells of the chain walk's guide tables, 2**45
+# draws wide: 1/3 and 2/3 mid-cell, 1/256 + 2**-53 one draw past the start
+# of cell 1, and 1/2 at the start of cell 128, whose first draw ties and
+# picks the lower index
+CELL_SPLITTING_ROWS = (
+    (F(1, 3), F(2, 3)),
+    (F(2, 3), F(1, 3)),
+    (F(1, 256) + F(1, 1 << 53), F(255, 256) - F(1, 1 << 53)),
+    (F(1, 2), F(1, 2)),
+)
+
+
+@st.composite
+def chains_splitting_cells(draw):
+    """Ergodic two-state chains whose rows split cells of the guide tables."""
+    rows = [draw(st.sampled_from(CELL_SPLITTING_ROWS)) for _ in range(2)]
+    return MarkovChain((0, 1), rows)
+
+
 def pmf_weights():
     """Integer weights of a finite pmf, 1..5 symbols.  Weights up to 2**64
     give masses below 2**-53, which no 53-bit draw can reach."""

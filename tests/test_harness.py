@@ -500,6 +500,32 @@ _BAD_ITEMS = [
 ]
 
 
+def _term_item(term, size=3):
+    return {"family": "simple_pmf", "params": {"term": term, "size": size}}
+
+
+# Terms nested or chained past the recursion limit (the parser recursed per
+# parenthesis, and evaluating a sum, which the parser reads in a loop,
+# recursed per +), and JSON true for an integer parameter, which Python
+# would read as 1.
+_BAD_FIRST_PMFS = [
+    ("term longer than 256 tokens", _term_item("(" * 2000 + "j" + ")" * 2000)),
+    ("term longer than 256 tokens", _term_item("+".join(["j"] * 3000))),
+    ("size must be an integer", _term_item("j", size=True)),
+]
+_BAD_FIRST_MEASURES = [
+    ("k must be an integer", {"family": "marked_run", "params": {"k": True, "marker": 1}}),
+    ("marker must be an integer", {"family": "marked_run", "params": {"k": 2, "marker": True}}),
+    (
+        "n_switch must be an integer",
+        {
+            "family": "switch_pair",
+            "params": {"alphabet": ["a", "b"], "run_symbol": "a", "switch_symbol": "b", "n_switch": True},
+        },
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "cfg, path",
     [
@@ -514,7 +540,15 @@ _BAD_ITEMS = [
     + [(_iid_cfg(list={"items": [_pmf_spec((0, "1/2"), (1, "1/2")), item]}), "list.items[1]") for item in _BAD_ITEMS]
     + [(_iid_cfg(list={"family": "simple_pmf", "grid": {"term": ["j"], "size": [2, "3"]}}), "list.grid[1]")]
     + [(_iid_cfg(output=5), "output"), (_iid_cfg(output=["out"]), "output")]
-    + [(b'{"mode": "iid\xff"}', ": not valid JSON")],
+    + [(b'{"mode": "iid\xff"}', ": not valid JSON")]
+    + [
+        (_iid_cfg(list={"items": [item, _pmf_spec((0, "1/2"), (1, "1/2"))]}), "list.items[0]: " + why)
+        for why, item in _BAD_FIRST_PMFS
+    ]
+    + [
+        (_measure_cfg(list={"items": [item, _measure_cfg()["list"]["items"][0]]}), "list.items[0]: " + why)
+        for why, item in _BAD_FIRST_MEASURES
+    ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
 def test_cli_rejects_bad_config_with_field_path(tmp_path, capsys, cfg, path):
@@ -533,6 +567,7 @@ def test_cli_rejects_start_state_of_another_json_type(tmp_path, capsys, start):
     assert cli.main(["run", "--config", config, "--out", str(out)]) == 2
     assert "config invalid: start_state" in capsys.readouterr().err
     assert not out.exists()
+
 
 
 # -- config fuzzing -----------------------------------------------------------------

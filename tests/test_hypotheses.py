@@ -9,6 +9,7 @@ from probid.errors import (
     BadSymbol,
     NonpositiveMass,
     NotErgodic,
+    ProbidError,
     SumNotOne,
     ZeroDenominator,
 )
@@ -84,6 +85,14 @@ def test_simple_pmf_exponential_term():
 def test_term_language_composition():
     f = parse_term("(j+1)^2*3")
     assert [f(j) for j in (1, 2, 3)] == [12, 27, 48]
+
+
+def test_term_of_256_tokens_evaluates_and_one_more_is_rejected():
+    nested, total = "(" * 127 + "j" + ")" * 127, "+".join(["j"] * 128)
+    assert parse_term(nested)(5) == 5 and parse_term(total)(5) == 640
+    for longer in ("(" + nested + ")", total + "+j"):
+        with pytest.raises(ProbidError, match="longer than 256 tokens"):
+            parse_term(longer)
 
 
 def test_simple_pmf_rejects_zero_sum_and_nonpositive():

@@ -1,5 +1,6 @@
 """Seeded generation: reproducibility, exact inversion, frequency sanity."""
 
+import random
 import tracemalloc
 from bisect import bisect_left
 from collections import Counter
@@ -7,10 +8,12 @@ from fractions import Fraction
 from itertools import count, islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    CELL_SPLITTING_ROWS,
     chain_a,
+    chains_splitting_cells,
     chains_with_zeros,
     pmf_weights,
     separated_pmf,
@@ -227,6 +230,15 @@ def _uniforms(seed, n):
     return [rng.next53() for _ in range(n)]
 
 
+def _oracle_run(chain, draws):
+    """States x_1, x_2, ... of a chain run from state 0 on these draws."""
+    state, run = 0, []
+    for z in draws:
+        state = _oracle_pick(chain.row(state), z)
+        run.append(state)
+    return tuple(run)
+
+
 def _table_pick(pairs, z):
     symbols, thresholds = _table(pairs)
     return symbols[bisect_left(thresholds, z)]
@@ -296,14 +308,57 @@ def test_geometric_draw_follows_inversion_rule(seed, n):
     assert draw_iid(g, seed, n).symbols == expected
 
 
+_chains = chains_with_zeros() | chains_splitting_cells()
+
+
+# n up to 2100 crosses two block boundaries of the lane stream
 @settings(max_examples=40, deadline=None)
-@given(chain=chains_with_zeros(), seed=_seeds, n=st.integers(0, 200))
+@given(chain=_chains, seed=_seeds, n=st.integers(0, 2100))
+@example(chain=MarkovChain((0, 1), CELL_SPLITTING_ROWS[1:3]), seed=1, n=2100)
 def test_run_chain_follows_inversion_rule(chain, seed, n):
-    state, expected = 0, []
-    for z in _uniforms(seed, n):
-        state = _oracle_pick(chain.row(state), z)
-        expected.append(state)
-    assert run_chain(chain, 0, seed, n) == tuple(expected)
+    assert run_chain(chain, 0, seed, n) == _oracle_run(chain, _uniforms(seed, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain=_chains)
+def test_guide_entry_is_the_pick_at_both_ends_of_its_cell(chain):
+    # cell c holds the draws z with z >> 45 == c; an entry must name the
+    # transition that both ends of its cell pick, and a cell whose ends pick
+    # apart must hold None, so that the walk bisects its draws
+    base = 0
+    for state in chain.states:
+        row = chain.row(state)
+        targets = [t for t, m in row if m]
+        guide = sampling._guide(tuple(t for _, t in sampling._thresholds(row)), base)
+        assert len(guide) == 256
+        for c, entry in enumerate(guide):
+            lo, hi = (_oracle_pick(row, z) for z in (c << 45, ((c + 1) << 45) - 1))
+            assert entry == (base + targets.index(lo) if lo == hi else None)
+        base += len(targets)
+
+
+def _lane_block(draws):
+    """A block as `_lanes` yields it, whose outputs hold these 53-bit draws;
+    the high word of every lane, which the samplers never read, is all ones."""
+    return sum((z << 11 | ((1 << 64) - 1) << 64) << 128 * i for i, z in enumerate(draws))
+
+
+@pytest.mark.parametrize("rows", [CELL_SPLITTING_ROWS[:2], CELL_SPLITTING_ROWS[1:3]])
+def test_chain_walk_bisects_draws_in_split_cells(monkeypatch, rows):
+    # random draws almost never land next to a threshold, so walk two blocks
+    # of draws that do: each threshold, its neighbours and the ends of its cell
+    chain = MarkovChain((0, 1), rows)
+    edges = {0, (1 << 53) - 1}
+    for state in chain.states:
+        for _, t in sampling._thresholds(chain.row(state)):
+            c = t >> 45
+            edges.update((t - 1, t, t + 1, c << 45, ((c + 1) << 45) - 1))
+    edges = sorted(z for z in edges if 0 <= z < 1 << 53)
+    rng = random.Random(len(edges))
+    draws = [rng.choice(edges) for _ in range(2 * 1024)]
+    blocks = [_lane_block(draws[:1024]), _lane_block(draws[1024:])]
+    monkeypatch.setattr(sampling, "_lanes", lambda seed: iter(blocks))
+    assert run_chain(chain, 0, 0, len(draws)) == _oracle_run(chain, draws)
 
 
 @settings(max_examples=40, deadline=None)
