@@ -246,19 +246,33 @@ def _eval_term(node, j):
         return node[1]
     if op == "var":
         return j
+    lhs, rhs = _eval_term(node[1], j), _eval_term(node[2], j)
     if op == "add":
-        return _eval_term(node[1], j) + _eval_term(node[2], j)
+        return lhs + rhs
     if op == "mul":
-        return _eval_term(node[1], j) * _eval_term(node[2], j)
+        _check_bits(lhs.bit_length() + rhs.bit_length(), j)
+        return lhs * rhs
     if op == "pow":
-        return _eval_term(node[1], j) ** _eval_term(node[2], j)
+        _check_bits(lhs.bit_length() * rhs, j)
+        return lhs**rhs
     raise AssertionError(op)
+
+
+def _check_bits(bits, j):
+    """Reject a product or power, before it is computed, whose operands
+    allow a result longer than the cap."""
+    if bits > _MAX_TERM_BITS:
+        raise _TermSyntax("term value past %d bits at j = %d" % (_MAX_TERM_BITS, j))
 
 
 # The parser recurses four frames per parenthesis and `_eval_term` one per
 # operator, so a cap on the tokens of a term keeps both far inside the
-# interpreter's recursion limit.
+# interpreter's recursion limit.  The bit cap bounds each product and power
+# from the bit lengths of its operands (sums add a bit each), so a short
+# term such as "(2^j)^(2^24)" is rejected at once instead of normalising
+# masses of millions of bits; "2^j" evaluates up to j = 32768.
 _MAX_TERM_TOKENS = 256
+_MAX_TERM_BITS = 1 << 16
 
 
 def parse_term(text):

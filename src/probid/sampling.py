@@ -27,8 +27,9 @@ indexed search): where no threshold of the state splits the cell of a
 draw, its step is one lookup by that byte, and only the draws in a cell
 that some state splits are bisected.  Both yield steps, the index of each
 draw in the support or in the chain's tuple of positive-mass transitions,
-which the streams tally.  `_pick` reads the rule lazily, per measure
-conditional.
+which the streams tally.  A product measure's conditional is its pmf at
+every step, so `draw_from_measure` draws it through `iid_steps`; for any
+other measure `_pick` reads the rule lazily, per conditional.
 """
 
 import sys
@@ -40,6 +41,7 @@ from itertools import chain, count, islice
 from typing import NamedTuple
 
 from .errors import BadStart
+from .hypotheses import ProductMeasure
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -291,8 +293,13 @@ def draw_from_measure(mu, seed, n):
     The prefix state and mass are carried forward by the chain rule; each
     step inverts the next-symbol distribution mu(xa)/mu(x) over the
     alphabet.  A picked symbol has positive mass, so the prefix never
-    reaches mass zero.
+    reaches mass zero.  A product measure's conditional is its pmf, in the
+    same order, so it is drawn as `draw_iid(mu.pmf, seed, n)`: the same
+    thresholds of the same masses against the same uniforms, with no
+    `step` call or `Fraction` division per symbol.
     """
+    if isinstance(mu, ProductMeasure):
+        return draw_iid(mu.pmf, seed, n)
     state, mass = mu.start, Fraction(1)
     prefix = []
     for i, z in enumerate(islice(_uniforms(seed), n)):

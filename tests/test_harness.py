@@ -548,6 +548,13 @@ _BAD_FIRST_MEASURES = [
     + [
         (_measure_cfg(list={"items": [item, _measure_cfg()["list"]["items"][0]]}), "list.items[0]: " + why)
         for why, item in _BAD_FIRST_MEASURES
+    ]
+    # a power of millions of bits, rejected before it is computed
+    + [
+        (
+            _iid_cfg(list={"items": [_pmf_spec((0, "1/2"), (1, "1/2")), _term_item("(2^j)^(2^24)")]}),
+            "list.items[1]: term value past 65536 bits",
+        )
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

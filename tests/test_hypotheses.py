@@ -95,6 +95,14 @@ def test_term_of_256_tokens_evaluates_and_one_more_is_rejected():
             parse_term(longer)
 
 
+def test_term_products_and_powers_are_capped_before_they_are_computed():
+    f = parse_term("2^j")
+    assert f(32768) == 1 << 32768
+    for term, j in (("2^j", 32769), ("(2^j)^(2^24)", 1), ("(j^j)*(j^j)", 5000)):
+        with pytest.raises(ProbidError, match="term value past 65536 bits"):
+            parse_term(term)(j)
+
+
 def test_simple_pmf_rejects_zero_sum_and_nonpositive():
     with pytest.raises(ZeroDenominator):
         make_simple_pmf(lambda j: 0, 3)

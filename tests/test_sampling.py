@@ -25,6 +25,7 @@ from probid.errors import BadStart, ZeroMassPrefix
 from probid.exactnum import tau
 from probid.hypotheses import (
     MarkovChain,
+    ProductMeasure,
     constant_run_measure,
     make_black_swan_pair,
     make_finite_pmf,
@@ -403,10 +404,31 @@ def test_draw_from_measure_follows_inversion_rule(mu, seed, n):
     ],
 )
 def test_draw_from_measure_steps_once_per_symbol_and_letter(mu):
+    # a product measure is drawn through its pmf's threshold table and
+    # never steps; every other measure steps once per symbol and letter
+    per_symbol = 0 if isinstance(mu, ProductMeasure) else len(mu.alphabet)
     calls = []
     step = mu.step
     mu.step = lambda *args: calls.append(args) or step(*args)
     for n in (0, 1, 50):
         calls.clear()
         draw_from_measure(mu, seed=3, n=n)
-        assert len(calls) == n * len(mu.alphabet)
+        assert len(calls) == n * per_symbol
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [("a", F(3, 4)), ("b", F(1, 4))],
+        [("a", F(1, 3)), ("b", F(2, 7)), ("c", F(8, 21))],
+        [("a", F(1, 3)), ("b", F(1, 3 << 54)), ("c", 1 - F(1, 3) - F(1, 3 << 54))],
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 911])
+def test_product_measure_draw_crosses_lane_blocks(probs, seed):
+    # 2100 draws span three lane blocks; the masses are dyadic, non-dyadic,
+    # and one below 2**-53 that sits in the table between two drawn symbols
+    mu = make_iid_measure(make_finite_pmf(probs))
+    conditional = mu.conditional(())
+    expected = tuple(_oracle_pick(conditional, z) for z in _uniforms(seed, 2100))
+    assert draw_from_measure(mu, seed, 2100).symbols == expected
