@@ -10,9 +10,11 @@ values falling inside the bracket are ambiguous, and
 against the lower end.
 
 `log2_bracket` needs no such care: it returns the integer pair
-floor(log2 q), ceil(log2 q), read from bit lengths.  That is all the
-description lengths need, since every other term they are compared with
-is an integer (see `complexity` and `measure_identify`).
+floor(log2 q), ceil(log2 q), read from bit lengths, and
+`log2_ratio_bracket` reads the same pair off an unreduced numerator and
+denominator.  That is all the description lengths need, since every other
+term they are compared with is an integer (see `complexity` and
+`measure_identify`).
 
 Rationals are `fractions.Fraction` (arbitrary precision, normalized with a
 positive denominator), re-exported as `Rational`.
@@ -131,16 +133,28 @@ def tau(n):
 def log2_bracket(q):
     """Integer bracket [floor(log2 q), ceil(log2 q)] of a positive rational.
 
-    Read from bit lengths alone: with e = len(num) - len(den) in bits,
-    2**(e-1) < q < 2**(e+1), and one shifted comparison settles which side
-    of 2**e q lies on.  The width is 0 exactly on powers of two.  Accepts a
-    `Fraction` or an int.
+    Accepts a `Fraction` or an int; see `log2_ratio_bracket`.
     """
-    num, den = q.numerator, q.denominator
+    return log2_ratio_bracket(q.numerator, q.denominator)
+
+
+def log2_ratio_bracket(num, den, twos=0):
+    """Integer bracket [floor(log2 q), ceil(log2 q)] of q = num/den * 2**twos.
+
+    num and den are positive ints.  Read from bit lengths alone: with
+    e = len(num) - len(den) in bits, 2**(e-1) < num/den < 2**(e+1), and one
+    shifted comparison settles which side of 2**e num/den lies on; equality
+    means it is exactly 2**e, the only case of width 0.  The ratio need not
+    be reduced: 3/24 is exactly 2**-3.
+    """
     if num <= 0:
         raise ProbidError("log2 of nonpositive rational")
     e = num.bit_length() - den.bit_length()
-    if num << max(-e, 0) < den << max(e, 0):  # q < 2**e
-        e -= 1
-    exact = num & (num - 1) == 0 and den & (den - 1) == 0
-    return Bracket(e, e if exact else e + 1)
+    if e < 0:
+        num <<= -e
+    else:
+        den <<= e
+    e += twos
+    if num < den:  # 2**(e-1) < q < 2**e
+        return Bracket(e - 1, e)
+    return Bracket(e, e if num == den else e + 1)

@@ -24,6 +24,7 @@ from .errors import (
     ZeroDenominator,
     ZeroMassPrefix,
 )
+from .exactnum import log2_bracket, log2_ratio_bracket
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -273,6 +274,10 @@ def _check_bits(bits, j):
 # masses of millions of bits; "2^j" evaluates up to j = 32768.
 _MAX_TERM_TOKENS = 256
 _MAX_TERM_BITS = 1 << 16
+# Building a pmf costs microseconds and hundreds of bytes per symbol, so an
+# unbounded size would let one config item run for minutes and take
+# gigabytes.
+_MAX_PMF_SIZE = 1 << 16
 
 
 def parse_term(text):
@@ -290,9 +295,12 @@ def make_simple_pmf(term, size):
     """Pmf on symbols 1..size with p(j) proportional to term(j).
 
     `term` is either a term string ("j*j+1", "2^j", ...) or an int -> int
-    callable.  Raises ZeroDenominator when the values sum to zero and
-    NonpositiveMass when some value is not positive.
+    callable.  Raises ZeroDenominator when the values sum to zero,
+    NonpositiveMass when some value is not positive, and BadSymbol, before
+    any term is evaluated, when size exceeds `_MAX_PMF_SIZE`.
     """
+    if size > _MAX_PMF_SIZE:
+        raise BadSymbol("size %d past %d symbols" % (size, _MAX_PMF_SIZE))
     fn = parse_term(term) if isinstance(term, str) else term
     values = [fn(j) for j in range(1, size + 1)]
     total = sum(values)
@@ -322,7 +330,9 @@ class MeasureBase:
     the state of the empty prefix (mass 1), and `step(state, i, a)` extends
     a prefix of length i by the symbol a, returning the new state and the
     mass of the extended prefix.  Once a prefix has mass 0, so does every
-    extension.  Masses and conditionals are derived from `step` alone.
+    extension.  Masses, conditionals and the `log2_prefixes` row are
+    derived from `step` alone, except that `ProductMeasure` brackets its
+    row on ints.
     """
 
     alphabet = ()
@@ -342,12 +352,13 @@ class MeasureBase:
     def mass(self, prefix):
         return self._prefix_state(prefix)[1]
 
-    def mass_prefixes(self, symbols):
-        """Yield mass of symbols[:1], symbols[:2], ..."""
+    def log2_prefixes(self, symbols):
+        """Yield the `log2_bracket` of the mass of symbols[:1], symbols[:2],
+        ..., or None where that mass is 0."""
         state = self.start
         for i, a in enumerate(symbols):
             state, mass = self.step(state, i, a)
-            yield mass
+            yield log2_bracket(mass) if mass else None
 
     def conditional(self, prefix):
         """Next-symbol distribution mu(prefix+a)/mu(prefix) as (symbol, mass) pairs."""
@@ -370,10 +381,44 @@ class ProductMeasure(MeasureBase):
         self.pmf = pmf
         self.alphabet = tuple(pmf.support(j) for j in range(1, pmf.support_size + 1))
         self.spec = HypothesisSpec("iid_measure", {"pmf": pmf.spec.to_obj()})
+        self._ratios = {}  # symbol -> odd numerator, odd denominator, power of two
+        for a in self.alphabet:
+            q = pmf.mass(a)
+            num, num_twos = _odd_part(q.numerator)
+            den, den_twos = _odd_part(q.denominator)
+            self._ratios[a] = (num, den, num_twos - den_twos)
 
     def step(self, state, i, a):
         mass = state * self.pmf.mass(a)
         return mass, mass
+
+    def log2_prefixes(self, symbols):
+        """As `MeasureBase.log2_prefixes`, on plain ints: each symbol
+        multiplies the odd parts of its mass into a numerator and a
+        denominator and adds its power of two to an exponent, with no gcd
+        and no `Fraction`, and the first symbol off the alphabet zeroes the
+        mass for good.  A dyadic mass keeps both odd parts at 1."""
+        ratios = self._ratios
+        num = den = 1
+        twos = 0
+        symbols = iter(symbols)
+        for a in symbols:
+            ratio = ratios.get(a)
+            if ratio is None:
+                yield None
+                break
+            num *= ratio[0]
+            den *= ratio[1]
+            twos += ratio[2]
+            yield log2_ratio_bracket(num, den, twos)
+        for _ in symbols:
+            yield None
+
+
+def _odd_part(k):
+    """(k with its factors of two removed, how many there were), k > 0."""
+    twos = (k & -k).bit_length() - 1
+    return k >> twos, twos
 
 
 class PathMixtureMeasure(MeasureBase):

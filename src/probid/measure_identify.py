@@ -19,9 +19,13 @@ position are integers, and for a real L and integers K, i, L - K < i holds
 iff floor(L) - K < i.  So each sigma is stored as that integer, taken from
 the upper end of `exactnum.log2_bracket(mass)` (floor(log2 1/m) =
 -ceil(log2 m)), and the step rule is decided exactly, with no rounding
-margin.  Zero-mass prefixes give sigma = +inf.
+margin.  Zero-mass prefixes give sigma = +inf.  The table never holds a
+mass: each measure's `log2_prefixes` row yields the bracket of every prefix
+mass directly, a product measure from plain int products with no
+`Fraction` at all, any other measure through its `step` chain rule.
 """
 
+from itertools import islice
 from math import inf
 
 from .complexity import (
@@ -50,10 +54,12 @@ class SigmaTrace:
     """Lazy table of stage deficiencies for one data sequence and one list.
 
     It keeps three rows, each grown only as far as a query needs: the
-    `log2_bracket` of each prefix mass of each measure (None at mass 0),
-    shared by every position and model code that names it, so each measure
-    steps once per prefix position and no exact mass outlives its step (a
-    length-j mass has O(j) bits, its bracket two small ints); one khat row
+    `log2_bracket` of each prefix mass of each measure (None at mass 0), as
+    yielded by one `log2_prefixes` generator per measure and shared by every
+    position and model code that names it, so each measure extends its
+    prefix once per position and no exact mass is kept (a length-j mass has
+    O(j) bits, its bracket two small ints; a product measure brackets a
+    running int numerator and denominator and builds no mass); one khat row
     per model count c, the number of model-list measures the stage admits
     (row 0 is min(literal, run), row c the min of row c-1 and the model code
     of measure c where its mass is positive, None where nothing prices);
@@ -74,12 +80,11 @@ class SigmaTrace:
             raise ProbidError("prefix length %d exceeds the data sequence" % j)
         row = self._mass_rows.get(id(mu))
         if row is None:
-            row = [mu.mass_prefixes(self.x), []]
+            row = [mu.log2_prefixes(self.x), []]
             self._mass_rows[id(mu)] = row
         gen, values = row
-        while len(values) < j:
-            mass = next(gen)
-            values.append(log2_bracket(mass) if mass else None)
+        if len(values) < j:
+            values.extend(islice(gen, j - len(values)))
         return values
 
     def _model_count(self, n):

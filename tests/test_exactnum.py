@@ -12,6 +12,7 @@ from probid.exactnum import (
     Bracket,
     ln_bracket,
     log2_bracket,
+    log2_ratio_bracket,
     tau,
 )
 from probid.errors import ProbidError
@@ -133,3 +134,25 @@ def test_log2_bracket_is_the_integer_floor_and_ceiling(q):
     assert hi - lo in (0, 1)
     power_of_two = q == Fraction(2) ** round(math.log2(q))
     assert (lo == hi) == power_of_two
+
+
+def test_log2_ratio_bracket_on_unreduced_ratios():
+    # neither 3 nor 6 nor 24 is a power of two, yet 3/6 and 6/24 are
+    assert log2_ratio_bracket(3, 6) == (-1, -1)
+    assert log2_ratio_bracket(6, 24) == (-2, -2)
+    assert log2_ratio_bracket(3, 24) == (-3, -3)
+    assert log2_ratio_bracket(12, 3) == (2, 2)
+    assert log2_ratio_bracket(5, 15) == (-2, -1)
+    # odd parts and a power of two: 3/3 * 2**-4 and 3/1 * 2**-2
+    assert log2_ratio_bracket(3, 3, -4) == (-4, -4)
+    assert log2_ratio_bracket(3, 1, -2) == (-1, 0)
+    with pytest.raises(ProbidError):
+        log2_ratio_bracket(0, 3)
+
+
+@settings(max_examples=200)
+@given(q=positive_rationals, factor=st.integers(1, 1 << 70), twos=st.integers(-300, 300))
+def test_log2_ratio_bracket_ignores_a_common_factor(q, factor, twos):
+    q = Fraction(q)
+    lo, hi = log2_ratio_bracket(q.numerator * factor, q.denominator * factor, twos)
+    assert (lo - twos, hi - twos) == log2_bracket(q)

@@ -555,6 +555,18 @@ _BAD_FIRST_MEASURES = [
             _iid_cfg(list={"items": [_pmf_spec((0, "1/2"), (1, "1/2")), _term_item("(2^j)^(2^24)")]}),
             "list.items[1]: term value past 65536 bits",
         )
+    ]
+    # a size of 10^8 would evaluate the term for minutes and hold gigabytes;
+    # the cap holds before any term is evaluated, in both list forms
+    + [
+        (
+            _iid_cfg(list={"items": [_pmf_spec((0, "1/2"), (1, "1/2")), _term_item("j", size=10**8)]}),
+            "list.items[1]: size 100000000 past 65536 symbols",
+        ),
+        (
+            _iid_cfg(list={"family": "simple_pmf", "grid": {"term": ["j"], "size": [3, 65537]}}),
+            "list.grid[1]: size 65537 past 65536 symbols",
+        ),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probid.errors import (
     BadSymbol,
@@ -13,9 +14,11 @@ from probid.errors import (
     SumNotOne,
     ZeroDenominator,
 )
+from probid.exactnum import log2_bracket
 from probid.hypotheses import (
     HypothesisSpec,
     MarkovChain,
+    MeasureBase,
     build_hypothesis,
     constant_run_measure,
     make_black_swan_pair,
@@ -213,7 +216,13 @@ def test_measure_equalities_sweep(mu, depth):
     assert mu.mass(()) == 1
 
 
-def test_mass_prefixes_matches_pointwise_mass():
+def _bracket_row(mu, seq):
+    """The reference row: log2_bracket of each pointwise prefix mass."""
+    masses = (mu.mass(seq[: j + 1]) for j in range(len(seq)))
+    return [log2_bracket(m) if m else None for m in masses]
+
+
+def test_log2_prefixes_matches_pointwise_mass():
     mu_k = make_mu_k(3, 1)
     iid = make_iid_measure(make_finite_pmf([("a", F(1, 4)), ("b", F(3, 4))]))
     switch = make_black_swan_pair(2)[1]
@@ -227,12 +236,60 @@ def test_mass_prefixes_matches_pointwise_mass():
         (switch, ("a", "z", "a"), 1),
     ]
     for mu, seq, dead_from in cases:
-        streamed = list(mu.mass_prefixes(seq))
-        direct = [mu.mass(seq[: j + 1]) for j in range(len(seq))]
-        assert streamed == direct
+        streamed = list(mu.log2_prefixes(seq))
+        assert streamed == _bracket_row(mu, seq)
         if dead_from is not None:
-            assert all(m > 0 for m in streamed[:dead_from])
-            assert streamed[dead_from:] == [0] * (len(seq) - dead_from)
+            assert None not in streamed[:dead_from]
+            assert streamed[dead_from:] == [None] * (len(seq) - dead_from)
+
+
+# Masses 3/4, 1/12 and 1/6 multiply to unreduced ratios that can be exact
+# powers of two: "ca" has mass 1/6 * 3/4 = 3/24 = 1/8.
+_REDUCING_PMF = [("a", F(3, 4)), ("b", F(1, 12)), ("c", F(1, 6))]
+
+
+@st.composite
+def _measure_and_input(draw):
+    family = draw(st.sampled_from(["iid", "reducing", "marked_run", "constant_run", "switch_pair"]))
+    if family == "iid":
+        symbols = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(1, 12), min_size=len(symbols), max_size=len(symbols)))
+        total = sum(weights)
+        mu = make_iid_measure(make_finite_pmf([(a, F(w, total)) for a, w in zip(symbols, weights)]))
+    elif family == "reducing":
+        mu = make_iid_measure(make_finite_pmf(_REDUCING_PMF))
+    elif family == "marked_run":
+        k = draw(st.integers(1, 4))
+        mu = make_mu_k(k, draw(st.integers(1, k)))
+    elif family == "constant_run":
+        mu = constant_run_measure(("a", "b"), draw(st.sampled_from("ab")))
+    else:
+        mu = switch_pair_measure(("a", "b"), "a", "b", draw(st.integers(1, 6)))
+    seq = draw(st.lists(st.sampled_from(mu.alphabet), max_size=40))
+    if draw(st.booleans()):  # a symbol outside the alphabet at a drawn place
+        seq.insert(draw(st.integers(0, len(seq))), "z")
+    return mu, tuple(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_measure_and_input())
+def test_log2_prefixes_equals_the_bracket_of_each_prefix_mass(case):
+    mu, seq = case
+    assert list(mu.log2_prefixes(seq)) == _bracket_row(mu, seq)
+
+
+def test_product_log2_prefixes_on_a_reducing_pmf():
+    mu = make_iid_measure(make_finite_pmf(_REDUCING_PMF))
+    assert list(mu.log2_prefixes(tuple("ca"))) == [log2_bracket(F(1, 6)), (-3, -3)]
+    # 1500 symbols: every bracket against the chain rule through `step`, and
+    # the pointwise mass at the ends and around 1024
+    seq = tuple("abcaacab" * 188)[:1500]
+    streamed = list(mu.log2_prefixes(seq))
+    assert streamed == list(MeasureBase.log2_prefixes(mu, seq))
+    for j in (1, 2, 1023, 1024, 1025, 1500):
+        assert streamed[j - 1] == log2_bracket(mu.mass(seq[:j]))
+    assert any(lo == hi for lo, hi in streamed[2:])
+    assert list(mu.log2_prefixes(seq + ("z", "a"))) == streamed + [None, None]
 
 
 def test_measure_monotone_and_bounded():

@@ -147,19 +147,26 @@ def test_sigma_trace_equals_sigma_stage(x, schemes, stage_cap, triples):
 
 def test_table_steps_each_base_measure_once_per_position():
     # the interleaved list and the default model list both reuse the five
-    # base measures; the table shares one mass row per measure
+    # base measures; the table shares one mass row per measure, and the
+    # product measure (base 2) brackets its row on ints without `step`
     base = mixed_measure_list()
-    calls = Counter()
+    steps, rows = Counter(), Counter()
     for i in range(1, 6):
         mu = base.get(i)
 
-        def counted(state, k, a, mu=mu, step=mu.step):
-            calls[id(mu)] += 1
+        def counted_step(state, k, a, mu=mu, step=mu.step):
+            steps[id(mu)] += 1
             return step(state, k, a)
 
-        mu.step = counted
+        def counted_row(symbols, mu=mu, row=mu.log2_prefixes):
+            rows[id(mu)] += 1
+            return row(symbols)
+
+        mu.step = counted_step
+        mu.log2_prefixes = counted_row
     identify_measure_stream(base, ("a", "b") * 150, seed=0, n_max=300, stride=7)
-    assert [calls[id(base.get(i))] for i in range(1, 6)] == [294] * 5
+    assert [steps[id(base.get(i))] for i in range(1, 6)] == [294, 0, 294, 294, 294]
+    assert [rows[id(base.get(i))] for i in range(1, 6)] == [1] * 5
 
 
 def test_table_rejects_a_prefix_past_the_data():
