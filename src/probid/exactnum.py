@@ -11,10 +11,10 @@ against the lower end.
 
 `log2_bracket` needs no such care: it returns the integer pair
 floor(log2 q), ceil(log2 q), read from bit lengths, and
-`log2_ratio_bracket` reads the same pair off an unreduced numerator and
-denominator.  That is all the description lengths need, since every other
-term they are compared with is an integer (see `complexity` and
-`measure_identify`).
+`log2_ratio_bracket` reads the same pair, as a plain tuple, off an
+unreduced numerator and denominator.  That is all the description lengths
+need, since every other term they are compared with is an integer (see
+`complexity` and `measure_identify`).
 
 Rationals are `fractions.Fraction` (arbitrary precision, normalized with a
 positive denominator), re-exported as `Rational`.
@@ -98,17 +98,10 @@ def ln_bracket(q, eps=BRACKET_EPS):
     return Bracket(e * l2lo + mlo, e * l2hi + mhi)
 
 
-def _sqrt_lower(q, bits):
-    """Dyadic lower bound for sqrt(q) with error below 2**-bits."""
+def _sqrt_steps(q, bits):
+    """floor(sqrt(q) * 2**bits): a / 2**bits <= sqrt(q) < (a + 1) / 2**bits."""
     scaled = q * (1 << (2 * bits))
-    a = isqrt(scaled.numerator // scaled.denominator)
-    return Fraction(a, 1 << bits)
-
-
-def _sqrt_upper(q, bits):
-    scaled = q * (1 << (2 * bits))
-    a = isqrt(scaled.numerator // scaled.denominator)
-    return Fraction(a + 1, 1 << bits)
+    return isqrt(scaled.numerator // scaled.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -125,21 +118,20 @@ def tau(n):
     if n == 1:
         return Bracket(_ZERO, _ZERO)
     lo, hi = ln_bracket(n, Fraction(1, 1 << 24))
-    r_lo = lo / n
-    r_hi = hi / n
-    return Bracket(_sqrt_lower(r_lo, 24), _sqrt_upper(r_hi, 24))
+    steps_lo, steps_hi = _sqrt_steps(lo / n, 24), _sqrt_steps(hi / n, 24)
+    return Bracket(Fraction(steps_lo, 1 << 24), Fraction(steps_hi + 1, 1 << 24))
 
 
 def log2_bracket(q):
-    """Integer bracket [floor(log2 q), ceil(log2 q)] of a positive rational.
+    """Integer `Bracket` [floor(log2 q), ceil(log2 q)] of a positive rational.
 
     Accepts a `Fraction` or an int; see `log2_ratio_bracket`.
     """
-    return log2_ratio_bracket(q.numerator, q.denominator)
+    return Bracket(*log2_ratio_bracket(q.numerator, q.denominator))
 
 
 def log2_ratio_bracket(num, den, twos=0):
-    """Integer bracket [floor(log2 q), ceil(log2 q)] of q = num/den * 2**twos.
+    """Plain pair (floor(log2 q), ceil(log2 q)) of q = num/den * 2**twos.
 
     num and den are positive ints.  Read from bit lengths alone: with
     e = len(num) - len(den) in bits, 2**(e-1) < num/den < 2**(e+1), and one
@@ -156,5 +148,5 @@ def log2_ratio_bracket(num, den, twos=0):
         den <<= e
     e += twos
     if num < den:  # 2**(e-1) < q < 2**e
-        return Bracket(e - 1, e)
-    return Bracket(e, e if num == den else e + 1)
+        return e - 1, e
+    return e, e if num == den else e + 1

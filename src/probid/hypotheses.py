@@ -9,7 +9,8 @@ A hypothesis carries a `HypothesisSpec`, a finite JSON-safe description
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate, chain, repeat, tee
+from math import gcd, inf
 from typing import NamedTuple
 
 from .errors import (
@@ -28,6 +29,8 @@ from .exactnum import log2_bracket, log2_ratio_bracket
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+#: The `log2_prefixes` entry of a prefix of mass 0: log2 0 = -inf.
+MASS_ZERO = (-inf, -inf)
 
 
 def _frac_str(q):
@@ -77,12 +80,7 @@ class FinitePmf:
             raise SumNotOne("masses sum to %s" % total)
         self._order = tuple(order)
         self._masses = masses
-        cums = []
-        running = ZERO
-        for s in order:
-            running += masses[s]
-            cums.append(running)
-        self._cums = tuple(cums)
+        self._cums = tuple(accumulate(masses[s] for s in order))
         self.spec = spec or HypothesisSpec(
             "finite_pmf",
             {"probs": [[s, _frac_str(masses[s])] for s in order]},
@@ -276,7 +274,7 @@ _MAX_TERM_TOKENS = 256
 _MAX_TERM_BITS = 1 << 16
 # Building a pmf costs microseconds and hundreds of bytes per symbol, so an
 # unbounded size would let one config item run for minutes and take
-# gigabytes.
+# gigabytes; the same cap bounds a marked-run alphabet {1..k}.
 _MAX_PMF_SIZE = 1 << 16
 
 
@@ -311,11 +309,10 @@ def make_simple_pmf(term, size):
     spec = None
     if isinstance(term, str):
         spec = HypothesisSpec("simple_pmf", {"term": term, "size": size})
-    pmf = FinitePmf(
+    return FinitePmf(
         [(j, Fraction(values[j - 1], total)) for j in range(1, size + 1)],
         spec=spec,
     )
-    return pmf
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +327,12 @@ class MeasureBase:
     the state of the empty prefix (mass 1), and `step(state, i, a)` extends
     a prefix of length i by the symbol a, returning the new state and the
     mass of the extended prefix.  Once a prefix has mass 0, so does every
-    extension.  Masses, conditionals and the `log2_prefixes` row are
-    derived from `step` alone, except that `ProductMeasure` brackets its
-    row on ints.
+    extension.  Masses and conditionals are derived from `step` alone.
+
+    Each family also defines `log2_prefixes(symbols)`: for a sequence, it
+    yields the plain int pair (floor(log2 m), ceil(log2 m)) of the mass m
+    of symbols[:1], symbols[:2], ..., and `MASS_ZERO` = (-inf, -inf) where
+    m is 0, without building any m it can avoid.
     """
 
     alphabet = ()
@@ -351,14 +351,6 @@ class MeasureBase:
 
     def mass(self, prefix):
         return self._prefix_state(prefix)[1]
-
-    def log2_prefixes(self, symbols):
-        """Yield the `log2_bracket` of the mass of symbols[:1], symbols[:2],
-        ..., or None where that mass is 0."""
-        state = self.start
-        for i, a in enumerate(symbols):
-            state, mass = self.step(state, i, a)
-            yield log2_bracket(mass) if mass else None
 
     def conditional(self, prefix):
         """Next-symbol distribution mu(prefix+a)/mu(prefix) as (symbol, mass) pairs."""
@@ -381,44 +373,50 @@ class ProductMeasure(MeasureBase):
         self.pmf = pmf
         self.alphabet = tuple(pmf.support(j) for j in range(1, pmf.support_size + 1))
         self.spec = HypothesisSpec("iid_measure", {"pmf": pmf.spec.to_obj()})
-        self._ratios = {}  # symbol -> odd numerator, odd denominator, power of two
-        for a in self.alphabet:
-            q = pmf.mass(a)
-            num, num_twos = _odd_part(q.numerator)
-            den, den_twos = _odd_part(q.denominator)
-            self._ratios[a] = (num, den, num_twos - den_twos)
+        self._ratios = {a: _odd_ratio(pmf.mass(a)) for a in self.alphabet}
 
     def step(self, state, i, a):
         mass = state * self.pmf.mass(a)
         return mass, mass
 
     def log2_prefixes(self, symbols):
-        """As `MeasureBase.log2_prefixes`, on plain ints: each symbol
-        multiplies the odd parts of its mass into a numerator and a
-        denominator and adds its power of two to an exponent, with no gcd
-        and no `Fraction`, and the first symbol off the alphabet zeroes the
-        mass for good.  A dyadic mass keeps both odd parts at 1."""
-        ratios = self._ratios
-        num = den = 1
-        twos = 0
-        symbols = iter(symbols)
-        for a in symbols:
-            ratio = ratios.get(a)
-            if ratio is None:
-                yield None
-                break
-            num *= ratio[0]
-            den *= ratio[1]
-            twos += ratio[2]
-            yield log2_ratio_bracket(num, den, twos)
-        for _ in symbols:
-            yield None
+        return _product_row(self._ratios, symbols)
 
 
-def _odd_part(k):
-    """(k with its factors of two removed, how many there were), k > 0."""
-    twos = (k & -k).bit_length() - 1
-    return k >> twos, twos
+def _odd_ratio(q):
+    """(odd numerator, odd denominator, power of two) of a positive rational."""
+    num_twos = (q.numerator & -q.numerator).bit_length() - 1
+    den_twos = (q.denominator & -q.denominator).bit_length() - 1
+    return q.numerator >> num_twos, q.denominator >> den_twos, num_twos - den_twos
+
+
+def _product_row(ratios, symbols):
+    """`log2_prefixes` of the i.i.d. measure under which a symbol a has mass
+    num/den * 2**twos, (num, den, twos) = ratios[a], and any other mass 0:
+    a running sum of the powers of two, in C, when every odd part is 1 (the
+    -inf of a symbol off the alphabet absorbs every later term), else int
+    products of the odd parts, with no gcd and no `Fraction`."""
+    if all(num == den == 1 for num, den, _ in ratios.values()):
+        twos = {a: ratio[2] for a, ratio in ratios.items()}
+        return zip(*tee(accumulate(map(twos.get, symbols, repeat(-inf)))))
+    return _odd_product_row(ratios, symbols)
+
+
+def _odd_product_row(ratios, symbols):
+    num = den = 1
+    twos = 0
+    symbols = iter(symbols)
+    for a in symbols:
+        ratio = ratios.get(a)
+        if ratio is None:
+            yield MASS_ZERO
+            break
+        num *= ratio[0]
+        den *= ratio[1]
+        twos += ratio[2]
+        yield log2_ratio_bracket(num, den, twos)
+    for _ in symbols:
+        yield MASS_ZERO
 
 
 class PathMixtureMeasure(MeasureBase):
@@ -449,6 +447,18 @@ class PathMixtureMeasure(MeasureBase):
     def step(self, state, i, a):
         alive = tuple((w, p) for w, p in state if self._symbol_at(p, i) == a)
         return alive, sum((w for w, _ in alive), ZERO)
+
+    def log2_prefixes(self, symbols):
+        """The mass changes only when an atom dies, so the pair is recomputed
+        only then; once every atom is dead, `step` is no longer called."""
+        state, pair = self.start, (0, 0)  # mass 1
+        for i, a in enumerate(symbols):
+            if state:
+                alive, mass = self.step(state, i, a)
+                if len(alive) < len(state):
+                    pair = log2_bracket(mass) if mass else MASS_ZERO
+                state = alive
+            yield pair
 
 
 def constant_run_measure(alphabet, symbol):
@@ -516,15 +526,18 @@ class MarkedRunMeasure(MeasureBase):
     start = "start"
 
     def __init__(self, k, marker):
+        if k > _MAX_PMF_SIZE:
+            raise BadSymbol("k %d past %d symbols" % (k, _MAX_PMF_SIZE))
         if not 1 <= marker <= k:
             raise BadSymbol("marker %r outside 1..%d" % (marker, k))
         self.k = k
         self.marker = marker
         self.alphabet = tuple(range(1, k + 1))
+        self._symbols = frozenset(self.alphabet)
         self.spec = HypothesisSpec("marked_run", {"k": k, "marker": marker})
 
     def step(self, state, i, a):
-        if state == "dead" or a not in self.alphabet:
+        if state == "dead" or a not in self._symbols:
             return "dead", ZERO
         if state == "start":
             state = "locked" if a == self.marker else "free"
@@ -533,6 +546,16 @@ class MarkedRunMeasure(MeasureBase):
         if state == "locked":
             return state, Fraction(1, self.k)
         return state, Fraction(1, self.k ** (i + 1))
+
+    def log2_prefixes(self, symbols):
+        """Mass 1/k while a sequence stays on the marker it starts on, 0 after;
+        any other start has the masses k^-j of the uniform product row."""
+        if not symbols or symbols[0] != self.marker:
+            uniform = dict.fromkeys(self._symbols, _odd_ratio(Fraction(1, self.k)))
+            return _product_row(uniform, symbols)
+        run = next((j for j, a in enumerate(symbols) if a != self.marker), len(symbols))
+        locked = log2_ratio_bracket(1, self.k)
+        return chain(repeat(locked, run), repeat(MASS_ZERO, len(symbols) - run))
 
 
 def make_mu_k(k, marker):

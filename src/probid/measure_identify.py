@@ -16,25 +16,19 @@ its deficiency bound, so the guess stabilizes.
 
 Only floor(log2(1/mu_i(x_1..x_j))) enters: the estimator value and the
 position are integers, and for a real L and integers K, i, L - K < i holds
-iff floor(L) - K < i.  So each sigma is stored as that integer, taken from
-the upper end of `exactnum.log2_bracket(mass)` (floor(log2 1/m) =
--ceil(log2 m)), and the step rule is decided exactly, with no rounding
-margin.  Zero-mass prefixes give sigma = +inf.  The table never holds a
-mass: each measure's `log2_prefixes` row yields the bracket of every prefix
-mass directly, a product measure from plain int products with no
-`Fraction` at all, any other measure through its `step` chain rule.
+iff floor(L) - K < i.  So each sigma is the integer -ceil(log2 m) - K for
+the prefix mass m, and the step rule is decided exactly, with no rounding
+margin.  The table never holds a mass: each measure's `log2_prefixes` row
+yields the int pair (floor(log2 m), ceil(log2 m)) of every prefix mass, and
+(-inf, -inf) at mass 0, where the model code and sigma are then +inf by
+plain arithmetic.  The table extends its rows with C-level iterators.
 """
 
-from itertools import islice
+from itertools import accumulate, chain, count as count_from, islice, repeat
 from math import inf
+from operator import itemgetter, neg, sub
 
-from .complexity import (
-    ComplexityEstimator,
-    literal_bits,
-    model_bits,
-    run_bits,
-    symbol_bits,
-)
+from .complexity import ComplexityEstimator, literal_bits, model_bits, run_bits, symbol_bits
 from .enumeration import InterleavedList
 from .errors import ProbidError
 from .exactnum import log2_bracket
@@ -53,103 +47,100 @@ def sigma_stage(mu, x, j, n, estimator):
 class SigmaTrace:
     """Lazy table of stage deficiencies for one data sequence and one list.
 
-    It keeps three rows, each grown only as far as a query needs: the
-    `log2_bracket` of each prefix mass of each measure (None at mass 0), as
-    yielded by one `log2_prefixes` generator per measure and shared by every
-    position and model code that names it, so each measure extends its
-    prefix once per position and no exact mass is kept (a length-j mass has
-    O(j) bits, its bracket two small ints; a product measure brackets a
-    running int numerator and denominator and builds no mass); one khat row
-    per model count c, the number of model-list measures the stage admits
-    (row 0 is min(literal, run), row c the min of row c-1 and the model code
-    of measure c where its mass is positive, None where nothing prices);
-    and the running max of sigma per (measure, c).  Both queries read sigma
-    through `_sigma`.
+    Flat rows, each grown only as far as a query needs by C-level iterators
+    (`map`, `min`, `accumulate`), not a loop per prefix: per measure, floor
+    and ceil of log2 of each prefix mass (-inf at mass 0), split from its
+    `log2_prefixes` pairs and shared by every position and model code; per
+    model count c (the model-list measures the stage admits), khat: row 0
+    the literal code, lowered to the run code over the data's initial run,
+    row c the min of row 0 and model codes 1..c (+inf at mass 0); and per
+    (measure, c), the running max of sigma = -ceil(log2 m) - khat.  Without
+    the literal scheme khat is +inf where no scheme prices a prefix, so
+    sigma goes through `_sigma`, which raises there unless the mass is 0.
     """
 
     def __init__(self, hyp_list, x, estimator):
         self.hyp_list = hyp_list
-        self.x = tuple(x)
+        x = self.x = tuple(x)
         self.estimator = estimator
-        self._mass_rows = {}  # id(measure) -> [generator, [log2 bracket or None...]]
-        self._khat_rows = {}  # model count -> [khat or None per prefix length]
+        self._priced = "literal" in estimator.schemes
+        self._run = next((k for k, s in enumerate(x) if s != x[0]), len(x))  # initial run
+        self._mass_rows = {}  # id(measure) -> (log2_prefixes row, floors, ceilings)
+        self._khat_rows = {}  # model count -> khat per prefix length
         self._max_rows = {}  # (id(measure), model count) -> running max sigma
 
     def _masses(self, mu, j):
+        """Floor and ceiling rows of log2 of mu's prefix masses, >= j long."""
         if j > len(self.x):
             raise ProbidError("prefix length %d exceeds the data sequence" % j)
         row = self._mass_rows.get(id(mu))
         if row is None:
-            row = [mu.log2_prefixes(self.x), []]
-            self._mass_rows[id(mu)] = row
-        gen, values = row
-        if len(values) < j:
-            values.extend(islice(gen, j - len(values)))
-        return values
+            row = self._mass_rows[id(mu)] = (mu.log2_prefixes(self.x), [], [])
+        pairs, lo, hi = row
+        if len(lo) < j:
+            new = list(islice(pairs, j - len(lo)))
+            lo.extend(map(itemgetter(0), new))
+            hi.extend(map(itemgetter(1), new))
+        return lo, hi
 
     def _model_count(self, n):
         est = self.estimator
         stage = est.stage(n)
-        if "model" not in est.schemes or stage < 2:
-            return 0
-        return min(stage, len(est.model_list))
+        return min(stage, len(est.model_list)) if "model" in est.schemes and stage >= 2 else 0
 
     def _khat(self, count, j):
         """khat per prefix length with model-list measures 1..count admitted."""
         row = self._khat_rows.setdefault(count, [])
-        if len(row) >= j:
+        start = len(row)
+        if start >= j:
             return row
+        est = self.estimator
         if count == 0:
-            schemes = self.estimator.schemes
-            b = symbol_bits(len(self.estimator.alphabet))
-            x = self.x
-            run_len = next((k for k, s in enumerate(x) if s != x[0]), len(x))
-            for length in range(len(row) + 1, j + 1):
-                options = []
-                if "literal" in schemes:
-                    options.append(literal_bits(length, b))
-                if "run" in schemes and length <= run_len:
-                    options.append(run_bits(length, b))
-                row.append(min(options, default=None))
+            b = symbol_bits(len(est.alphabet))
+            literal = map(literal_bits, range(start + 1, j + 1), repeat(b))
+            row.extend(literal if self._priced else repeat(inf, j - start))
+            if "run" in est.schemes:
+                for length in range(start + 1, min(j, self._run) + 1):
+                    row[length - 1] = min(row[length - 1], run_bits(length, b))
             return row
-        prev = self._khat(count - 1, j)
-        masses = self._masses(self.estimator.model_list[count - 1], j)
-        for idx in range(len(row), j):
-            best = prev[idx]
-            if masses[idx] is not None:
-                bits = model_bits(count, masses[idx].lo)
-                best = bits if best is None else min(best, bits)
-            row.append(best)
+        # model_bits(i, lo) = model_bits(i, 0) - lo: +inf at mass 0
+        codes = [
+            map(sub, repeat(model_bits(i, 0)), self._masses(mu, j)[0][start:j])
+            for i, mu in enumerate(est.model_list[:count], start=1)
+        ]
+        row.extend(map(min, self._khat(0, j)[start:j], *codes))
         return row
 
     def value(self, pos, j, n):
         """sigma at interleaved position pos, prefix length j, stage n."""
-        masses = self._masses(self.hyp_list.get(pos), j)
-        return _sigma(masses, self._khat(self._model_count(n), j), j - 1)
+        hi = self._masses(self.hyp_list.get(pos), j)[1]
+        return _sigma(hi[j - 1], self._khat(self._model_count(n), j)[j - 1], j)
 
     def max_value(self, pos, n):
         """max over 1 <= j <= n of the stage-n sigma at one position."""
         mu = self.hyp_list.get(pos)
         count = self._model_count(n)
-        running = self._max_rows.setdefault((id(mu), count), [])
-        if len(running) < n:
-            masses = self._masses(mu, n)
-            khat = self._khat(count, n)
-            top = running[-1] if running else -inf
-            for idx in range(len(running), n):
-                top = max(top, _sigma(masses, khat, idx))
-                running.append(top)
-        return running[n - 1]
+        # running[j] is the max over prefix lengths 1..j; running[0] = -inf
+        running = self._max_rows.setdefault((id(mu), count), [-inf])
+        start = len(running) - 1
+        if start < n:
+            hi = self._masses(mu, n)[1][start:n]
+            khat = self._khat(count, n)[start:n]
+            if self._priced:  # every khat is finite
+                sigmas = map(sub, map(neg, hi), khat)
+            else:
+                sigmas = map(_sigma, hi, khat, count_from(start + 1))
+            running.extend(accumulate(sigmas, max, initial=running.pop()))
+        return running[n]
 
 
-def _sigma(masses, khat, idx):
-    """Floored sigma at prefix length idx + 1 from its mass and khat rows."""
-    log2 = masses[idx]
-    if log2 is None:
+def _sigma(hi, khat, length):
+    """Floored sigma of a length-`length` prefix with ceil(log2 mass) = hi."""
+    if hi == -inf:
         return inf
-    if khat[idx] is None:
-        raise ValueError("no admissible scheme prices the length-%d prefix" % (idx + 1))
-    return -log2.hi - khat[idx]
+    if khat == inf:
+        raise ValueError("no admissible scheme prices the length-%d prefix" % length)
+    return -hi - khat
 
 
 def identify_measure_step(hyp_list, x, n, estimator, trace=None):
@@ -175,14 +166,7 @@ def default_estimator(base_list, extra_symbols=()):
     if base_list.length is None:
         raise ProbidError("default estimator needs a finite base list")
     measures = [base_list.get(i) for i in range(1, base_list.length + 1)]
-    alphabet = []
-    for mu in measures:
-        for s in mu.alphabet:
-            if s not in alphabet:
-                alphabet.append(s)
-    for s in extra_symbols:
-        if s not in alphabet:
-            alphabet.append(s)
+    alphabet = dict.fromkeys(chain(*(mu.alphabet for mu in measures), extra_symbols))
     return ComplexityEstimator(
         alphabet=tuple(alphabet),
         schemes=("literal", "run", "model"),

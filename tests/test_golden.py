@@ -5,7 +5,8 @@ Each config runs through `run_experiment` and the sha256 of its
 change that alters which guess is emitted at any checkpoint, or how it is
 written, fails here.  The measure configs reach non-dyadic prefix masses
 (the 3/4-1/4 i.i.d. measure) as well as dyadic ones, so a change to how
-`log2(1/mass)` enters the deficiency is caught too.
+`log2(1/mass)` enters the deficiency is caught too; "measure-all-rows"
+lists one measure of every family whose mass row is computed its own way.
 """
 
 import hashlib
@@ -30,6 +31,19 @@ def _iid_measure(*pairs):
 _ALL_A = {"family": "constant_run", "params": {"alphabet": ["a", "b"], "symbol": "a"}}
 _SKEWED = _iid_measure(("a", "3/4"), ("b", "1/4"))
 _UNIFORM = _iid_measure(("a", "1/2"), ("b", "1/2"))
+# On {1, 2, 3}: a switch pair whose atoms die at different indices, a
+# constant run, a marked run (seeds 3, 4, 5, 7 start on its marker, the rest
+# off it), a dyadic product measure (the target) and a non-dyadic one.
+_ALL_ROWS = [
+    {
+        "family": "switch_pair",
+        "params": {"alphabet": [1, 2, 3], "run_symbol": 1, "switch_symbol": 2, "n_switch": 1},
+    },
+    {"family": "constant_run", "params": {"alphabet": [1, 2, 3], "symbol": 1}},
+    {"family": "marked_run", "params": {"k": 3, "marker": 1}},
+    _iid_measure((1, "1/2"), (2, "1/4"), (3, "1/4")),
+    _iid_measure((1, "3/4"), (2, "1/12"), (3, "1/6")),
+]
 
 GOLDEN = {
     "iid": (
@@ -104,6 +118,18 @@ GOLDEN = {
         },
         "10f28eb2cf702d8e2fa1641b9e5e9cd805886f8f18350345fa1067adaf4d3814",
         "427dbbcab6972aab1db7142851fe3ac181045060171c93ee5cd01a72b33b6903",
+    ),
+    "measure-all-rows": (
+        {
+            "mode": "measure",
+            "list": {"items": _ALL_ROWS},
+            "target_index": 4,
+            "n_max": 5000,
+            "checkpoint": {"stride": 50},
+            "seeds": {"count": 8, "base": 1},
+        },
+        "0b0cc1cbfabf69d715c2ba677503f56da134a6246f7d0cf32f3a58b6819d07db",
+        "989d3311fc110c097eed4444790751fc97965a04ee30dc32babdcaed5ff1c742",
     ),
 }
 

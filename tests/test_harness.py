@@ -513,6 +513,7 @@ _BAD_FIRST_PMFS = [
     ("term longer than 256 tokens", _term_item("+".join(["j"] * 3000))),
     ("size must be an integer", _term_item("j", size=True)),
 ]
+_MARKED_HUGE = {"family": "marked_run", "params": {"k": 10**9, "marker": 1}}
 _BAD_FIRST_MEASURES = [
     ("k must be an integer", {"family": "marked_run", "params": {"k": True, "marker": 1}}),
     ("marker must be an integer", {"family": "marked_run", "params": {"k": 2, "marker": True}}),
@@ -567,6 +568,13 @@ _BAD_FIRST_MEASURES = [
             _iid_cfg(list={"family": "simple_pmf", "grid": {"term": ["j"], "size": [3, 65537]}}),
             "list.grid[1]: size 65537 past 65536 symbols",
         ),
+    ]
+    # a marked run on {1..10^9}: its alphabet is never built
+    + [
+        (
+            _measure_cfg(list={"items": [_measure_cfg()["list"]["items"][0], _MARKED_HUGE]}),
+            "list.items[1]: k 1000000000 past 65536 symbols",
+        )
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -2,9 +2,10 @@
 
 import json
 from fractions import Fraction
+from math import inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from probid.errors import (
     BadSymbol,
@@ -16,9 +17,9 @@ from probid.errors import (
 )
 from probid.exactnum import log2_bracket
 from probid.hypotheses import (
+    MASS_ZERO,
     HypothesisSpec,
     MarkovChain,
-    MeasureBase,
     build_hypothesis,
     constant_run_measure,
     make_black_swan_pair,
@@ -158,6 +159,10 @@ def test_mu_k_examples():
     assert mu1.mass((1,) * 7) == 1
     with pytest.raises(BadSymbol):
         make_mu_k(2, 3)
+    # the alphabet {1..k} is capped at 2^16 symbols, like a simple pmf's
+    assert make_mu_k(1 << 16, 1).mass((5, 1)) == F(1, 1 << 32)
+    with pytest.raises(BadSymbol):
+        make_mu_k((1 << 16) + 1, 1)
 
 
 def test_mu_k_off_run_masses():
@@ -219,7 +224,16 @@ def test_measure_equalities_sweep(mu, depth):
 def _bracket_row(mu, seq):
     """The reference row: log2_bracket of each pointwise prefix mass."""
     masses = (mu.mass(seq[: j + 1]) for j in range(len(seq)))
-    return [log2_bracket(m) if m else None for m in masses]
+    return [log2_bracket(m) if m else (-inf, -inf) for m in masses]
+
+
+def _step_row(mu, seq):
+    """The same row through the chain rule, one `step` per symbol."""
+    state, row = mu.start, []
+    for i, a in enumerate(seq):
+        state, mass = mu.step(state, i, a)
+        row.append(log2_bracket(mass) if mass else (-inf, -inf))
+    return row
 
 
 def test_log2_prefixes_matches_pointwise_mass():
@@ -228,7 +242,7 @@ def test_log2_prefixes_matches_pointwise_mass():
     switch = make_black_swan_pair(2)[1]
     # the last input of each family holds a symbol outside the alphabet
     cases = [
-        (mu_k, (1, 1, 2, 3, 1), None),
+        (mu_k, (1, 1, 2, 3, 1), 2),
         (mu_k, (2, 3, 7, 1), 2),
         (iid, tuple("abba"), None),
         (iid, tuple("abzb"), 2),
@@ -239,33 +253,64 @@ def test_log2_prefixes_matches_pointwise_mass():
         streamed = list(mu.log2_prefixes(seq))
         assert streamed == _bracket_row(mu, seq)
         if dead_from is not None:
-            assert None not in streamed[:dead_from]
-            assert streamed[dead_from:] == [None] * (len(seq) - dead_from)
+            assert MASS_ZERO not in streamed[:dead_from]
+            assert streamed[dead_from:] == [MASS_ZERO] * (len(seq) - dead_from)
+
+
+def test_marked_run_accepts_the_symbols_equal_to_its_own():
+    # True == 1 == 1.0 and they hash alike, so each reads as the symbol 1
+    mu = make_mu_k(3, 1)
+    for one in (1, True, 1.0):
+        assert mu.mass((one, one)) == F(1, 3)
+        assert mu.mass((2, one)) == F(1, 9)
+        assert list(mu.log2_prefixes((one, one))) == [log2_bracket(F(1, 3))] * 2
+    assert mu.mass(("1",)) == 0 and mu.mass((4,)) == 0
 
 
 # Masses 3/4, 1/12 and 1/6 multiply to unreduced ratios that can be exact
 # powers of two: "ca" has mass 1/6 * 3/4 = 3/24 = 1/8.
 _REDUCING_PMF = [("a", F(3, 4)), ("b", F(1, 12)), ("c", F(1, 6))]
+_DYADIC_PMFS = [
+    [("a", F(1))],
+    [("a", HALF), ("b", HALF)],
+    [("a", HALF), ("b", F(1, 4)), ("c", F(1, 4))],
+    [("a", F(1, 8)), ("b", F(7, 8))],
+]
 
 
 @st.composite
 def _measure_and_input(draw):
-    family = draw(st.sampled_from(["iid", "reducing", "marked_run", "constant_run", "switch_pair"]))
+    """A measure of one shipped family and an input that reaches each of its
+    row's cases: dyadic and non-dyadic products, marked runs that start on
+    the marker (locked) or off it (free), and switch pairs whose atoms die
+    at different indices; a symbol off the alphabet kills any of them."""
+    family = draw(
+        st.sampled_from(["iid", "dyadic", "reducing", "marked_run", "constant_run", "switch_pair"])
+    )
+    head = []
     if family == "iid":
         symbols = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
         weights = draw(st.lists(st.integers(1, 12), min_size=len(symbols), max_size=len(symbols)))
         total = sum(weights)
         mu = make_iid_measure(make_finite_pmf([(a, F(w, total)) for a, w in zip(symbols, weights)]))
+    elif family == "dyadic":
+        mu = make_iid_measure(make_finite_pmf(draw(st.sampled_from(_DYADIC_PMFS))))
     elif family == "reducing":
         mu = make_iid_measure(make_finite_pmf(_REDUCING_PMF))
     elif family == "marked_run":
         k = draw(st.integers(1, 4))
         mu = make_mu_k(k, draw(st.integers(1, k)))
+        if draw(st.booleans()):  # locked: the marker run, then maybe a deviation
+            head = [mu.marker] * draw(st.integers(1, 8))
     elif family == "constant_run":
         mu = constant_run_measure(("a", "b"), draw(st.sampled_from("ab")))
     else:
-        mu = switch_pair_measure(("a", "b"), "a", "b", draw(st.integers(1, 6)))
-    seq = draw(st.lists(st.sampled_from(mu.alphabet), max_size=40))
+        n_switch = draw(st.integers(1, 6))
+        mu = switch_pair_measure(("a", "b"), "a", "b", n_switch)
+        # a^m b^r: the run atom dies at index m, the switch atom at
+        # n_switch when m > n_switch, or after a later "a"
+        head = ["a"] * draw(st.integers(0, 8)) + ["b"] * draw(st.integers(0, 4))
+    seq = head + draw(st.lists(st.sampled_from(mu.alphabet), max_size=40))
     if draw(st.booleans()):  # a symbol outside the alphabet at a drawn place
         seq.insert(draw(st.integers(0, len(seq))), "z")
     return mu, tuple(seq)
@@ -273,6 +318,10 @@ def _measure_and_input(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=_measure_and_input())
+# one atom dies at index 2 and the other at index 4: the mass falls 1, 1/2, 0
+@example(case=(switch_pair_measure(("a", "b"), "a", "b", 2), tuple("aabba")))
+@example(case=(make_mu_k(3, 2), (2, 2, 1, 2)))  # locked, then dead
+@example(case=(make_mu_k(4, 2), (1, 4, 2, "z", 3)))  # free, then dead
 def test_log2_prefixes_equals_the_bracket_of_each_prefix_mass(case):
     mu, seq = case
     assert list(mu.log2_prefixes(seq)) == _bracket_row(mu, seq)
@@ -285,11 +334,11 @@ def test_product_log2_prefixes_on_a_reducing_pmf():
     # the pointwise mass at the ends and around 1024
     seq = tuple("abcaacab" * 188)[:1500]
     streamed = list(mu.log2_prefixes(seq))
-    assert streamed == list(MeasureBase.log2_prefixes(mu, seq))
+    assert streamed == _step_row(mu, seq)
     for j in (1, 2, 1023, 1024, 1025, 1500):
         assert streamed[j - 1] == log2_bracket(mu.mass(seq[:j]))
     assert any(lo == hi for lo, hi in streamed[2:])
-    assert list(mu.log2_prefixes(seq + ("z", "a"))) == streamed + [None, None]
+    assert list(mu.log2_prefixes(seq + ("z", "a"))) == streamed + [MASS_ZERO] * 2
 
 
 def test_measure_monotone_and_bounded():

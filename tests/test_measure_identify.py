@@ -147,8 +147,10 @@ def test_sigma_trace_equals_sigma_stage(x, schemes, stage_cap, triples):
 
 def test_table_steps_each_base_measure_once_per_position():
     # the interleaved list and the default model list both reuse the five
-    # base measures; the table shares one mass row per measure, and the
-    # product measure (base 2) brackets its row on ints without `step`
+    # base measures, and the table shares one mass row per measure.  Only
+    # the path mixture (base 1) steps, and only until its one atom dies at
+    # the first "b"; the product measure (base 2) brackets its row on ints
+    # and the marked runs (bases 3-5) reuse that row without `step`
     base = mixed_measure_list()
     steps, rows = Counter(), Counter()
     for i in range(1, 6):
@@ -165,7 +167,7 @@ def test_table_steps_each_base_measure_once_per_position():
         mu.step = counted_step
         mu.log2_prefixes = counted_row
     identify_measure_stream(base, ("a", "b") * 150, seed=0, n_max=300, stride=7)
-    assert [steps[id(base.get(i))] for i in range(1, 6)] == [294, 0, 294, 294, 294]
+    assert [steps[id(base.get(i))] for i in range(1, 6)] == [2, 0, 0, 0, 0]
     assert [rows[id(base.get(i))] for i in range(1, 6)] == [1] * 5
 
 
