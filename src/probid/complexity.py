@@ -16,6 +16,9 @@ gamma code, gamma(k) = 2*floor(log2 k) + 1 bits; b = ceil(log2 |L|)):
   model   (tag 10, stage index 2): 2 + gamma(i) + ceil(log2 1/mu_i(x)) + 1,
           for the i-th measure of the model list, i <= stage, mu_i(x) > 0
 
+The literal code is admitted whatever the scheme set names, so every
+string is priced; `schemes` only adds the run and model codes to it.
+
 `model_bits` takes floor(log2 mu_i(x)), the lower end of
 `exactnum.log2_bracket`, and reads ceil(log2 1/mu_i(x)) as its negation, so
 every length here is an exact integer.
@@ -76,10 +79,8 @@ def khat(x, n, alphabet, model_list=None, schemes=_DEFAULT_SCHEMES):
     if not x:
         return _TAG_BITS
     b = symbol_bits(len(alphabet))
-    lengths = []
+    lengths = [literal_bits(len(x), b)]
     active = [s for s in schemes if _SCHEME_STAGE[s] <= n]
-    if "literal" in active:
-        lengths.append(literal_bits(len(x), b))
     if "run" in active and len(set(x)) == 1:
         lengths.append(run_bits(len(x), b))
     if "model" in active and model_list:
@@ -87,16 +88,16 @@ def khat(x, n, alphabet, model_list=None, schemes=_DEFAULT_SCHEMES):
             mass = mu.mass(x)
             if mass > 0:
                 lengths.append(model_bits(i, log2_bracket(mass).lo))
-    if not lengths:
-        raise ValueError("no admissible scheme prices %r" % (x,))
     return min(lengths)
 
 
 class ComplexityEstimator(NamedTuple):
     """Scheme set, alphabet, and optional model measures for khat.
 
-    `stage_cap` freezes the effective stage, which pins the estimator to a
-    fixed scheme search regardless of how far the identifier has run.
+    The literal code is always admitted; `schemes` decides whether the run
+    and model codes join it.  `stage_cap` freezes the effective stage,
+    which pins the estimator to a fixed scheme search regardless of how far
+    the identifier has run.
     """
 
     alphabet: tuple
@@ -114,29 +115,26 @@ class ComplexityEstimator(NamedTuple):
 def kraft_audit(estimator, length_cap):
     """Sum of 2**-length over the estimator's descriptions up to length_cap.
 
-    Literal and run codewords are enumerated exhaustively (count times
-    weight, both exact).  Each model hypothesis i contributes its whole
-    per-slice budget 2**-(2 + gamma(i) + 1) * 2, i.e. 2**-(2 + gamma(i)):
-    within one prefix length the slack bit keeps its codeword mass at or
-    below half of that, and no decodable slice can exceed the budget.  The
-    total stays below 1 for every alphabet because each per-length literal
+    Literal codewords (always admitted) and run codewords are enumerated
+    exhaustively (count times weight, both exact).  Each model hypothesis i
+    contributes its whole per-slice budget 2**-(2 + gamma(i) + 1) * 2, i.e.
+    2**-(2 + gamma(i)): within one prefix length the slack bit keeps its
+    codeword mass at or below half of that, and no decodable slice can
+    exceed the budget.  The total stays below 1 for every alphabet because each per-length literal
     slice spends at most 2**-(2 + gamma(l)) and gamma itself is Kraft-tight.
     """
     if length_cap > 24:
         raise ValueError("length cap above 24 is not enumerable at desk scale")
     total = Fraction(0)
-    if not estimator.schemes:
-        return total
     size = len(estimator.alphabet)
     b = symbol_bits(size)
-    if "literal" in estimator.schemes:
-        length = 1
-        while True:
-            bits = literal_bits(length, b)
-            if bits > length_cap:  # monotone in length, nothing longer fits
-                break
-            total += size**length * Fraction(1, 1 << bits)
-            length += 1
+    length = 1
+    while True:
+        bits = literal_bits(length, b)
+        if bits > length_cap:  # monotone in length, nothing longer fits
+            break
+        total += size**length * Fraction(1, 1 << bits)
+        length += 1
     if "run" in estimator.schemes:
         run = 1
         while True:

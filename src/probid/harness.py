@@ -412,11 +412,7 @@ def _run_demo(cfg, out_dir):
     report = black_swan_demo(cfg.n_switch)
     destination = out_dir or cfg.output
     if destination:
-        try:
-            os.makedirs(destination, exist_ok=True)
-            _atomic_write(os.path.join(destination, "black_swan.csv"), report.as_csv())
-        except OSError as exc:
-            raise IoError(str(exc))
+        _write_file(destination, "black_swan.csv", report.as_csv())
     return report, None
 
 
@@ -440,21 +436,26 @@ def summarize(records):
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path, text):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".probid-", suffix=".tmp")
+def _write_file(directory, name, text):
+    """Write `text` to directory/name atomically, creating the directory;
+    any OSError is raised as IoError."""
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".probid-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", newline="") as handle:
+                handle.write(text)
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, os.path.join(directory, name))
+        except OSError:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise IoError(str(exc))
 
 
 def _render_csv(header, rows):
@@ -466,34 +467,24 @@ def _render_csv(header, rows):
 
 
 def write_results(records, out_dir):
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        checkpoint_rows = []
-        summary_rows = []
-        for rec in records:
-            for n, guess, changed in rec.checkpoints:
-                checkpoint_rows.append(
-                    (rec.run_id, rec.seed, n, 0 if guess is None else guess, changed)
-                )
-            summary_rows.append(
-                (
-                    rec.run_id,
-                    rec.seed,
-                    0 if rec.final_guess is None else rec.final_guess,
-                    "" if rec.converged_at is None else rec.converged_at,
-                    "" if rec.correct is None else int(rec.correct),
-                )
+    checkpoint_rows = []
+    summary_rows = []
+    for rec in records:
+        for n, guess, changed in rec.checkpoints:
+            checkpoint_rows.append(
+                (rec.run_id, rec.seed, n, 0 if guess is None else guess, changed)
             )
-        _atomic_write(
-            os.path.join(out_dir, "checkpoints.csv"),
-            _render_csv(_CHECKPOINT_HEADER, checkpoint_rows),
+        summary_rows.append(
+            (
+                rec.run_id,
+                rec.seed,
+                0 if rec.final_guess is None else rec.final_guess,
+                "" if rec.converged_at is None else rec.converged_at,
+                "" if rec.correct is None else int(rec.correct),
+            )
         )
-        _atomic_write(
-            os.path.join(out_dir, "summary.csv"),
-            _render_csv(_SUMMARY_HEADER, summary_rows),
-        )
-    except OSError as exc:
-        raise IoError(str(exc))
+    _write_file(out_dir, "checkpoints.csv", _render_csv(_CHECKPOINT_HEADER, checkpoint_rows))
+    _write_file(out_dir, "summary.csv", _render_csv(_SUMMARY_HEADER, summary_rows))
 
 
 PLOT_SCRIPT = """# gnuplot script: guess trajectories from the checkpoint log
@@ -506,11 +497,7 @@ plot "checkpoints.csv" every ::1 using 3:4 with points pointtype 7 title "guesse
 
 
 def write_plot_script(out_dir):
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        _atomic_write(os.path.join(out_dir, "plot.gp"), PLOT_SCRIPT)
-    except OSError as exc:
-        raise IoError(str(exc))
+    _write_file(out_dir, "plot.gp", PLOT_SCRIPT)
 
 
 def load_config_file(path):

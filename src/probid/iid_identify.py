@@ -99,16 +99,15 @@ def within_band(mass, symbols, counts, total, bracket):
     return True
 
 
-def candidate_test(pmf, sample, n):
+def candidate_test(pmf, counts, n):
     """True iff the candidate's masses sit strictly inside the
-    sqrt(ln n / n) band around the observed frequencies on the cutoff set."""
-    return within_band(pmf.mass, mass_cutoff(pmf, n), sample.counts, n, tau(n))
+    sqrt(ln n / n) band around the frequencies of the symbol counts of a
+    size-n sample, on the cutoff set."""
+    return within_band(pmf.mass, mass_cutoff(pmf, n), counts, n, tau(n))
 
 
 def _least_passing(hyp_list, counts, n):
-    return hyp_list.least_passing(
-        n, lambda i, pmf: within_band(pmf.mass, mass_cutoff(pmf, n), counts, n, tau(n))
-    )
+    return hyp_list.least_passing(n, lambda i, pmf: candidate_test(pmf, counts, n))
 
 
 def identify_step(hyp_list, sample, n):

@@ -24,7 +24,7 @@ yields the int pair (floor(log2 m), ceil(log2 m)) of every prefix mass, and
 plain arithmetic.  The table extends its rows with C-level iterators.
 """
 
-from itertools import accumulate, chain, count as count_from, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import inf
 from operator import itemgetter, neg, sub
 
@@ -54,16 +54,15 @@ class SigmaTrace:
     model count c (the model-list measures the stage admits), khat: row 0
     the literal code, lowered to the run code over the data's initial run,
     row c the min of row 0 and model codes 1..c (+inf at mass 0); and per
-    (measure, c), the running max of sigma = -ceil(log2 m) - khat.  Without
-    the literal scheme khat is +inf where no scheme prices a prefix, so
-    sigma goes through `_sigma`, which raises there unless the mass is 0.
+    (measure, c), the running max of sigma = -ceil(log2 m) - khat.  The
+    literal code prices every prefix, so khat is finite and sigma is +inf
+    exactly at mass 0, by arithmetic.
     """
 
     def __init__(self, hyp_list, x, estimator):
         self.hyp_list = hyp_list
         x = self.x = tuple(x)
         self.estimator = estimator
-        self._priced = "literal" in estimator.schemes
         self._run = next((k for k, s in enumerate(x) if s != x[0]), len(x))  # initial run
         self._mass_rows = {}  # id(measure) -> (log2_prefixes row, floors, ceilings)
         self._khat_rows = {}  # model count -> khat per prefix length
@@ -97,8 +96,7 @@ class SigmaTrace:
         est = self.estimator
         if count == 0:
             b = symbol_bits(len(est.alphabet))
-            literal = map(literal_bits, range(start + 1, j + 1), repeat(b))
-            row.extend(literal if self._priced else repeat(inf, j - start))
+            row.extend(map(literal_bits, range(start + 1, j + 1), repeat(b)))
             if "run" in est.schemes:
                 for length in range(start + 1, min(j, self._run) + 1):
                     row[length - 1] = min(row[length - 1], run_bits(length, b))
@@ -114,7 +112,7 @@ class SigmaTrace:
     def value(self, pos, j, n):
         """sigma at interleaved position pos, prefix length j, stage n."""
         hi = self._masses(self.hyp_list.get(pos), j)[1]
-        return _sigma(hi[j - 1], self._khat(self._model_count(n), j)[j - 1], j)
+        return -hi[j - 1] - self._khat(self._model_count(n), j)[j - 1]
 
     def max_value(self, pos, n):
         """max over 1 <= j <= n of the stage-n sigma at one position."""
@@ -126,21 +124,9 @@ class SigmaTrace:
         if start < n:
             hi = self._masses(mu, n)[1][start:n]
             khat = self._khat(count, n)[start:n]
-            if self._priced:  # every khat is finite
-                sigmas = map(sub, map(neg, hi), khat)
-            else:
-                sigmas = map(_sigma, hi, khat, count_from(start + 1))
+            sigmas = map(sub, map(neg, hi), khat)
             running.extend(accumulate(sigmas, max, initial=running.pop()))
         return running[n]
-
-
-def _sigma(hi, khat, length):
-    """Floored sigma of a length-`length` prefix with ceil(log2 mass) = hi."""
-    if hi == -inf:
-        return inf
-    if khat == inf:
-        raise ValueError("no admissible scheme prices the length-%d prefix" % length)
-    return -hi - khat
 
 
 def identify_measure_step(hyp_list, x, n, estimator, trace=None):

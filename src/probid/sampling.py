@@ -9,8 +9,10 @@ Python int: lane k occupies bits 128k..128k+127, its low 64 bits hold the
 state of output k of the block and its high 64 bits are scratch that
 catches what a right shift leaks in from lane k+1.  Each lane is masked
 back to 64 bits before every multiply, so no product carries into the next
-lane.  A stream holds one such block (16 KiB), never its whole length;
-`_uniforms` reads each block as 1024 53-bit numerators.
+lane.  A stream holds one such block (16 KiB), never its whole length.
+Both readers serialise a block little-endian, one layout on every host:
+`_uniforms` unpacks it as 1024 53-bit numerators and the chain walk reads
+the top byte of each.
 
 Symbols are drawn by exact inversion: the 53-bit output z maps to the
 dyadic rational u = z/2**53 in [0, 1), and we pick the least symbol whose
@@ -32,12 +34,12 @@ every step, so `draw_from_measure` draws it through `iid_steps`; for any
 other measure `_pick` reads the rule lazily, per conditional.
 """
 
-import sys
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import chain, count, islice
+from struct import Struct
 from typing import NamedTuple
 
 from .errors import BadStart
@@ -60,12 +62,9 @@ _LANE_OFFSETS = int.from_bytes(
     b"".join(((k + 1) * _GOLDEN & _MASK).to_bytes(16, "little") for k in range(_LANES)),
     "little",
 )
-# A block is serialised in the host's byte order and read as native 64-bit
-# words; the low word of lane k is word 2k counted from the least
-# significant end, which is the first end on a little-endian host and the
-# last on a big-endian one.  No big-endian host was available to test the
-# second branch.
-_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+# A block is serialised little-endian, so lane k is bytes 16k..16k+15 and
+# its low 64-bit word comes first; the high word is skipped as padding.
+_LOW_WORDS = Struct("<" + "Q8x" * _LANES)
 # `chain_steps` names its chain `chain`, which hides itertools.chain
 _flatten = chain.from_iterable
 
@@ -169,8 +168,7 @@ def _lanes(seed):
 def _low_words(lanes):
     # after the >> 11 the low word of a lane is its 53-bit output; what
     # lane k+1 leaked in lands in the high word, which is never read
-    words = memoryview((lanes >> 11).to_bytes(_BLOCK_BYTES, sys.byteorder)).cast("Q")
-    return words[_LOW_WORDS]
+    return _LOW_WORDS.unpack((lanes >> 11).to_bytes(_BLOCK_BYTES, "little"))
 
 
 def _uniforms(seed):

@@ -151,9 +151,14 @@ def test_kraft_audit_literal_only_small_cap():
     assert kraft_audit(est, 4) == F(1, 8)
 
 
-def test_kraft_audit_empty_schemes():
-    est = ComplexityEstimator(alphabet=("a", "b"), schemes=())
-    assert kraft_audit(est, 16) == 0
+def test_kraft_audit_counts_literal_without_listing_it():
+    # the literal code is always admitted, so an empty scheme set audits
+    # the same codewords as the literal scheme alone
+    for size in (1, 2, 3):
+        alphabet = tuple(range(size))
+        bare = ComplexityEstimator(alphabet=alphabet, schemes=())
+        literal = ComplexityEstimator(alphabet=alphabet, schemes=("literal",))
+        assert kraft_audit(bare, 16) == kraft_audit(literal, 16) > 0
 
 
 @pytest.mark.parametrize("alphabet", [("a", "b"), ("a", "b", "c")])

@@ -6,7 +6,8 @@ change that alters which guess is emitted at any checkpoint, or how it is
 written, fails here.  The measure configs reach non-dyadic prefix masses
 (the 3/4-1/4 i.i.d. measure) as well as dyadic ones, so a change to how
 `log2(1/mass)` enters the deficiency is caught too; "measure-all-rows"
-lists one measure of every family whose mass row is computed its own way.
+lists one measure of every family whose mass row is computed its own way,
+and runs it again under two narrower scheme sets of the estimator.
 """
 
 import hashlib
@@ -44,6 +45,22 @@ _ALL_ROWS = [
     _iid_measure((1, "1/2"), (2, "1/4"), (3, "1/4")),
     _iid_measure((1, "3/4"), (2, "1/12"), (3, "1/6")),
 ]
+
+_ALL_ROWS_CFG = {
+    "mode": "measure",
+    "list": {"items": _ALL_ROWS},
+    "target_index": 4,
+    "n_max": 5000,
+    "checkpoint": {"stride": 50},
+    "seeds": {"count": 8, "base": 1},
+}
+# the literal code alone, and beside the first two model codes: neither
+# admitted model (the switch pair and the constant run) moves a guess of
+# these runs, so both sets write the same bytes
+_LITERAL_DIGESTS = (
+    "4c986548bcf41b4462f446738ec19cd290d6485c84dd580ff0fd1a9f23e092f2",
+    "ca3edc04e4ded2d03b0a5d3c3eac1f4dab27f8f07ed844546ecce382fe21222c",
+)
 
 GOLDEN = {
     "iid": (
@@ -120,16 +137,17 @@ GOLDEN = {
         "427dbbcab6972aab1db7142851fe3ac181045060171c93ee5cd01a72b33b6903",
     ),
     "measure-all-rows": (
-        {
-            "mode": "measure",
-            "list": {"items": _ALL_ROWS},
-            "target_index": 4,
-            "n_max": 5000,
-            "checkpoint": {"stride": 50},
-            "seeds": {"count": 8, "base": 1},
-        },
+        _ALL_ROWS_CFG,
         "0b0cc1cbfabf69d715c2ba677503f56da134a6246f7d0cf32f3a58b6819d07db",
         "989d3311fc110c097eed4444790751fc97965a04ee30dc32babdcaed5ff1c742",
+    ),
+    "measure-all-rows-literal": (
+        {**_ALL_ROWS_CFG, "estimator": {"schemes": ["literal"]}},
+        *_LITERAL_DIGESTS,
+    ),
+    "measure-all-rows-literal-model": (
+        {**_ALL_ROWS_CFG, "estimator": {"schemes": ["literal", "model"], "stage_cap": 2}},
+        *_LITERAL_DIGESTS,
     ),
 }
 

@@ -33,16 +33,16 @@ def _sample(symbols):
 def test_observed_support():
     # every observed symbol is tested, also one the candidate gives mass 0
     uniform = make_finite_pmf([(0, HALF), (1, HALF)])
-    assert candidate_test(uniform, _sample((0,) * 50 + (1,) * 50), 100)
-    assert not candidate_test(uniform, _sample((0,) * 35 + (1,) * 35 + (9,) * 30), 100)
+    assert candidate_test(uniform, _sample((0,) * 50 + (1,) * 50).counts, 100)
+    assert not candidate_test(uniform, _sample((0,) * 35 + (1,) * 35 + (9,) * 30).counts, 100)
 
 
 def test_cutoff_set_union():
     g = make_geometric_pmf()
     assert mass_cutoff(g, 100) == (1, 2, 3, 4)
-    assert candidate_test(g, _sample((1,) * 50 + (2,) * 25 + (3,) * 12 + (4,) * 13), 100)
+    assert candidate_test(g, _sample((1,) * 50 + (2,) * 25 + (3,) * 12 + (4,) * 13).counts, 100)
     # 9 lies past the cutoff prefix but is observed, so it is tested too
-    assert not candidate_test(g, _sample((1,) * 50 + (2,) * 25 + (9,) * 25), 100)
+    assert not candidate_test(g, _sample((1,) * 50 + (2,) * 25 + (9,) * 25).counts, 100)
 
 
 def test_mass_cutoff_geometric():
@@ -109,12 +109,12 @@ def test_candidate_test_at_hundred():
     sample = _sample((1,) * 53 + (0,) * 47)
     uniform = make_finite_pmf([(0, HALF), (1, HALF)])
     biased = make_finite_pmf([(0, F(1, 10)), (1, F(9, 10))])
-    assert candidate_test(uniform, sample, 100)  # dev 0.03 < 0.2145
-    assert not candidate_test(biased, sample, 100)  # dev 0.37 > 0.2146
+    assert candidate_test(uniform, sample.counts, 100)  # dev 0.03 < 0.2145
+    assert not candidate_test(biased, sample.counts, 100)  # dev 0.37 > 0.2146
     # tau(1) = [0,0]: the strict test fails for every candidate, even exact
     one = _sample((0,))
     point = make_finite_pmf([(0, F(1))])
-    assert not candidate_test(point, one, 1)
+    assert not candidate_test(point, one.counts, 1)
 
 
 def test_identify_step_examples():

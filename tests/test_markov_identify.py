@@ -23,7 +23,7 @@ from probid.markov_identify import (
     stationary,
     _rows_pass,
 )
-from probid.sampling import SamplePrefix, run_chain
+from probid.sampling import run_chain
 
 F = Fraction
 HALF = F(1, 2)
@@ -178,7 +178,7 @@ def test_iid_reduction_row_clause():
             v = len(succ)
             trans = Counter({(state, s): c for s, c in tally.items()})
             row_only = TransitionCounts(v, Counter({state: v}), trans)
-            passes = candidate_test(p, SamplePrefix(tuple(succ), tally), v)
+            passes = candidate_test(p, tally, v)
             assert _rows_pass(chain, row_only) == passes, (probs, state)
             expected = expected and passes
             outcomes.add(passes)

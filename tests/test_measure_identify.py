@@ -81,13 +81,6 @@ _SCHEME_SETS = [
 ]
 
 
-def _sigma_or_error(fn):
-    try:
-        return fn()
-    except ValueError:
-        return "unpriced"
-
-
 def _skewed_ab_measure():
     return make_iid_measure(make_finite_pmf([("a", F(3, 4)), ("b", F(1, 4))]))
 
@@ -135,14 +128,36 @@ def test_sigma_trace_equals_sigma_stage(x, schemes, stage_cap, triples):
         if not inter.has(pos):
             continue
         mu = inter.get(pos)
-        fast = _sigma_or_error(lambda: table.value(pos, j, n))
-        assert fast == _sigma_or_error(lambda: sigma_stage(mu, x, j, n, est))
+        assert table.value(pos, j, n) == sigma_stage(mu, x, j, n, est)
         top = min(n, len(x))
-        fast_max = _sigma_or_error(lambda: table.max_value(pos, top))
-        slow_max = _sigma_or_error(
-            lambda: max(sigma_stage(mu, x, k, top, est) for k in range(1, top + 1))
-        )
-        assert fast_max == slow_max
+        slow_max = max(sigma_stage(mu, x, k, top, est) for k in range(1, top + 1))
+        assert table.max_value(pos, top) == slow_max
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.lists(st.sampled_from("ab"), min_size=1, max_size=30),
+    schemes=st.sampled_from([("run",), ("model",), ("run", "model")]),
+    stage_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+)
+def test_literal_is_admitted_without_being_listed(x, schemes, stage_cap):
+    # a scheme set without literal prices every prefix as the same set with it
+    base = _non_dyadic_list()
+    inter = InterleavedList(base)
+    models = tuple(base.get(i) for i in range(1, 8)) if "model" in schemes else ()
+
+    def estimator(schemes):
+        return ComplexityEstimator(("a", "b"), schemes, models, stage_cap)
+
+    bare, listed = estimator(schemes), estimator(("literal",) + schemes)
+    x = tuple(x)
+    bare_table, listed_table = SigmaTrace(inter, x, bare), SigmaTrace(inter, x, listed)
+    for n in range(1, len(x) + 1):
+        for j in range(1, n + 1):
+            assert bare.khat(x[:j], n) == listed.khat(x[:j], n) < inf
+        for pos in filter(inter.has, range(1, n + 1)):
+            assert bare_table.max_value(pos, n) == listed_table.max_value(pos, n)
+            assert bare_table.value(pos, n, n) == listed_table.value(pos, n, n)
 
 
 def test_table_steps_each_base_measure_once_per_position():
