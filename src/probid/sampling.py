@@ -9,7 +9,8 @@ Python int: lane k occupies bits 128k..128k+127, its low 64 bits hold the
 state of output k of the block and its high 64 bits are scratch that
 catches what a right shift leaks in from lane k+1.  Each lane is masked
 back to 64 bits before every multiply, so no product carries into the next
-lane.  A stream holds one such block (16 KiB), never its whole length.
+lane, and the lane states run from block to block, masked after every add.
+A stream holds one such block (16 KiB), never its whole length.
 Both readers serialise a block little-endian, one layout on every host:
 `_uniforms` unpacks it as 1024 53-bit numerators and the chain walk reads
 the top byte of each.
@@ -23,15 +24,20 @@ One rule, `_thresholds`, turns masses into the integer thresholds
 floor(cum * 2**53) that z is bisected against.  No symbol after the first
 threshold >= 2**53 - 1 can be drawn, so `iid_steps` reads a pmf's table up
 to there, once (53 entries for the geometric pmf), and maps a bisect in C
-over the uniforms.  `chain_steps` reads one whole table per chain state and
-a guide table over the 256 cells of the top byte of z (Chen and Asau's
+over the uniforms.  `chain_blocks` reads one whole table per chain state
+and a guide table over the 256 cells of the top byte of z (Chen and Asau's
 indexed search): where no threshold of the state splits the cell of a
 draw, its step is one lookup by that byte, and only the draws in a cell
 that some state splits are bisected.  Both yield steps, the index of each
 draw in the support or in the chain's tuple of positive-mass transitions,
-which the streams tally.  A product measure's conditional is its pmf at
-every step, so `draw_from_measure` draws it through `iid_steps`; for any
-other measure `_pick` reads the rule lazily, per conditional.
+which the streams tally.  The chain's steps come in blocks of 1024, as
+`bytes` when the chain has at most 256 transitions, so that the markov
+stream can count them with `bytes.count`, and as lists otherwise;
+`chain_steps` chains the blocks into one stream of ints.  A product
+measure's conditional is its pmf at every step, and a marked run's is
+uniform or the marker alone, so `draw_from_measure` draws both through
+one threshold table; for any other measure `_pick` reads the rule lazily,
+per conditional.
 """
 
 from bisect import bisect_left
@@ -43,7 +49,7 @@ from struct import Struct
 from typing import NamedTuple
 
 from .errors import BadStart
-from .hypotheses import ProductMeasure
+from .hypotheses import MarkedRunMeasure, ProductMeasure
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -150,19 +156,18 @@ def _lanes(seed):
 
     Lane k of block b holds z ^ (z >> 31) for output 1024b + k: its low 64
     bits are that output of `Rng(seed).next64`, bits 64-96 are zero and
-    bits 97-127 hold what lane k+1 leaked in.
+    bits 97-127 hold what lane k+1 leaked in.  The lane states run from
+    block to block: each add of `_LANE_STEP` can carry only into the high
+    word of its own lane, which the mask clears, so every lane stays its
+    state mod 2**64 at any block index.
     """
-    start = ((seed & _MASK) * _LANE_ONES + _LANE_OFFSETS) & _LANE_MASK
-
-    def block(b):
-        # lane k of block b holds the state seed + (1024b + k + 1)*_GOLDEN
-        # mod 2**64 (exact while b < 2**64, so that no lane carries over)
-        state = (start + b * _LANE_STEP) & _LANE_MASK
+    # lane k of block b holds the state seed + (1024b + k + 1)*_GOLDEN mod 2**64
+    state = ((seed & _MASK) * _LANE_ONES + _LANE_OFFSETS) & _LANE_MASK
+    while True:
         z = ((state ^ (state >> 30)) & _LANE_MASK) * _MIX1 & _LANE_MASK
         z = ((z ^ (z >> 27)) & _LANE_MASK) * _MIX2 & _LANE_MASK
-        return z ^ (z >> 31)
-
-    return map(block, count())
+        yield z ^ (z >> 31)
+        state = (state + _LANE_STEP) & _LANE_MASK
 
 
 def _low_words(lanes):
@@ -186,7 +191,12 @@ def iid_steps(pmf, seed):
     the index of draw t in `symbols`, the support prefix draws can reach."""
     size = pmf.support_size
     positions = count(1) if size is None else range(1, size + 1)
-    symbols, thresholds = _table((s, pmf.mass(s)) for s in map(pmf.support, positions))
+    return _steps(((s, pmf.mass(s)) for s in map(pmf.support, positions)), seed)
+
+
+def _steps(pairs, seed):
+    """`iid_steps` of the (symbol, mass) `pairs` of a pmf, in order."""
+    symbols, thresholds = _table(pairs)
     return map(partial(bisect_left, thresholds), _uniforms(seed)), symbols
 
 
@@ -201,9 +211,20 @@ def chain_steps(chain, x0, seed):
 
     Returns (steps, pairs): `pairs` is the tuple of (state, next_state)
     transitions of positive mass in row order, and step t of `steps` is the
-    index of (x_{t-1}, x_t) in `pairs`.  Raises BadStart at the call,
-    before any state is drawn.
+    index of (x_{t-1}, x_t) in `pairs`.  The steps are the blocks of
+    `chain_blocks` chained in C, so iterating them yields ints whether a
+    block is `bytes` or a list.  Raises BadStart at the call, before any
+    state is drawn.
     """
+    blocks, pairs = chain_blocks(chain, x0, seed)
+    return _flatten(blocks), pairs
+
+
+def chain_blocks(chain, x0, seed):
+    """`chain_steps` as (blocks, pairs): each block holds the next 1024
+    steps, as `bytes` when the chain has at most 256 transitions, so every
+    index fits a byte, and as a list of ints otherwise.  Raises BadStart at
+    the call, before any state is drawn."""
     if not chain.has_state(x0):
         raise BadStart("start state %r not in chain" % (x0,))
     pairs, rows = [], {}
@@ -215,7 +236,7 @@ def chain_steps(chain, x0, seed):
     split = bytes(any(guide[c] is None for guide in guides) for c in range(256))
     # the row of the state each step enters, then x0's, where the walk starts
     then = [rows[target] for _, target in pairs] + [rows[x0]]
-    return _flatten(_walk(then, split, _lanes(seed))), tuple(pairs)
+    return _walk(then, split, _lanes(seed)), tuple(pairs)
 
 
 def _guide(thresholds, base):
@@ -230,40 +251,42 @@ def _guide(thresholds, base):
 
 
 def _walk(then, split, lanes):
-    """Steps of a chain run, one list per block of lanes.
+    """Steps of a chain run, one block of `_LANES` steps per block of lanes.
 
     `then[k]` is the (guide, thresholds, base) row of the state that step k
     enters, and the walk starts from the last.  The cell of draw i is byte
     16i + 7 of the block in little-endian order, the top byte of its lane's
     low word.  A draw in a cell that no state splits takes two lookups, its
     step in the current guide and the guide of the state it enters; a
-    draw whose cell `split` marks is read whole and bisected.
+    draw whose cell `split` marks is read whole and bisected.  With at most
+    256 transitions every step fits a byte, and each block is yielded as
+    `bytes`, which the markov stream can count in C; otherwise as the list.
     """
     guides = [guide for guide, _, _ in then]
-    k = len(then) - 1
+    k = len(then) - 1  # the number of transitions
+    small = k <= 256
     guide = guides[k]
     for block in lanes:
         raw = block.to_bytes(_BLOCK_BYTES, "little")
         cells = raw[7::16]
         marks = cells.translate(split) + b"\x01"  # the end of the block ends the last run
         steps = []
-        append = steps.append
         start = 0
         while True:
             stop = marks.find(1, start)
             for c in cells[start:stop]:
                 k = guide[c]
                 guide = guides[k]
-                append(k)
+                steps.append(k)
             if stop == _LANES:
                 break
             _, thresholds, base = then[k]
             z = int.from_bytes(raw[16 * stop : 16 * stop + 8], "little") >> 11
             k = base + bisect_left(thresholds, z)
             guide = guides[k]
-            append(k)
+            steps.append(k)
             start = stop + 1
-        yield steps
+        yield bytes(steps) if small else steps
 
 
 def chain_states(chain, x0, seed):
@@ -288,16 +311,35 @@ def run_chain(chain, x0, seed, n):
 def draw_from_measure(mu, seed, n):
     """Sample a length-n prefix from a measure via exact conditionals.
 
-    The prefix state and mass are carried forward by the chain rule; each
-    step inverts the next-symbol distribution mu(xa)/mu(x) over the
-    alphabet.  A picked symbol has positive mass, so the prefix never
-    reaches mass zero.  A product measure's conditional is its pmf, in the
-    same order, so it is drawn as `draw_iid(mu.pmf, seed, n)`: the same
+    Each step inverts the next-symbol distribution mu(xa)/mu(x) over the
+    alphabet.  A product measure's conditional is its pmf, in the same
+    order, so it is drawn as `draw_iid(mu.pmf, seed, n)`: the same
     thresholds of the same masses against the same uniforms, with no
-    `step` call or `Fraction` division per symbol.
+    `step` call or `Fraction` division per symbol.  A marked run's first
+    conditional is uniform on 1..k, and each later one is the marker
+    alone once the run starts on it, uniform on 1..k otherwise; so it is
+    drawn as uniform i.i.d. draws, replaced by the marker throughout when
+    the first draw is the marker.  Any other measure goes through
+    `_draw_chain_rule`.
     """
     if isinstance(mu, ProductMeasure):
         return draw_iid(mu.pmf, seed, n)
+    if isinstance(mu, MarkedRunMeasure):
+        steps, symbols = _steps(((a, Fraction(1, mu.k)) for a in mu.alphabet), seed)
+        prefix = tuple(map(symbols.__getitem__, islice(steps, n)))
+        if prefix[:1] == (mu.marker,):
+            prefix = (mu.marker,) * n
+        return _sample_prefix(prefix)
+    return _draw_chain_rule(mu, seed, n)
+
+
+def _draw_chain_rule(mu, seed, n):
+    """`draw_from_measure` by the chain rule, which holds for every measure.
+
+    The prefix state and mass are carried forward; each step inverts
+    mu(xa)/mu(x) over the alphabet.  A picked symbol has positive mass, so
+    the prefix never reaches mass zero.
+    """
     state, mass = mu.start, Fraction(1)
     prefix = []
     for i, z in enumerate(islice(_uniforms(seed), n)):

@@ -70,6 +70,20 @@ def chains_with_zeros(draw):
     return MarkovChain(tuple(range(size)), rows)
 
 
+def dense_weights(size, s):
+    """Integer weights of a chain on 0..size-1 with all size**2 transitions
+    of positive mass: s into state 0 and 1..3 into each other state."""
+    return [[s if j == 0 else 1 + (i + 2 * j) % 3 for j in range(size)] for i in range(size)]
+
+
+def dense_chain(size, s=5):
+    """Ergodic chain of `dense_weights` over each row's sum; with s = 5 most
+    rows are not dyadic (none at sizes 4, 7, 16 and 17), so thresholds
+    split cells of the chain walk's guide tables."""
+    rows = [[F(w, sum(row)) for w in row] for row in dense_weights(size, s)]
+    return MarkovChain(tuple(range(size)), rows)
+
+
 # rows whose thresholds split cells of the chain walk's guide tables, 2**45
 # draws wide: 1/3 and 2/3 mid-cell, 1/256 + 2**-53 one draw past the start
 # of cell 1, and 1/2 at the start of cell 128, whose first draw ties and

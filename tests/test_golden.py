@@ -3,17 +3,20 @@
 Each config runs through `run_experiment` and the sha256 of its
 `checkpoints.csv` and `summary.csv` is compared with a pinned value.  A
 change that alters which guess is emitted at any checkpoint, or how it is
-written, fails here.  The measure configs reach non-dyadic prefix masses
-(the 3/4-1/4 i.i.d. measure) as well as dyadic ones, so a change to how
-`log2(1/mass)` enters the deficiency is caught too; "measure-all-rows"
-lists one measure of every family whose mass row is computed its own way,
-and runs it again under two narrower scheme sets of the estimator.
+written, fails here.  "markov-17-states" has more transitions than a
+byte holds, so the chain walk yields its steps in lists.  The measure configs reach non-dyadic
+prefix masses (the 3/4-1/4 i.i.d. measure) as well as dyadic ones, so a
+change to how `log2(1/mass)` enters the deficiency is caught too;
+"measure-all-rows" lists one measure of every family whose mass row is
+computed its own way, and runs it again under two narrower scheme sets of
+the estimator.
 """
 
 import hashlib
 
 import pytest
 
+from helpers import dense_weights
 from probid.harness import run_experiment
 
 
@@ -23,6 +26,13 @@ def _pmf(*pairs):
 
 def _markov(rows):
     return {"family": "markov", "params": {"states": [0, 1], "rows": rows}}
+
+
+def _dense_markov(s):
+    """17 states, all 289 transitions of positive mass, over row sums that
+    are mostly not powers of two."""
+    rows = [["%d/%d" % (w, sum(row)) for w in row] for row in dense_weights(17, s)]
+    return {"family": "markov", "params": {"states": list(range(17)), "rows": rows}}
 
 
 def _iid_measure(*pairs):
@@ -98,6 +108,21 @@ GOLDEN = {
         },
         "fd78653b3ef2b82e2c60d37d467351612b2c3d0c942897b03d5c39ee55516045",
         "a5818c2cb0786698e1b9c8c4f11be2756cf74a142f0ca21d6d5cebee4badd82a",
+    ),
+    # more transitions than a byte holds, over five lane blocks; the guess
+    # moves from candidate to candidate at checkpoints that differ by seed
+    "markov-17-states": (
+        {
+            "mode": "markov",
+            "list": {"items": [_dense_markov(12), _dense_markov(15), _dense_markov(20)]},
+            "target_index": 3,
+            "start_state": 0,
+            "n_max": 5000,
+            "checkpoint": {"stride": 250},
+            "seeds": [1, 2, 3],
+        },
+        "e919108a3d59bc2dacf805460504fc6b4544a650562d2493a5aeacad78242a3e",
+        "8eeec4403be8aa46f3f96a17ab60e3030943901eff9e935cdd6309242d1ec541",
     ),
     "measure-dyadic": (
         {

@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import chain_3state, chain_a, chain_b, chains_with_zeros
+from helpers import chain_3state, chain_a, chain_b, chains_with_zeros, dense_chain
 from probid.enumeration import HypothesisList
 from probid.errors import NotErgodic
 from probid.hypotheses import MarkovChain, make_finite_pmf
 from probid.iid_identify import candidate_test
 from probid.markov_identify import (
     TransitionCounts,
+    _count_in_bytes,
     chain_candidate_test,
     chain_counts,
     empirical,
@@ -94,6 +95,18 @@ def _strings(chain):
     n_max=st.integers(min_value=1, max_value=1500),
     start=st.integers(min_value=0, max_value=3),
 )
+# both tallies at their crossover: at stride 97, 9 transitions are counted
+# in bytes and 16 by a `Counter`, and at stride 1024, 36 and 49; 256
+# transitions, the most a byte holds, and 289, whose blocks are lists; at
+# every stride and across block boundaries
+@example(chain=dense_chain(3), seed=2**64 - 1, stride=97, n_max=3100, start=2)
+@example(chain=dense_chain(4), seed=2**64 - 1, stride=97, n_max=3100, start=3)
+@example(chain=dense_chain(6), seed=5, stride=1024, n_max=3072, start=0)
+@example(chain=dense_chain(7), seed=5, stride=1024, n_max=3072, start=6)
+@example(chain=_strings(dense_chain(16)), seed=0, stride=1, n_max=1100, start=3)
+@example(chain=_strings(dense_chain(17)), seed=0, stride=1, n_max=1100, start=3)
+@example(chain=dense_chain(16), seed=2**64 - 1, stride=97, n_max=3100, start=15)
+@example(chain=dense_chain(17), seed=2**64 - 1, stride=1500, n_max=3000, start=16)
 def test_stream_counts_equal_empirical_at_every_checkpoint(chain, seed, stride, n_max, start):
     x0 = chain.states[start % len(chain.states)]
     counts = chain_counts(chain, x0, seed, stride)
@@ -105,6 +118,12 @@ def test_stream_counts_equal_empirical_at_every_checkpoint(chain, seed, stride, 
             dict(expected.visits),
             dict(expected.trans),
         )
+
+
+def test_examples_straddle_the_tally_crossover():
+    # the examples above exercise both tallies only while this holds
+    sides = [(9, 97), (16, 97), (36, 1024), (49, 1024)]
+    assert [_count_in_bytes(range(t), stride) for t, stride in sides] == [True, False] * 2
 
 
 def test_counts_invariants_on_sampled_run():

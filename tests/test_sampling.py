@@ -24,6 +24,7 @@ from probid import sampling
 from probid.errors import BadStart, ZeroMassPrefix
 from probid.exactnum import tau
 from probid.hypotheses import (
+    MarkedRunMeasure,
     MarkovChain,
     ProductMeasure,
     constant_run_measure,
@@ -36,6 +37,7 @@ from probid.hypotheses import (
 )
 from probid.sampling import (
     Rng,
+    _draw_chain_rule,
     _pick,
     _table,
     chain_states,
@@ -404,9 +406,11 @@ def test_draw_from_measure_follows_inversion_rule(mu, seed, n):
     ],
 )
 def test_draw_from_measure_steps_once_per_symbol_and_letter(mu):
-    # a product measure is drawn through its pmf's threshold table and
-    # never steps; every other measure steps once per symbol and letter
-    per_symbol = 0 if isinstance(mu, ProductMeasure) else len(mu.alphabet)
+    # a product measure and a marked run are drawn through an i.i.d.
+    # threshold table and never step; every other measure steps once per
+    # symbol and letter
+    drawn_iid = isinstance(mu, (ProductMeasure, MarkedRunMeasure))
+    per_symbol = 0 if drawn_iid else len(mu.alphabet)
     calls = []
     step = mu.step
     mu.step = lambda *args: calls.append(args) or step(*args)
@@ -414,6 +418,19 @@ def test_draw_from_measure_steps_once_per_symbol_and_letter(mu):
         calls.clear()
         draw_from_measure(mu, seed=3, n=n)
         assert len(calls) == n * per_symbol
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_marked_run_draw_equals_the_chain_rule(k):
+    # every marker of {1..k}, over seeds that start on the marker and off it
+    for marker in range(1, k + 1):
+        mu = make_mu_k(k, marker)
+        starts = set()
+        for seed in range(40):
+            prefix = draw_from_measure(mu, seed, 30)
+            assert prefix == _draw_chain_rule(mu, seed, 30)
+            starts.add(prefix.symbols[0] == marker)
+        assert starts == {True, False} or k == 1
 
 
 @pytest.mark.parametrize(
