@@ -13,10 +13,11 @@ transitions, in blocks of 1024.  At each checkpoint the stream adds the
 next `stride` steps to a tally of indices and derives the visit and
 transition counts from that tally (`counts_from_steps`), in time
 proportional to the number of transitions rather than to the length of
-the run.  A chain with few transitions for its stride is tallied with one
-`bytes.count` per transition over the checkpoint's steps, one pass in C
-each; where those passes would cost more than a `Counter.update` per
-step (`_count_in_bytes`), a `Counter` tallies the blocks.
+the run.  A chain with few transitions for its stride has its blocks
+turned into `bytes` and tallied with one `bytes.count` per transition over
+the checkpoint's steps, one pass in C each; where those passes would cost
+more than a `Counter.update` per step (`_count_in_bytes`), a `Counter`
+tallies the lists.
 """
 
 from collections import Counter
@@ -71,7 +72,8 @@ def chain_counts(source, x0, seed, stride):
     Raises BadStart at the call, before any state is drawn.
     """
     blocks, pairs = chain_blocks(source, x0, seed)
-    return _checkpoint_counts(blocks, pairs, stride)
+    in_bytes = _count_in_bytes(pairs, stride)
+    return _checkpoint_counts(map(bytes, blocks) if in_bytes else blocks, pairs, stride, in_bytes)
 
 
 def _strides(blocks, stride):
@@ -96,15 +98,16 @@ def _count_in_bytes(pairs, stride):
     checkpoint; the rule is fitted to the crossovers measured on dense
     chains (2 vCPUs, Python 3.11): about 12 transitions at stride 100, 25
     at 300, 45 at 1000 and 55 at 10**4.  It holds for at most 59
-    transitions, so the blocks are `bytes`."""
+    transitions, so every index fits a byte of the `bytes` that
+    `chain_counts` turns the blocks into."""
     return len(pairs) * (stride + 400) <= 60 * stride
 
 
-def _checkpoint_counts(blocks, pairs, stride):
+def _checkpoint_counts(blocks, pairs, stride, in_bytes):
     runs = _strides(blocks, stride)
     run = next(runs)
     first = run[0][0]
-    if _count_in_bytes(pairs, stride):
+    if in_bytes:
         # one pass in C per transition, no object per step
         indices = range(len(pairs))
         tally = [0] * len(pairs)

@@ -136,7 +136,8 @@ def identify_measure_step(hyp_list, x, n, estimator, trace=None):
     one (positions decode through the interleaver; positions past a finite
     base carry no hypothesis and are skipped).
     """
-    if len(tuple(x)) < n:
+    x = tuple(x)
+    if len(x) < n:
         raise ProbidError("need at least n data symbols")
     if trace is None:
         trace = SigmaTrace(hyp_list, x, estimator)

@@ -30,14 +30,11 @@ indexed search): where no threshold of the state splits the cell of a
 draw, its step is one lookup by that byte, and only the draws in a cell
 that some state splits are bisected.  Both yield steps, the index of each
 draw in the support or in the chain's tuple of positive-mass transitions,
-which the streams tally.  The chain's steps come in blocks of 1024, as
-`bytes` when the chain has at most 256 transitions, so that the markov
-stream can count them with `bytes.count`, and as lists otherwise;
-`chain_steps` chains the blocks into one stream of ints.  A product
-measure's conditional is its pmf at every step, and a marked run's is
-uniform or the marker alone, so `draw_from_measure` draws both through
-one threshold table; for any other measure `_pick` reads the rule lazily,
-per conditional.
+which the streams tally; the chain's steps come in lists of 1024, one per
+block of lanes.  A product measure's conditional is its pmf at every step,
+and a marked run's is uniform or the marker alone, so `draw_from_measure`
+draws both through one threshold table; for any other measure `_pick`
+reads the rule lazily, per conditional.
 """
 
 from bisect import bisect_left
@@ -71,7 +68,7 @@ _LANE_OFFSETS = int.from_bytes(
 # A block is serialised little-endian, so lane k is bytes 16k..16k+15 and
 # its low 64-bit word comes first; the high word is skipped as padding.
 _LOW_WORDS = Struct("<" + "Q8x" * _LANES)
-# `chain_steps` names its chain `chain`, which hides itertools.chain
+# `run_chain` names its chain `chain`, which hides itertools.chain
 _flatten = chain.from_iterable
 
 
@@ -200,31 +197,14 @@ def _steps(pairs, seed):
     return map(partial(bisect_left, thresholds), _uniforms(seed)), symbols
 
 
-def iid_draws(pmf, seed):
-    """Endless i.i.d. symbols from an exact pmf, one per uniform."""
-    steps, symbols = iid_steps(pmf, seed)
-    return map(symbols.__getitem__, steps)
-
-
-def chain_steps(chain, x0, seed):
+def chain_blocks(chain, x0, seed):
     """Endless steps of a chain run from x0, and the transitions they index.
 
-    Returns (steps, pairs): `pairs` is the tuple of (state, next_state)
-    transitions of positive mass in row order, and step t of `steps` is the
-    index of (x_{t-1}, x_t) in `pairs`.  The steps are the blocks of
-    `chain_blocks` chained in C, so iterating them yields ints whether a
-    block is `bytes` or a list.  Raises BadStart at the call, before any
-    state is drawn.
+    Returns (blocks, pairs): `pairs` is the tuple of (state, next_state)
+    transitions of positive mass in row order, and each block is a list of
+    the next 1024 steps, step t the index of (x_{t-1}, x_t) in `pairs`.
+    Raises BadStart at the call, before any state is drawn.
     """
-    blocks, pairs = chain_blocks(chain, x0, seed)
-    return _flatten(blocks), pairs
-
-
-def chain_blocks(chain, x0, seed):
-    """`chain_steps` as (blocks, pairs): each block holds the next 1024
-    steps, as `bytes` when the chain has at most 256 transitions, so every
-    index fits a byte, and as a list of ints otherwise.  Raises BadStart at
-    the call, before any state is drawn."""
     if not chain.has_state(x0):
         raise BadStart("start state %r not in chain" % (x0,))
     pairs, rows = [], {}
@@ -251,20 +231,17 @@ def _guide(thresholds, base):
 
 
 def _walk(then, split, lanes):
-    """Steps of a chain run, one block of `_LANES` steps per block of lanes.
+    """Steps of a chain run, one list of `_LANES` steps per block of lanes.
 
     `then[k]` is the (guide, thresholds, base) row of the state that step k
     enters, and the walk starts from the last.  The cell of draw i is byte
     16i + 7 of the block in little-endian order, the top byte of its lane's
     low word.  A draw in a cell that no state splits takes two lookups, its
     step in the current guide and the guide of the state it enters; a
-    draw whose cell `split` marks is read whole and bisected.  With at most
-    256 transitions every step fits a byte, and each block is yielded as
-    `bytes`, which the markov stream can count in C; otherwise as the list.
+    draw whose cell `split` marks is read whole and bisected.
     """
     guides = [guide for guide, _, _ in then]
-    k = len(then) - 1  # the number of transitions
-    small = k <= 256
+    k = len(then) - 1  # the last row, x0's
     guide = guides[k]
     for block in lanes:
         raw = block.to_bytes(_BLOCK_BYTES, "little")
@@ -286,26 +263,20 @@ def _walk(then, split, lanes):
             guide = guides[k]
             steps.append(k)
             start = stop + 1
-        yield bytes(steps) if small else steps
-
-
-def chain_states(chain, x0, seed):
-    """Endless states x_1, x_2, ... of a chain run from x0.
-
-    Raises BadStart at the call, before any state is drawn.
-    """
-    steps, pairs = chain_steps(chain, x0, seed)
-    return map(tuple(target for _, target in pairs).__getitem__, steps)
+        yield steps
 
 
 def draw_iid(pmf, seed, n):
     """Draw n i.i.d. symbols from an exact pmf; returns a SamplePrefix."""
-    return _sample_prefix(islice(iid_draws(pmf, seed), n))
+    steps, symbols = iid_steps(pmf, seed)
+    return _sample_prefix(map(symbols.__getitem__, islice(steps, n)))
 
 
 def run_chain(chain, x0, seed, n):
     """Run a chain n steps from x0; returns the state sequence x_1..x_n."""
-    return tuple(islice(chain_states(chain, x0, seed), n))
+    blocks, pairs = chain_blocks(chain, x0, seed)
+    targets = tuple(target for _, target in pairs)
+    return tuple(map(targets.__getitem__, islice(_flatten(blocks), n)))
 
 
 def draw_from_measure(mu, seed, n):

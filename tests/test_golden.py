@@ -3,13 +3,14 @@
 Each config runs through `run_experiment` and the sha256 of its
 `checkpoints.csv` and `summary.csv` is compared with a pinned value.  A
 change that alters which guess is emitted at any checkpoint, or how it is
-written, fails here.  "markov-17-states" has more transitions than a
-byte holds, so the chain walk yields its steps in lists.  The measure configs reach non-dyadic
-prefix masses (the 3/4-1/4 i.i.d. measure) as well as dyadic ones, so a
-change to how `log2(1/mass)` enters the deficiency is caught too;
-"measure-all-rows" lists one measure of every family whose mass row is
-computed its own way, and runs it again under two narrower scheme sets of
-the estimator.
+written, fails here.  The markov stream tallies "markov" by
+`bytes.count`, and "markov-8-states" (64 transitions, each index fits a
+byte) and "markov-17-states" (289 transitions) by a `Counter`.  The
+measure configs reach non-dyadic prefix masses (the 3/4-1/4 i.i.d.
+measure) as well as dyadic ones, so a change to how `log2(1/mass)` enters
+the deficiency is caught too; "measure-all-rows" lists one measure of
+every family whose mass row is computed its own way, and runs it again
+under two narrower scheme sets of the estimator.
 """
 
 import hashlib
@@ -28,11 +29,11 @@ def _markov(rows):
     return {"family": "markov", "params": {"states": [0, 1], "rows": rows}}
 
 
-def _dense_markov(s):
-    """17 states, all 289 transitions of positive mass, over row sums that
-    are mostly not powers of two."""
-    rows = [["%d/%d" % (w, sum(row)) for w in row] for row in dense_weights(17, s)]
-    return {"family": "markov", "params": {"states": list(range(17)), "rows": rows}}
+def _dense_markov(size, s):
+    """`size` states, all size**2 transitions of positive mass, over row
+    sums that are mostly not powers of two."""
+    rows = [["%d/%d" % (w, sum(row)) for w in row] for row in dense_weights(size, s)]
+    return {"family": "markov", "params": {"states": list(range(size)), "rows": rows}}
 
 
 def _iid_measure(*pairs):
@@ -109,12 +110,12 @@ GOLDEN = {
         "fd78653b3ef2b82e2c60d37d467351612b2c3d0c942897b03d5c39ee55516045",
         "a5818c2cb0786698e1b9c8c4f11be2756cf74a142f0ca21d6d5cebee4badd82a",
     ),
-    # more transitions than a byte holds, over five lane blocks; the guess
-    # moves from candidate to candidate at checkpoints that differ by seed
+    # 289 transitions, over five lane blocks; the guess moves from
+    # candidate to candidate at checkpoints that differ by seed
     "markov-17-states": (
         {
             "mode": "markov",
-            "list": {"items": [_dense_markov(12), _dense_markov(15), _dense_markov(20)]},
+            "list": {"items": [_dense_markov(17, s) for s in (12, 15, 20)]},
             "target_index": 3,
             "start_state": 0,
             "n_max": 5000,
@@ -123,6 +124,23 @@ GOLDEN = {
         },
         "e919108a3d59bc2dacf805460504fc6b4544a650562d2493a5aeacad78242a3e",
         "8eeec4403be8aa46f3f96a17ab60e3030943901eff9e935cdd6309242d1ec541",
+    ),
+    # 64 transitions: too many at this stride for the byte tally, few
+    # enough that every step fits a byte; over three lane blocks, and the
+    # guess moves from candidate to candidate at checkpoints that differ by
+    # seed
+    "markov-8-states": (
+        {
+            "mode": "markov",
+            "list": {"items": [_dense_markov(8, s) for s in (12, 15, 20)]},
+            "target_index": 3,
+            "start_state": 0,
+            "n_max": 3000,
+            "checkpoint": {"stride": 100},
+            "seeds": [1, 2, 3],
+        },
+        "f2cde3a5334c40fe490deaea7d20494ebc964aa08e9a9e17f07b21a4b4e3ec20",
+        "e601bf06a0df6a6cc72a83d917875695953f769663c37ef54c8dba53eaca6ff7",
     ),
     "measure-dyadic": (
         {

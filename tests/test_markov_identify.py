@@ -97,8 +97,8 @@ def _strings(chain):
 )
 # both tallies at their crossover: at stride 97, 9 transitions are counted
 # in bytes and 16 by a `Counter`, and at stride 1024, 36 and 49; 256
-# transitions, the most a byte holds, and 289, whose blocks are lists; at
-# every stride and across block boundaries
+# transitions, whose indices all fit a byte, and 289, whose indices do not;
+# at every stride and across block boundaries
 @example(chain=dense_chain(3), seed=2**64 - 1, stride=97, n_max=3100, start=2)
 @example(chain=dense_chain(4), seed=2**64 - 1, stride=97, n_max=3100, start=3)
 @example(chain=dense_chain(6), seed=5, stride=1024, n_max=3072, start=0)

@@ -234,6 +234,15 @@ def test_step_alternating_input_prefers_uniform_model():
     assert sigma_stage(uniform_ab_measure(), x, 100, 100, est) == 100 - 106
 
 
+def test_step_reads_a_generator_once():
+    # the length check must not use up the data that the trace reads
+    base = _plain([all_a_measure(), uniform_ab_measure()])
+    est = default_estimator(base)
+    x = ("a", "b") * 50
+    assert identify_measure_step(base, (a for a in x), 100, est) == 2
+    assert identify_measure_step(base, iter(("a",) * 5), 5, est) == 1
+
+
 def test_step_requires_enough_data():
     base = _plain([all_a_measure()])
     est = default_estimator(base)

@@ -15,6 +15,7 @@ from helpers import (
     chain_a,
     chains_splitting_cells,
     chains_with_zeros,
+    dense_chain,
     pmf_weights,
     separated_pmf,
     uniform_ab_pmf,
@@ -40,11 +41,9 @@ from probid.sampling import (
     _draw_chain_rule,
     _pick,
     _table,
-    chain_states,
-    chain_steps,
+    chain_blocks,
     draw_from_measure,
     draw_iid,
-    iid_draws,
     iid_steps,
     run_chain,
 )
@@ -93,10 +92,8 @@ def test_stream_memory_does_not_grow_with_its_length():
     # 10**5 uniforms kept in a list would take about 4 MiB
     target = separated_pmf(6)
     chain = chain_a()
-    assert _peak_bytes(lambda: iid_draws(target, 1)) < 256 * 1024
     assert _peak_bytes(lambda: iid_steps(target, 1)[0]) < 256 * 1024
-    assert _peak_bytes(lambda: chain_states(chain, 0, 1)) < 256 * 1024
-    assert _peak_bytes(lambda: chain_steps(chain, 0, 1)[0]) < 256 * 1024
+    assert _peak_bytes(lambda: (k for b in chain_blocks(chain, 0, 1)[0] for k in b)) < 256 * 1024
 
 
 def test_draws_are_reproducible():
@@ -286,8 +283,8 @@ def test_table_stops_before_a_tail_no_draw_reaches(weights, reached):
     assert symbols == reached
     assert _table_pick(p.items(), (1 << 53) - 1) == symbols[-1]
     for seed in (0, 1, 2):
-        expected = [_oracle_pick(p.items(), z) for z in _uniforms(seed, 300)]
-        assert list(islice(iid_draws(p, seed), 300)) == expected
+        expected = tuple(_oracle_pick(p.items(), z) for z in _uniforms(seed, 300))
+        assert draw_iid(p, seed, 300).symbols == expected
 
 
 _seeds = st.integers(0, (1 << 64) - 1)
@@ -366,11 +363,21 @@ def test_chain_walk_bisects_draws_in_split_cells(monkeypatch, rows):
 
 @settings(max_examples=40, deadline=None)
 @given(chain=chains_with_zeros(), seed=_seeds, n=st.integers(0, 200))
-def test_chain_steps_index_the_transitions_of_the_run(chain, seed, n):
-    steps, pairs = chain_steps(chain, 0, seed)
+def test_chain_blocks_index_the_transitions_of_the_run(chain, seed, n):
+    blocks, pairs = chain_blocks(chain, 0, seed)
     assert pairs == tuple((s, t) for s in chain.states for t, m in chain.row(s) if m)
     run = (0,) + run_chain(chain, 0, seed, n)
-    assert [pairs[k] for k in islice(steps, n)] == list(zip(run, run[1:]))
+    steps = islice((k for block in blocks for k in block), n)
+    assert [pairs[k] for k in steps] == list(zip(run, run[1:]))
+
+
+@pytest.mark.parametrize("size", [2, 17])
+def test_chain_blocks_are_lists_of_1024_steps(size):
+    # one format whether every index fits a byte (4 transitions) or not (289)
+    blocks, pairs = chain_blocks(dense_chain(size), 0, 1)
+    for block in islice(blocks, 2):
+        assert type(block) is list and len(block) == 1024
+        assert all(type(k) is int and 0 <= k < len(pairs) for k in block)
 
 
 _measures = st.one_of(
