@@ -15,7 +15,6 @@ from .harness import (
     write_plot_script,
 )
 from .hypotheses import MarkovChain, build_hypothesis
-from .predict import black_swan_demo
 
 
 def _build_parser():
@@ -71,6 +70,8 @@ def _cmd_run(args):
 def _cmd_demo(args):
     if args.switch < 1:
         raise ConfigInvalid("switch", "must be >= 1")
+    from .predict import black_swan_demo  # only this command needs it
+
     report = black_swan_demo(args.switch)
     print(report.as_text())
     print()

@@ -12,8 +12,7 @@ Output files (fixed headers):
   summary.csv      run_id,seed,final_guess,converged_at,correct
 """
 
-import csv
-import io
+import importlib
 import itertools
 import json
 import os
@@ -30,12 +29,7 @@ from .hypotheses import (
     ProductMeasure,
     build_hypothesis,
 )
-from .iid_identify import identify_stream
-from .markov_identify import identify_chain_stream
-from .measure_identify import default_estimator, identify_measure_stream
-from .predict import black_swan_demo
 
-_MODES = ("iid", "markov", "measure", "demo")
 _CHECKPOINT_HEADER = ["run_id", "seed", "n", "guess", "changed"]
 _SUMMARY_HEADER = ["run_id", "seed", "final_guess", "converged_at", "correct"]
 
@@ -131,6 +125,7 @@ def _parse_config(obj):
     mode = _need(obj, "mode", "mode")
     if mode not in _MODES:
         raise ConfigInvalid("mode", "must be one of %s" % (_MODES,))
+    _load_mode(mode)
 
     if mode == "demo":
         n_switch = _positive_int(obj.get("n_switch", 5), "n_switch")
@@ -318,19 +313,46 @@ def _measure_trace(cfg, hyp_list, seed):
     )
 
 
-# mode -> (trace of one seed, base list index of a guess).  The functions
-# above look each stream up by name at call time, so rebinding
+# mode -> (trace of one seed, base list index of a guess, the module a run
+# of the mode imports, the names this module reads from it).  Only that
+# module is imported, by `_load_mode`, and the names become attributes of
+# this module that the functions above look up at call time, so rebinding
 # `harness.identify_stream` and the like takes effect.
 _RUNNERS = {
-    "iid": (_iid_trace, lambda g: g),
-    "markov": (_markov_trace, lambda g: g),
-    "measure": (_measure_trace, interleave_decode),
+    "iid": (_iid_trace, lambda g: g, "iid_identify", ("identify_stream",)),
+    "markov": (_markov_trace, lambda g: g, "markov_identify", ("identify_chain_stream",)),
+    "measure": (
+        _measure_trace,
+        interleave_decode,
+        "measure_identify",
+        ("identify_measure_stream", "default_estimator"),
+    ),
+    "demo": (None, None, "predict", ("black_swan_demo",)),
 }
+_MODES = tuple(_RUNNERS)
+
+
+def _load_mode(mode):
+    """Import the module of `mode` and bind the names it lends this module;
+    a name already bound, say by a caller that rebound it, is kept."""
+    _, _, module, names = _RUNNERS[mode]
+    home = importlib.import_module("." + module, __package__)
+    for name in names:
+        globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name):
+    # a stream name read before any config of its mode was parsed
+    for mode, (_, _, _, names) in _RUNNERS.items():
+        if name in names:
+            _load_mode(mode)
+            return globals()[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def _run_single(cfg, run_id, seed):
     hyp_list = cfg.hypotheses
-    run_trace, base_index = _RUNNERS[cfg.mode]
+    run_trace, base_index, _, _ = _RUNNERS[cfg.mode]
     trace = run_trace(cfg, hyp_list, seed)
 
     rows = []
@@ -367,9 +389,12 @@ _worker_cfg = None
 
 
 def _init_worker(cfg):
-    """Pool initializer: keep the parsed config for this worker's runs."""
+    """Pool initializer: keep the parsed config for this worker's runs.  A
+    spawned worker unpickles the config without parsing it, so it imports
+    the mode's module here."""
     global _worker_cfg
     _worker_cfg = cfg
+    _load_mode(cfg.mode)
 
 
 def _run_in_worker(task):
@@ -385,6 +410,7 @@ def run_experiment(cfg, jobs=1, out_dir=None):
     """
     if isinstance(cfg, dict):
         cfg = ExperimentConfig.from_obj(cfg)
+    _load_mode(cfg.mode)  # a no-op for a config that `_parse_config` built
     if cfg.mode == "demo":
         return _run_demo(cfg, out_dir)
     tasks = list(enumerate(cfg.seeds, start=1))
@@ -459,11 +485,10 @@ def _write_file(directory, name, text):
 
 
 def _render_csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    # every field is an int or "", which csv.writer would write as str() does,
+    # unquoted; rows are tuples of len(header) fields
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return "".join(map(line.__mod__, [tuple(header), *rows]))
 
 
 def write_results(records, out_dir):

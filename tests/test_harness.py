@@ -1,5 +1,8 @@
 """Config validation, deterministic persistence, CLI exit codes."""
 
+import csv
+import importlib
+import io
 import json
 import os
 import pickle
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import probid
-from probid import cli
+from probid import cli, harness
 from probid.enumeration import interleave_decode
 from probid.errors import ConfigInvalid, EmptyInput
 from probid.harness import (
@@ -127,6 +130,35 @@ def test_run_writes_expected_csv_shape(tmp_path):
     assert len(summary_lines) == 4
     assert summary.n_runs == 3
     assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+
+
+def _csv_writer_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def test_result_files_are_what_csv_writer_writes(tmp_path):
+    records = [
+        RunRecord(1, -7, [(100, None, 1), (200, 2, 1)], 200, 2, True),
+        RunRecord(2, 0, [(100, 1, 1), (200, 1, 0)], None, 1, False),
+        RunRecord(3, -1, [], None, None, None),
+    ]
+    harness.write_results(records, str(tmp_path))
+    checkpoints = [(1, -7, 100, 0, 1), (1, -7, 200, 2, 1), (2, 0, 100, 1, 1), (2, 0, 200, 1, 0)]
+    summary = [(1, -7, 2, 200, 1), (2, 0, 1, "", 0), (3, -1, 0, "", "")]
+    assert (tmp_path / "checkpoints.csv").read_text() == _csv_writer_text(
+        harness._CHECKPOINT_HEADER, checkpoints
+    )
+    assert (tmp_path / "summary.csv").read_text() == _csv_writer_text(harness._SUMMARY_HEADER, summary)
+
+
+@given(st.lists(st.tuples(*[st.integers(-(2**70), 2**70) | st.just("")] * 5), max_size=4))
+def test_render_csv_matches_csv_writer(rows):
+    header = harness._SUMMARY_HEADER
+    assert harness._render_csv(header, rows) == _csv_writer_text(header, rows)
 
 
 def test_run_without_checkpoints():
@@ -424,19 +456,131 @@ def test_output_files_take_the_umask_mode(tmp_path):
     assert sorted(os.listdir(out)) == sorted(names)
 
 
+def _fresh_python(code, *args, stdin=b""):
+    """Standard output of `code` run by a new interpreter that finds this probid;
+    -S keeps site hooks from importing anything first."""
+    path = [os.path.dirname(os.path.dirname(probid.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args], env=env, input=stdin, capture_output=True
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
 def test_cli_import_leaves_out_the_pool_and_dataclasses():
-    # a serial run never starts the pool, so it must not pay to import it; -S keeps
-    # site hooks from importing anything first
+    # a serial run never starts the pool, so it must not pay to import it
     code = "import sys, probid.cli; print(sorted(set(sys.modules) & {%r, %r, %r}))" % (
         "concurrent.futures",
         "multiprocessing",
         "dataclasses",
     )
-    path = [os.path.dirname(os.path.dirname(probid.__file__)), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert _fresh_python(code) == b"[]\n"
+
+
+_LOADED_BY_MODE = """
+import json, sys
+
+def loaded():
+    return sorted(m[len("probid."):] for m in sys.modules if m.startswith("probid."))
+
+def forget_probid():
+    for name in [m for m in sys.modules if m.split(".")[0] == "probid"]:
+        del sys.modules[name]
+
+import probid
+out = {"bare": loaded()}
+for mode, obj in json.loads(sys.argv[1]).items():
+    forget_probid()
+    from probid import harness
+    harness.ExperimentConfig.from_obj(obj)
+    out[mode] = loaded()
+forget_probid()
+import probid.cli
+out["cli"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def test_parsing_a_config_imports_only_its_modes_modules():
+    # each config is parsed by a freshly imported probid, in one interpreter
+    configs = {"iid": _iid_cfg(), "markov": _markov_cfg(), "measure": _measure_cfg(), "demo": {"mode": "demo"}}
+    loaded = json.loads(_fresh_python(_LOADED_BY_MODE, json.dumps(configs)))
+    assert loaded["bare"] == []
+    assert "predict" not in loaded["cli"]  # the demo command imports it
+    own = {
+        "iid": {"iid_identify"},
+        "markov": {"markov_identify"},
+        "measure": {"measure_identify", "complexity"},
+        "demo": {"predict"},
+    }
+    left_out = {
+        "iid": {"markov_identify", "measure_identify", "complexity", "predict"},
+        "markov": {"measure_identify", "complexity", "predict"},
+        "measure": {"markov_identify", "predict"},
+        "demo": {"iid_identify", "markov_identify", "measure_identify", "complexity"},
+    }
+    for mode in configs:
+        assert own[mode] <= set(loaded[mode]), mode
+        assert not left_out[mode] & set(loaded[mode]), mode
+
+
+_WORKER_RUN = """
+import pickle, sys
+from probid import harness
+cfg, task = pickle.load(sys.stdin.buffer)
+harness._init_worker(cfg)
+pickle.dump(harness._run_in_worker(task), sys.stdout.buffer)
+"""
+
+
+@pytest.mark.parametrize("obj", [_iid_cfg(), _markov_cfg(), _measure_cfg()], ids=["iid", "markov", "measure"])
+def test_a_pickled_config_runs_in_a_fresh_worker(obj):
+    # a spawned pool worker gets the config pickled and never parses it, so
+    # the mode's modules are imported by the worker's initializer
+    cfg = ExperimentConfig.from_obj(obj)
+    task = (2, cfg.seeds[1])
+    returned = pickle.loads(_fresh_python(_WORKER_RUN, stdin=pickle.dumps((cfg, task))))
+    assert returned == harness._run_single(cfg, *task)
+
+
+@pytest.mark.parametrize(
+    "name, obj",
+    [
+        ("identify_stream", _iid_cfg()),
+        ("identify_chain_stream", _markov_cfg()),
+        ("identify_measure_stream", _measure_cfg()),
+        ("default_estimator", _measure_cfg()),
+        ("black_swan_demo", {"mode": "demo"}),
+    ],
+)
+def test_rebinding_a_harness_name_takes_effect(monkeypatch, name, obj):
+    # rebound before its mode's names are loaded, as in a new interpreter;
+    # parsing the config loads the others and keeps this one
+    original = getattr(harness, name)
+    for loaded in harness._RUNNERS[obj["mode"]][3]:
+        monkeypatch.delitem(vars(harness), loaded)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setitem(vars(harness), name, spy)
+    cfg = ExperimentConfig.from_obj(obj)
+    run_experiment(cfg)
+    assert len(calls) == len(cfg.seeds)
+
+
+def test_package_names_resolve_to_their_home_modules():
+    for name in probid.__all__:
+        home = importlib.import_module("probid." + probid._HOME[name])
+        assert getattr(probid, name) is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        probid.no_such_name
+    namespace = {}
+    exec("from probid import *", namespace)
+    assert set(probid.__all__) <= set(namespace)
 
 
 def test_cli_exit_code_on_invalid_config(tmp_path):
