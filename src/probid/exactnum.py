@@ -9,6 +9,13 @@ values falling inside the bracket are ambiguous, and
 `iid_identify.within_band` resolves those conservatively by comparing
 against the lower end.
 
+`below_tau` makes that same comparison, d/scale < tau(n).lo, and computes
+the bracket only where bit lengths cannot decide it: with b the bit length
+of n, (b-1) ln 2 <= ln n < b ln 2, and two comparisons of integer squares
+against 64-bit bounds of ln 2 settle all but a thin shell around the
+threshold.  The markov stream decides every row and stationary clause of
+its compiled candidates through it (see `markov_identify`).
+
 `log2_bracket` needs no such care: it returns the integer pair
 floor(log2 q), ceil(log2 q), read from bit lengths, and
 `log2_ratio_bracket` reads the same pair, as a plain tuple, off an
@@ -34,6 +41,9 @@ BRACKET_EPS = Fraction(1, 1 << 20)
 
 _ZERO = Fraction(0)
 _THIRD = Fraction(1, 3)
+
+#: ln 2 to 64 bits: _LN2_LO / 2**64 < ln 2 < (_LN2_LO + 1) / 2**64.
+_LN2_LO = 0xB17217F7D1CF79AB
 
 
 class Bracket(NamedTuple):
@@ -120,6 +130,27 @@ def tau(n):
     lo, hi = ln_bracket(n, Fraction(1, 1 << 24))
     steps_lo, steps_hi = _sqrt_steps(lo / n, 24), _sqrt_steps(hi / n, 24)
     return Bracket(Fraction(steps_lo, 1 << 24), Fraction(steps_hi + 1, 1 << 24))
+
+
+def below_tau(d, scale, n):
+    """Whether d/scale < tau(n).lo, for ints d >= 0, scale > 0, n >= 1.
+
+    With b = n.bit_length(), so that 2**(b-1) <= n < 2**b, write x for
+    d/scale.  It passes when (x + 2**-24)**2 * n <= (b-1) * LN2_LO - 2**-24:
+    `tau` brackets ln n to within 2**-24 and floors the square root to a
+    2**-24 grid, so its lower end exceeds sqrt((ln n - 2**-24) / n) - 2**-24.
+    It fails when x**2 * n >= b * LN2_HI, since the lower end never exceeds
+    sqrt(ln n / n).  Only in between is `tau(n)` computed.  Both filters
+    compare integers scaled by scale**2 * 2**64 and take no square root.
+    """
+    b = n.bit_length()
+    square = scale * scale
+    if ((d << 24) + scale) ** 2 * n << 16 <= ((b - 1) * _LN2_LO - (1 << 40)) * square:
+        return True
+    if d * d * n << 64 >= b * (_LN2_LO + 1) * square:
+        return False
+    lo = tau(n).lo
+    return d * lo.denominator < lo.numerator * scale
 
 
 def log2_bracket(q):

@@ -146,6 +146,8 @@ def _parse_config(obj):
         raise ConfigInvalid("checkpoint", "must be an object")
     stride = _positive_int(checkpoint.get("stride", 100), "checkpoint.stride")
     n_max = _positive_int(_need(obj, "n_max", "n_max"), "n_max")
+    if stride > n_max:
+        raise ConfigInvalid("checkpoint.stride", "exceeds n_max, so no checkpoint would be recorded")
     seeds = _parse_seeds(obj.get("seeds", {"count": 1, "base": 1}), "seeds")
 
     list_decl = _need(obj, "list", "list")

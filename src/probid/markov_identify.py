@@ -1,32 +1,42 @@
 """Identification in the limit of an ergodic chain from a single run.
 
 Each source state is its own i.i.d. subproblem: the transitions out of a
-state visited v times are v draws from that row, so rows with enough visits
-(v*v >= n) are held to the frequency band sqrt(ln v / v).  A second clause
-checks the visit frequencies against the candidate's exact stationary
-distribution at the full-run threshold; it separates chains that agree on
-the visited rows but weight them differently.
+state are draws from its row.  A state visited v times in the run prefix
+x_1..x_n is held to its row once v*v >= n, within the frequency band
+sqrt(ln t / t), where t counts its transitions inside x_1..x_n: v, or v - 1
+when it is the last state x_n.  A second clause checks the visit
+frequencies against the candidate's exact stationary distribution at the
+full-run threshold; it separates chains that agree on the visited rows but
+weight them differently.  `chain_candidate_test` on the counts of
+`empirical` is the reference definition of both clauses.
 
 The stream never counts states pair by pair, nor steps one by one.  The
 sampler yields its steps, each an index into the chain's tuple of
-transitions, in blocks of 1024.  At each checkpoint the stream adds the
-next `stride` steps to a tally of indices and derives the visit and
-transition counts from that tally (`counts_from_steps`), in time
-proportional to the number of transitions rather than to the length of
-the run.  A chain with few transitions for its stride has its blocks
-turned into `bytes` and tallied with one `bytes.count` per transition over
-the checkpoint's steps, one pass in C each; where those passes would cost
-more than a `Counter.update` per step (`_count_in_bytes`), a `Counter`
-tallies the lists.
+transitions `pairs`, in blocks of 1024.  At each checkpoint the stream adds
+the next `stride` steps to a tally vector over `pairs` and reads the visit
+and transition vectors off it (`chain_counts`), in time proportional to
+the number of transitions rather than to the length of the run.  A chain
+with few transitions for its stride has its blocks turned into `bytes` and
+tallied with one `bytes.count` per transition over the checkpoint's steps,
+one pass in C each; where those passes would cost more than a
+`Counter.update` per step (`_count_in_bytes`), a `Counter` tallies the
+lists.  Each candidate is compiled once per stream against `pairs`
+(`_compile`): per source state, its row as integer numerators over one
+denominator in `pairs` order, the candidate transitions the source never
+takes, its stationary numerator, and whether it lacks the state.  The
+vectors then feed both clauses directly, one integer deviation per clause
+decided by `exactnum.below_tau`, which computes a `tau` bracket only where
+bit lengths cannot decide.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import pairwise
-from operator import add
+from itertools import accumulate, pairwise, repeat
+from math import lcm
+from operator import add, sub
 from typing import NamedTuple
 
-from .exactnum import tau
+from .exactnum import below_tau, tau
 from .hypotheses import MarkovChain
 from .iid_identify import checkpoint_trace, within_band
 from .sampling import chain_blocks
@@ -45,35 +55,24 @@ def empirical(run):
     return TransitionCounts(len(run), Counter(run), Counter(pairwise(run)))
 
 
-def counts_from_steps(pairs, tally, first):
-    """Counts of the run x_1..x_n whose steps are tallied in `tally`.
-
-    `tally` maps an index into `pairs` to the number of steps
-    (x_{t-1}, x_t), t = 1..n, that took that transition, and `first` is the
-    index of step 1.  Each step enters its target state once, so the tally
-    gives the visits; the transitions within x_1..x_n are every step but
-    the first, which leaves the start state x_0.
-    """
-    n, visits, trans = 0, Counter(), Counter()
-    for k, c in tally.items():
-        pair = pairs[k]
-        n += c
-        visits[pair[1]] += c
-        if k == first:
-            c -= 1
-        if c:
-            trans[pair] = c
-    return TransitionCounts(n, visits, trans)
-
-
 def chain_counts(source, x0, seed, stride):
     """Counts of the run prefixes of length stride, 2*stride, ... of a chain.
 
-    Raises BadStart at the call, before any state is drawn.
+    Returns (counts, pairs), `pairs` the chain's tuple of positive-mass
+    transitions (see `sampling.chain_blocks`).  At each prefix x_1..x_n,
+    `counts` yields the lists (visits, trans): visits[i] counts the visits
+    to source.states[i], and trans[k] the steps within x_1..x_n that take
+    pairs[k].  Each step (x_{t-1}, x_t), t = 1..n, enters its target state
+    once, so the tally of steps gives the visits; the transitions are every
+    step but the first, which leaves the start state x_0.  Raises BadStart
+    at the call, before any state is drawn.
     """
     blocks, pairs = chain_blocks(source, x0, seed)
+    into = [[k for k, (_, b) in enumerate(pairs) if b == s] for s in source.states]
     in_bytes = _count_in_bytes(pairs, stride)
-    return _checkpoint_counts(map(bytes, blocks) if in_bytes else blocks, pairs, stride, in_bytes)
+    if in_bytes:
+        blocks = map(bytes, blocks)
+    return _checkpoint_counts(blocks, len(pairs), into, stride, in_bytes), pairs
 
 
 def _strides(blocks, stride):
@@ -103,24 +102,24 @@ def _count_in_bytes(pairs, stride):
     return len(pairs) * (stride + 400) <= 60 * stride
 
 
-def _checkpoint_counts(blocks, pairs, stride, in_bytes):
+def _checkpoint_counts(blocks, size, into, stride, in_bytes):
     runs = _strides(blocks, stride)
     run = next(runs)
     first = run[0][0]
-    if in_bytes:
-        # one pass in C per transition, no object per step
-        indices = range(len(pairs))
-        tally = [0] * len(pairs)
-        while True:
+    indices = range(size)
+    counter, tally = Counter(), [0] * size
+    while True:
+        if in_bytes:
+            # one pass in C per transition, no object per step
             steps = b"".join(run)
             tally = list(map(add, tally, map(steps.count, indices)))
-            yield counts_from_steps(pairs, {k: c for k, c in enumerate(tally) if c}, first)
-            run = next(runs)
-    tally = Counter()
-    while True:
-        for chunk in run:
-            tally.update(chunk)
-        yield counts_from_steps(pairs, tally, first)
+        else:
+            for chunk in run:
+                counter.update(chunk)
+            tally = list(map(counter.get, indices, repeat(0)))
+        trans = tally.copy()
+        trans[first] -= 1
+        yield [sum(map(tally.__getitem__, ks)) for ks in into], trans
         run = next(runs)
 
 
@@ -170,22 +169,105 @@ def chain_candidate_test(chain, counts):
     )
 
 
-def _least_passing(hyp_list, counts, n):
+def identify_chain(hyp_list, run, n):
+    """Least index passing on the length-n run prefix, None if none does."""
+    counts = empirical(run[:n])
     return hyp_list.least_passing(n, lambda i, chain: chain_candidate_test(chain, counts))
 
 
-def identify_chain(hyp_list, run, n):
-    """Least index passing on the length-n run prefix, None if none does."""
-    return _least_passing(hyp_list, empirical(run[:n]), n)
+def _against(masses, keys):
+    """The dict `masses` as (numerators, denominator, never): the numerator
+    of each key in `keys` (0 where `masses` lacks it) over the least common
+    denominator, and the largest numerator among the keys of `masses` not
+    in `keys` (0 if none)."""
+    den = lcm(*(q.denominator for q in masses.values()))
+    nums = {a: q.numerator * (den // q.denominator) for a, q in masses.items()}
+    known = set(keys)
+    never = max((c for a, c in nums.items() if a not in known), default=0)
+    return [nums.get(a, 0) for a in keys], den, never
+
+
+def _compile(chain, states, spans, pairs):
+    """A candidate as integers against the source's `pairs`.
+
+    Returns (lacks, rows, pi).  `lacks` holds the indices of the source
+    `states` the candidate lacks; rows[i] is None for those and otherwise
+    the candidate's row out of states[i] against the targets of
+    pairs[spans[i][0]:spans[i][1]] (see `_against`); pi is its stationary
+    distribution against `states`.  A target or state the candidate lacks
+    gets numerator 0: reaching it fails the candidate through `lacks`.
+    """
+    rows = [
+        _against(dict(chain.row(s)), [b for _, b in pairs[lo:hi]])
+        if chain.has_state(s)
+        else None
+        for s, (lo, hi) in zip(states, spans)
+    ]
+    pi = _against(dict(zip(chain.states, chain.pi)), states)
+    return tuple(i for i, row in enumerate(rows) if row is None), rows, pi
+
+
+def _deviation(nums, den, never, counts, total):
+    """Numerator over den * total of the largest |num/den - count/total|,
+    the masses never counted included."""
+    gaps = map(sub, map(total.__mul__, nums), map(den.__mul__, counts))
+    return max(never * total, max(map(abs, gaps)))
+
+
+def _spans(states, pairs):
+    """(lo, hi) of each state's slice of `pairs`, which lists the
+    transitions state by state."""
+    ends = list(accumulate(sum(a == s for a, _ in pairs) for s in states))
+    return list(zip([0] + ends, ends))
+
+
+def _gated(spans, visits, trans, n):
+    """(i, lo, hi, t) of each source state held to its row at size n: v*v >=
+    n for its v visits, and t > 0 transitions out of it, in trans[lo:hi]."""
+    return [
+        (i, lo, hi, t)
+        for i, (lo, hi) in enumerate(spans)
+        if visits[i] ** 2 >= n and (t := sum(trans[lo:hi]))
+    ]
+
+
+def _compiled_test(compiled, visits, trans, gated, n):
+    """`chain_candidate_test` of a `_compile`d candidate on the vectors of
+    `chain_counts` at size n, with the source states `_gated` at n."""
+    lacks, rows, (pi, den, never) = compiled
+    if any(map(visits.__getitem__, lacks)):
+        return False
+    # the stationary clause first: one deviation, and it fails most
+    # wrong candidates on dense chains
+    if not below_tau(_deviation(pi, den, never, visits, n), den * n, n):
+        return False
+    for i, lo, hi, t in gated:
+        nums, row_den, row_never = rows[i]
+        if not below_tau(_deviation(nums, row_den, row_never, trans[lo:hi], t), row_den * t, t):
+            return False
+    return True
 
 
 def identify_chain_stream(hyp_list, source, x0, seed, n_max, stride=100):
     """Run the source chain once and identify at every stride checkpoint.
 
     The counts at each checkpoint come from the running tally of the run's
-    steps (see `chain_counts`).
+    steps (see `chain_counts`), and each candidate is tested compiled
+    against them (`_compile`); `identify_chain` makes the same decisions.
     """
-    counts = chain_counts(source, x0, seed, stride)
-    return checkpoint_trace(
-        lambda n: _least_passing(hyp_list, next(counts), n), n_max, stride
-    )
+    counts, pairs = chain_counts(source, x0, seed, stride)
+    spans = _spans(source.states, pairs)
+    compiled = {}
+
+    def step(n):
+        visits, trans = next(counts)
+        gated = _gated(spans, visits, trans, n)
+
+        def passes(i, chain):
+            if i not in compiled:
+                compiled[i] = _compile(chain, source.states, spans, pairs)
+            return _compiled_test(compiled[i], visits, trans, gated, n)
+
+        return hyp_list.least_passing(n, passes)
+
+    return checkpoint_trace(step, n_max, stride)

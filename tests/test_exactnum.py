@@ -2,14 +2,18 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from probid import exactnum
 from probid.exactnum import (
+    _LN2_LO,
     BRACKET_EPS,
     Bracket,
+    below_tau,
     ln_bracket,
     log2_bracket,
     log2_ratio_bracket,
@@ -156,3 +160,73 @@ def test_log2_ratio_bracket_ignores_a_common_factor(q, factor, twos):
     q = Fraction(q)
     lo, hi = log2_ratio_bracket(q.numerator * factor, q.denominator * factor, twos)
     assert (lo - twos, hi - twos) == log2_bracket(q)
+
+
+def test_ln2_bounds_enclose_ln2():
+    ln2 = _mp_frac(mpmath.log(2))  # within 1e-40
+    margin = Fraction(1, 10**30)
+    assert Fraction(_LN2_LO, 1 << 64) < ln2 - margin < ln2 + margin < Fraction(_LN2_LO + 1, 1 << 64)
+
+
+_GRID = Fraction(1, 1 << 24)
+
+
+def _root_steps(q, bits):
+    """floor(sqrt(q) * 2**bits) of a rational q >= 0."""
+    return math.isqrt(q.numerator * 4**bits // q.denominator)
+
+
+def widest_tau(n):
+    """The lowest bracket `tau` may return by its contract: ln n bracketed
+    to within 2**-24 from below, then floored to the 2**-24 grid."""
+    if n == 1:
+        return Bracket(Fraction(0), Fraction(0))
+    ln_lo = _mp_frac(mpmath.log(n)) + Fraction(1, 10**30) - _GRID  # in (ln n - 2**-24, ln n]
+    return Bracket(Fraction(_root_steps(ln_lo / n, 24), 1 << 24), tau(n).hi)
+
+
+def _edge_steps(n, anchor, bracket, bits):
+    """floor(x * 2**bits) for x on the edge of a filter of `below_tau` or
+    at an end of the bracket."""
+    if anchor in ("lo", "hi"):
+        return math.floor(getattr(bracket(n), anchor) * (1 << bits))
+    b = n.bit_length()
+    if anchor == "fail":  # x * x * n >= b * LN2_HI
+        return _root_steps(Fraction(b * (_LN2_LO + 1), n << 64), bits)
+    # pass: (x + 2**-24)**2 * n <= (b - 1) * LN2_LO - 2**-24
+    square = max(Fraction((b - 1) * _LN2_LO, n << 64) - _GRID / n, Fraction(0))
+    return _root_steps(square, bits) - (1 << (bits - 24))
+
+
+# 1, 2, powers of two and their neighbours, where (b - 1) ln 2 or b ln 2 is
+# within a hair of ln n, and sizes up to 10**6
+tau_sizes = (
+    st.sampled_from([1, 2])
+    | st.builds(lambda k, j: (1 << k) + j, st.integers(1, 40), st.integers(-1, 1))
+    | st.integers(1, 10**6)
+)
+
+
+@pytest.mark.parametrize("bracket", [tau, widest_tau], ids=["tau", "widest"])
+@settings(max_examples=300, deadline=None)
+@given(
+    n=tau_sizes,
+    anchor=st.sampled_from(["pass", "fail", "lo", "hi"]),
+    bits=st.sampled_from([24, 40, 80]),
+    delta=st.integers(-3, 3),
+    factor=st.integers(1, 7),
+)
+# tau(n).lo itself, which only the pass filter's 2**-24 allowance for the
+# square-root grid rules out at 8 and its allowance for the width of the
+# bracket of ln n rules out at 2 and 4 under the widest bracket
+@example(n=2, anchor="lo", bits=24, delta=0, factor=1)
+@example(n=4, anchor="lo", bits=24, delta=0, factor=1)
+@example(n=8, anchor="lo", bits=24, delta=0, factor=3)
+def test_below_tau_decides_against_the_bracket(bracket, n, anchor, bits, delta, factor):
+    """below_tau(d, scale, n) is d/scale < lo for the bracket `tau` returns
+    and for the lowest one its contract allows, with d/scale drawn on both
+    sides of each filter's edge and inside the bracket."""
+    d = max(0, _edge_steps(n, anchor, bracket, bits) + delta) * factor
+    scale = factor << bits
+    with mock.patch.object(exactnum, "tau", bracket):
+        assert below_tau(d, scale, n) == (Fraction(d, scale) < bracket(n).lo)

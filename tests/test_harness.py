@@ -66,6 +66,10 @@ def _invalid_path(cfg):
 
 def test_config_error_paths():
     assert _invalid_path(_iid_cfg(checkpoint={"stride": 0})) == "checkpoint.stride"
+    assert _invalid_path(_iid_cfg(checkpoint={"stride": 101}, n_max=100)) == "checkpoint.stride"
+    cfg = _iid_cfg(n_max=99)
+    del cfg["checkpoint"]  # the default stride, 100
+    assert _invalid_path(cfg) == "checkpoint.stride"
     assert _invalid_path(_iid_cfg(mode="bogus")) == "mode"
     assert _invalid_path(_iid_cfg(n_max="big")) == "n_max"
     assert _invalid_path(_iid_cfg(seeds=[])) == "seeds"
@@ -162,7 +166,10 @@ def test_render_csv_matches_csv_writer(rows):
 
 
 def test_run_without_checkpoints():
-    records, summary = run_experiment(_iid_cfg(n_max=100, seeds=[5]))
+    # a config file cannot ask for this (stride 500 > n_max 100 exits 2), but
+    # a config built in Python can
+    cfg = ExperimentConfig.from_obj(_iid_cfg(seeds=[5]))._replace(n_max=100)
+    records, summary = run_experiment(cfg)
     rec = records[0]
     assert rec.checkpoints == []
     assert rec.converged_at is None and rec.final_guess is None

@@ -14,7 +14,11 @@ from probid.hypotheses import MarkovChain, make_finite_pmf
 from probid.iid_identify import candidate_test
 from probid.markov_identify import (
     TransitionCounts,
+    _compile,
+    _compiled_test,
     _count_in_bytes,
+    _gated,
+    _spans,
     chain_candidate_test,
     chain_counts,
     empirical,
@@ -24,7 +28,7 @@ from probid.markov_identify import (
     stationary,
     _rows_pass,
 )
-from probid.sampling import run_chain
+from probid.sampling import chain_blocks, run_chain
 
 F = Fraction
 HALF = F(1, 2)
@@ -109,15 +113,13 @@ def _strings(chain):
 @example(chain=dense_chain(17), seed=2**64 - 1, stride=1500, n_max=3000, start=16)
 def test_stream_counts_equal_empirical_at_every_checkpoint(chain, seed, stride, n_max, start):
     x0 = chain.states[start % len(chain.states)]
-    counts = chain_counts(chain, x0, seed, stride)
+    counts, pairs = chain_counts(chain, x0, seed, stride)
     run = run_chain(chain, x0, seed, n_max)
     for n in range(stride, n_max + 1, stride):
-        c, expected = next(counts), empirical(run[:n])
-        assert (c.n, dict(c.visits), dict(c.trans)) == (
-            expected.n,
-            dict(expected.visits),
-            dict(expected.trans),
-        )
+        (visits, trans), expected = next(counts), empirical(run[:n])
+        assert sum(visits) == n
+        assert {s: v for s, v in zip(chain.states, visits) if v} == dict(expected.visits)
+        assert {pairs[k]: c for k, c in enumerate(trans) if c} == dict(expected.trans)
 
 
 def test_examples_straddle_the_tally_crossover():
@@ -227,3 +229,94 @@ def test_chain_stream_equals_identify_chain_at_every_checkpoint(seed, stride, n_
     run = run_chain(source, x0, seed, n_max)
     expected = [(n, identify_chain(hl, run, n)) for n in range(stride, n_max + 1, stride)]
     assert trace.checkpoints == expected
+
+
+# a cycle through 0..4 with a self-loop at 0: zero mass on most transitions
+FIVE_CYCLE = MarkovChain(
+    range(5),
+    [[HALF, HALF, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 0, 0, 0, 0]],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=chains_with_zeros(),
+    others=st.lists(chains_with_zeros(), min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    stride=st.integers(min_value=1, max_value=1500),
+    n_max=st.integers(min_value=1, max_value=3000),
+    start=st.integers(min_value=0, max_value=3),
+)
+# a dense source tallied by a `Counter` (stride 97) and in bytes (1000),
+# against candidates that lack its states, have states it lacks, or put
+# zero mass on some of its transitions
+@example(
+    source=dense_chain(4),
+    others=[chain_3state(), FIVE_CYCLE],
+    seed=2**64 - 1,
+    stride=97,
+    n_max=3000,
+    start=3,
+)
+@example(
+    source=dense_chain(3), others=[chain_a(), dense_chain(4)], seed=7, stride=1000, n_max=3000, start=1
+)
+def test_compiled_test_equals_chain_candidate_test(source, others, seed, stride, n_max, start):
+    """The stream's compiled test passes a candidate at a checkpoint exactly
+    when `chain_candidate_test` passes it on the counts of the prefix."""
+    x0 = source.states[start % len(source.states)]
+    n_max = min(n_max, 40 * stride)
+    run = run_chain(source, x0, seed, n_max)
+    for chain in [source] + others:
+        only = HypothesisList("markov", [chain])
+        trace = identify_chain_stream(only, source, x0, seed, n_max, stride)
+        expected = [
+            (n, 1 if chain_candidate_test(chain, empirical(run[:n])) else None)
+            for n in range(stride, n_max + 1, stride)
+        ]
+        assert trace.checkpoints == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    source=chains_with_zeros(),
+    others=st.lists(chains_with_zeros(), min_size=1, max_size=3),
+    steps=st.lists(st.integers(0, 12), min_size=16, max_size=16),
+    first=st.integers(0, 15),
+)
+# state 0 is held to its row at exactly v*v == n (v = 3, n = 9), and only
+# that row fails the candidate
+@example(
+    source=MarkovChain((0, 1), [[HALF, HALF]] * 2),
+    others=[MarkovChain((0, 1), [[F(3, 4), F(1, 4)], [F(1, 8), F(7, 8)]])],
+    steps=[0, 3, 3, 2] + [0] * 12,
+    first=3,
+)
+# state 2 is never visited, and the candidate passes without it
+@example(
+    source=chain_3state(),
+    others=[MarkovChain((0, 1), [[HALF, HALF]] * 2)],
+    steps=[6, 6, 0, 6, 6] + [0] * 11,
+    first=0,
+)
+def test_compiled_test_equals_chain_candidate_test_on_any_tally(source, others, steps, first):
+    """The same on arbitrary tallies of steps, small enough that deviations
+    sit near the band and rows near the gate v*v >= n."""
+    _, pairs = chain_blocks(source, source.states[0], 0)
+    tally, first = steps[: len(pairs)], first % len(pairs)
+    tally[first] += 1
+    trans = tally.copy()
+    trans[first] -= 1
+    visits = [sum(c for k, c in enumerate(tally) if pairs[k][1] == s) for s in source.states]
+    n = sum(tally)
+    counts = TransitionCounts(
+        n,
+        Counter({s: v for s, v in zip(source.states, visits) if v}),
+        Counter({pair: c for pair, c in zip(pairs, trans) if c}),
+    )
+    spans = _spans(source.states, pairs)
+    gated = _gated(spans, visits, trans, n)
+    for chain in [source] + others:
+        compiled = _compile(chain, source.states, spans, pairs)
+        expected = chain_candidate_test(chain, counts)
+        assert _compiled_test(compiled, visits, trans, gated, n) == expected
