@@ -147,7 +147,7 @@ def _parse_config(obj):
     stride = _positive_int(checkpoint.get("stride", 100), "checkpoint.stride")
     n_max = _positive_int(_need(obj, "n_max", "n_max"), "n_max")
     if stride > n_max:
-        raise ConfigInvalid("checkpoint.stride", "exceeds n_max, so no checkpoint would be recorded")
+        raise ConfigInvalid("checkpoint.stride", "exceeds n_max: no checkpoint would be recorded")
     seeds = _parse_seeds(obj.get("seeds", {"count": 1, "base": 1}), "seeds")
 
     list_decl = _need(obj, "list", "list")

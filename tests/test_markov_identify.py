@@ -259,7 +259,12 @@ FIVE_CYCLE = MarkovChain(
     start=3,
 )
 @example(
-    source=dense_chain(3), others=[chain_a(), dense_chain(4)], seed=7, stride=1000, n_max=3000, start=1
+    source=dense_chain(3),
+    others=[chain_a(), dense_chain(4)],
+    seed=7,
+    stride=1000,
+    n_max=3000,
+    start=1,
 )
 def test_compiled_test_equals_chain_candidate_test(source, others, seed, stride, n_max, start):
     """The stream's compiled test passes a candidate at a checkpoint exactly
