@@ -14,7 +14,7 @@ from .harness import (
     run_experiment,
     write_plot_script,
 )
-from .hypotheses import MarkovChain, build_hypothesis
+from .hypotheses import build_hypothesis
 
 
 def _build_parser():
@@ -80,6 +80,8 @@ def _cmd_demo(args):
 
 
 def _cmd_stationary(args):
+    from .chains import MarkovChain  # only this command needs it
+
     try:
         with open(args.chain, "r") as handle:
             obj = json.load(handle)

@@ -21,14 +21,7 @@ from typing import NamedTuple
 
 from .enumeration import HypothesisList, interleave_decode
 from .errors import ConfigInvalid, EmptyInput, IoError, ProbidError
-from .hypotheses import (
-    FinitePmf,
-    GeometricPmf,
-    MarkovChain,
-    MeasureBase,
-    ProductMeasure,
-    build_hypothesis,
-)
+from .hypotheses import build_hypothesis
 
 _CHECKPOINT_HEADER = ["run_id", "seed", "n", "guess", "changed"]
 _SUMMARY_HEADER = ["run_id", "seed", "final_guess", "converged_at", "correct"]
@@ -240,11 +233,7 @@ def _parse_list(mode, decl):
     return _build_list(mode, specs, "list.items" if "items" in decl else "list.grid")
 
 
-_KINDS = {
-    "iid": ("pmf", (FinitePmf, GeometricPmf)),
-    "markov": ("markov", MarkovChain),
-    "measure": ("measure", MeasureBase),
-}
+_KINDS = {"iid": "pmf", "markov": "markov", "measure": "measure"}
 
 
 def _build_list(mode, specs, path):
@@ -259,10 +248,10 @@ def _build_list(mode, specs, path):
             raise ConfigInvalid(path_k, str(exc))
         except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigInvalid(path_k, "%s: %s" % (type(exc).__name__, exc))
-        if not isinstance(hyp, _KINDS[mode][1]):
+        if hyp.kind != _KINDS[mode]:
             raise ConfigInvalid(path_k, "wrong kind for mode")
         built.append(hyp)
-    return HypothesisList(_KINDS[mode][0], built)
+    return HypothesisList(_KINDS[mode], built)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +264,7 @@ def _equal_hypotheses(a, b):
         return a.equal_pmf(b)
     if hasattr(a, "equal_chain"):
         return a.equal_chain(b)
-    if isinstance(a, ProductMeasure) and isinstance(b, ProductMeasure):
+    if a.spec.family == b.spec.family == "iid_measure":
         return a.pmf.equal_pmf(b.pmf)
     # Extensional equality of measures is undecidable; spec-level equality
     # is the decidable stand-in for the shipped families.

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import EmptyHistory, UnknownState
-from .hypotheses import make_black_swan_pair
+from .measures import make_black_swan_pair
 
 ONE = Fraction(1)
 

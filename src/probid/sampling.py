@@ -46,7 +46,6 @@ from struct import Struct
 from typing import NamedTuple
 
 from .errors import BadStart
-from .hypotheses import MarkedRunMeasure, ProductMeasure
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -293,6 +292,8 @@ def draw_from_measure(mu, seed, n):
     the first draw is the marker.  Any other measure goes through
     `_draw_chain_rule`.
     """
+    from .measures import MarkedRunMeasure, ProductMeasure  # only measure runs need them
+
     if isinstance(mu, ProductMeasure):
         return draw_iid(mu.pmf, seed, n)
     if isinstance(mu, MarkedRunMeasure):

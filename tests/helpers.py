@@ -4,14 +4,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from probid.chains import MarkovChain
 from probid.enumeration import HypothesisList
-from probid.hypotheses import (
-    MarkovChain,
-    constant_run_measure,
-    make_finite_pmf,
-    make_iid_measure,
-    make_mu_k,
-)
+from probid.hypotheses import make_finite_pmf
+from probid.measures import constant_run_measure, make_iid_measure, make_mu_k
 
 F = Fraction
 

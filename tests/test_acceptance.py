@@ -23,10 +23,11 @@ from probid.complexity import ComplexityEstimator, khat, kraft_audit
 from probid.enumeration import HypothesisList, InterleavedList
 from probid.exactnum import tau
 from probid.harness import run_experiment
-from probid.hypotheses import make_black_swan_pair, make_finite_pmf
+from probid.hypotheses import make_finite_pmf
 from probid.iid_identify import identify_stream
 from probid.markov_identify import ergodic_mean, identify_chain_stream, stationary
 from probid.measure_identify import identify_measure_stream
+from probid.measures import make_black_swan_pair
 from probid.predict import black_swan_demo
 from probid.sampling import Rng, draw_iid, run_chain
 

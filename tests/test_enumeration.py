@@ -4,7 +4,7 @@ import pytest
 
 from probid.enumeration import HypothesisList, InterleavedList, interleave_decode
 from probid.errors import IndexOutOfRange
-from probid.hypotheses import make_simple_pmf
+from probid.terms import make_simple_pmf
 
 
 def _brute_force_decode(limit):

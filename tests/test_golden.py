@@ -3,7 +3,8 @@
 Each config runs through `run_experiment` and the sha256 of its
 `checkpoints.csv` and `summary.csv` is compared with a pinned value.  A
 change that alters which guess is emitted at any checkpoint, or how it is
-written, fails here.  The markov stream tallies "markov" by
+written, fails here.  "iid-families" and "iid-families-grid" list the
+simple and geometric pmfs.  The markov stream tallies "markov" by
 `bytes.count`, and "markov-8-states" (64 transitions, each index fits a
 byte) and "markov-17-states" (289 transitions) by a `Counter`.  The
 measure configs reach non-dyadic prefix masses (the 3/4-1/4 i.i.d.
@@ -34,6 +35,10 @@ def _dense_markov(size, s):
     sums that are mostly not powers of two."""
     rows = [["%d/%d" % (w, sum(row)) for w in row] for row in dense_weights(size, s)]
     return {"family": "markov", "params": {"states": list(range(size)), "rows": rows}}
+
+
+def _simple(term, size):
+    return {"family": "simple_pmf", "params": {"term": term, "size": size}}
 
 
 def _iid_measure(*pairs):
@@ -91,6 +96,44 @@ GOLDEN = {
         },
         "b2dcec8fdcf8f2c765238d5884e673d720c98d48c5dc7d900948518d0a767c60",
         "b5091c3575d31fcd247f67ef3d67568698909fc6c922c187f89d06efaf0d6462",
+    ),
+    # the pmf families beside finite_pmf: a geometric target (infinite
+    # support) among simple pmfs, and a list declared as a simple_pmf grid
+    # (a list takes items or a grid, not both); in each, the guesses of
+    # some seeds move before they settle
+    "iid-families": (
+        {
+            "mode": "iid",
+            "list": {
+                "items": [
+                    _simple("j", 4),
+                    _simple("2^j", 6),
+                    {"family": "geometric_pmf"},
+                    _simple("j*j+1", 3),
+                ]
+            },
+            "target_index": 3,
+            "n_max": 3000,
+            "checkpoint": {"stride": 30},
+            "seeds": [1, 2, 3, 4],
+        },
+        "80d9ac0b167b38089c08411801ca9c971040d8ac54ed9bf5d79ae5cff71deaa7",
+        "4a6831bd44e68e6708f87e9336d7b8d3870bf7700140af24ae3f6421a05c80f3",
+    ),
+    "iid-families-grid": (
+        {
+            "mode": "iid",
+            "list": {
+                "family": "simple_pmf",
+                "grid": {"term": ["j", "j*j+1", "2^j", "(j+1)^2"], "size": [3, 5]},
+            },
+            "target_index": 6,
+            "n_max": 3000,
+            "checkpoint": {"stride": 30},
+            "seeds": [1, 2, 3, 4],
+        },
+        "2d92d5152fc0452817e303d6e308c5ca3a2235a1df1c2bc05273e8956d4a7a69",
+        "ac3ff0e297608b9d21d888cdd4be26ecb7162c2cf167d061f898b767db1415d9",
     ),
     "markov": (
         {

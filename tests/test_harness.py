@@ -510,22 +510,33 @@ print(json.dumps(out))
 
 
 def test_parsing_a_config_imports_only_its_modes_modules():
-    # each config is parsed by a freshly imported probid, in one interpreter
-    configs = {"iid": _iid_cfg(), "markov": _markov_cfg(), "measure": _measure_cfg(), "demo": {"mode": "demo"}}
+    # each config is parsed by a freshly imported probid, in one interpreter;
+    # a config loads the module of each model family it names, and no other
+    configs = {
+        "iid": _iid_cfg(),
+        "iid-simple": _iid_cfg(list={"family": "simple_pmf", "grid": {"term": ["j"], "size": [2, 3]}}),
+        "markov": _markov_cfg(),
+        "measure": _measure_cfg(),
+        "demo": {"mode": "demo"},
+    }
     loaded = json.loads(_fresh_python(_LOADED_BY_MODE, json.dumps(configs)))
     assert loaded["bare"] == []
-    assert "predict" not in loaded["cli"]  # the demo command imports it
+    # the demo command imports predict, and the stationary command chains
+    assert not {"predict", "chains", "measures", "terms"} & set(loaded["cli"])
     own = {
         "iid": {"iid_identify"},
-        "markov": {"markov_identify"},
-        "measure": {"measure_identify", "complexity"},
-        "demo": {"predict"},
+        "iid-simple": {"iid_identify", "terms"},
+        "markov": {"markov_identify", "chains"},
+        "measure": {"measure_identify", "complexity", "measures"},
+        "demo": {"predict", "measures"},
     }
+    families = {"chains", "measures", "terms"}
     left_out = {
-        "iid": {"markov_identify", "measure_identify", "complexity", "predict"},
-        "markov": {"measure_identify", "complexity", "predict"},
-        "measure": {"markov_identify", "predict"},
-        "demo": {"iid_identify", "markov_identify", "measure_identify", "complexity"},
+        "iid": {"markov_identify", "measure_identify", "complexity", "predict"} | families,
+        "iid-simple": {"chains", "measures"},
+        "markov": {"measure_identify", "complexity", "predict", "measures", "terms"},
+        "measure": {"markov_identify", "predict", "chains", "terms"},
+        "demo": {"iid_identify", "markov_identify", "measure_identify", "complexity", "chains", "terms"},
     }
     for mode in configs:
         assert own[mode] <= set(loaded[mode]), mode
@@ -579,10 +590,49 @@ def test_rebinding_a_harness_name_takes_effect(monkeypatch, name, obj):
     assert len(calls) == len(cfg.seeds)
 
 
+# every public name `probid.hypotheses` defined before its chain, measure
+# and term families moved out, by the module that defines it now
+_HYPOTHESES_NAMES = {
+    "hypotheses": (
+        "FinitePmf",
+        "GeometricPmf",
+        "HypothesisSpec",
+        "ONE",
+        "ZERO",
+        "build_hypothesis",
+        "make_finite_pmf",
+        "make_geometric_pmf",
+    ),
+    "chains": ("MarkovChain",),
+    "measures": (
+        "MASS_ZERO",
+        "MarkedRunMeasure",
+        "MeasureBase",
+        "PathMixtureMeasure",
+        "ProductMeasure",
+        "constant_run_measure",
+        "make_black_swan_pair",
+        "make_iid_measure",
+        "make_mu_k",
+        "switch_pair_measure",
+    ),
+    "terms": ("make_simple_pmf", "parse_term"),
+}
+
+
 def test_package_names_resolve_to_their_home_modules():
     for name in probid.__all__:
         home = importlib.import_module("probid." + probid._HOME[name])
         assert getattr(probid, name) is getattr(home, name), name
+    # `hypotheses` still resolves the names that moved, from their new homes
+    hypotheses = importlib.import_module("probid.hypotheses")
+    for module, names in _HYPOTHESES_NAMES.items():
+        home = importlib.import_module("probid." + module)
+        for name in names:
+            assert getattr(hypotheses, name) is getattr(home, name), name
+            assert name in vars(home), name
+    with pytest.raises(AttributeError):
+        hypotheses.no_such_name
     with pytest.raises(AttributeError):
         probid.no_such_name
     namespace = {}

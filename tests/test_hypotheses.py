@@ -7,6 +7,7 @@ from math import inf
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from probid.chains import MarkovChain
 from probid.errors import (
     BadSymbol,
     NonpositiveMass,
@@ -16,21 +17,16 @@ from probid.errors import (
     ZeroDenominator,
 )
 from probid.exactnum import log2_bracket
-from probid.hypotheses import (
+from probid.hypotheses import HypothesisSpec, build_hypothesis, make_finite_pmf, make_geometric_pmf
+from probid.measures import (
     MASS_ZERO,
-    HypothesisSpec,
-    MarkovChain,
-    build_hypothesis,
     constant_run_measure,
     make_black_swan_pair,
-    make_finite_pmf,
-    make_geometric_pmf,
     make_iid_measure,
     make_mu_k,
-    make_simple_pmf,
-    parse_term,
     switch_pair_measure,
 )
+from probid.terms import make_simple_pmf, parse_term
 
 F = Fraction
 HALF = F(1, 2)

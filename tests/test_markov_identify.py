@@ -8,9 +8,10 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import chain_3state, chain_a, chain_b, chains_with_zeros, dense_chain
+from probid.chains import MarkovChain
 from probid.enumeration import HypothesisList
 from probid.errors import NotErgodic
-from probid.hypotheses import MarkovChain, make_finite_pmf
+from probid.hypotheses import make_finite_pmf
 from probid.iid_identify import candidate_test
 from probid.markov_identify import (
     TransitionCounts,

@@ -12,12 +12,7 @@ from helpers import all_a_measure, mixed_measure_list, uniform_ab_measure
 from probid.complexity import ComplexityEstimator
 from probid.enumeration import HypothesisList, InterleavedList
 from probid.errors import ProbidError
-from probid.hypotheses import (
-    make_black_swan_pair,
-    make_finite_pmf,
-    make_iid_measure,
-    make_mu_k,
-)
+from probid.hypotheses import make_finite_pmf
 from probid.measure_identify import (
     SigmaTrace,
     default_estimator,
@@ -25,6 +20,7 @@ from probid.measure_identify import (
     identify_measure_stream,
     sigma_stage,
 )
+from probid.measures import make_black_swan_pair, make_iid_measure, make_mu_k
 
 F = Fraction
 

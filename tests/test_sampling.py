@@ -22,16 +22,15 @@ from helpers import (
     weights_pmf,
 )
 from probid import sampling
+from probid.chains import MarkovChain
 from probid.errors import BadStart, ZeroMassPrefix
 from probid.exactnum import tau
-from probid.hypotheses import (
+from probid.hypotheses import make_finite_pmf, make_geometric_pmf
+from probid.measures import (
     MarkedRunMeasure,
-    MarkovChain,
     ProductMeasure,
     constant_run_measure,
     make_black_swan_pair,
-    make_finite_pmf,
-    make_geometric_pmf,
     make_iid_measure,
     make_mu_k,
     switch_pair_measure,
