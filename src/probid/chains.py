@@ -142,7 +142,8 @@ class MarkovChain:
     def stationary_mass(self, state):
         return self.pi[self._index[state]]
 
-    def equal_chain(self, other):
+    def same(self, other):
+        """The same states, in the same order, and the same transition rows."""
         return (
             isinstance(other, MarkovChain)
             and self.states == other.states

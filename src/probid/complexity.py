@@ -17,7 +17,9 @@ gamma code, gamma(k) = 2*floor(log2 k) + 1 bits; b = ceil(log2 |L|)):
           for the i-th measure of the model list, i <= stage, mu_i(x) > 0
 
 The literal code is admitted whatever the scheme set names, so every
-string is priced; `schemes` only adds the run and model codes to it.
+string is priced; `schemes` only adds the run and model codes to it.  The
+run code is admitted at every stage; which model codes stage n admits is
+decided in `ComplexityEstimator.model_count` alone.
 
 `model_bits` takes floor(log2 mu_i(x)), the lower end of
 `exactnum.log2_bracket`, and reads ceil(log2 1/mu_i(x)) as its negation, so
@@ -36,7 +38,6 @@ from typing import NamedTuple
 from .exactnum import log2_bracket
 
 _TAG_BITS = 2
-_SCHEME_STAGE = {"literal": 0, "run": 1, "model": 2}
 _DEFAULT_SCHEMES = ("literal", "run")
 
 
@@ -71,26 +72,6 @@ def model_bits(i, log2_lo):
     return _TAG_BITS + gamma_length(i) - log2_lo + 1
 
 
-def khat(x, n, alphabet, model_list=None, schemes=_DEFAULT_SCHEMES):
-    """Shortest admissible description length of x at stage n, in bits."""
-    if n < 1:
-        raise ValueError("stage must be >= 1")
-    x = tuple(x)
-    if not x:
-        return _TAG_BITS
-    b = symbol_bits(len(alphabet))
-    lengths = [literal_bits(len(x), b)]
-    active = [s for s in schemes if _SCHEME_STAGE[s] <= n]
-    if "run" in active and len(set(x)) == 1:
-        lengths.append(run_bits(len(x), b))
-    if "model" in active and model_list:
-        for i, mu in enumerate(model_list[:n], start=1):
-            mass = mu.mass(x)
-            if mass > 0:
-                lengths.append(model_bits(i, log2_bracket(mass).lo))
-    return min(lengths)
-
-
 class ComplexityEstimator(NamedTuple):
     """Scheme set, alphabet, and optional model measures for khat.
 
@@ -108,8 +89,32 @@ class ComplexityEstimator(NamedTuple):
     def stage(self, n):
         return n if self.stage_cap is None else min(n, self.stage_cap)
 
+    def model_count(self, n):
+        """How many model codes stage n admits: list measures 1..stage, from stage 2."""
+        stage = self.stage(n)
+        return min(stage, len(self.model_list)) if "model" in self.schemes and stage >= 2 else 0
+
     def khat(self, x, n):
-        return khat(x, self.stage(n), self.alphabet, self.model_list, self.schemes)
+        """Shortest admissible description length of x at stage n, in bits."""
+        if n < 1:
+            raise ValueError("stage must be >= 1")
+        x = tuple(x)
+        if not x:
+            return _TAG_BITS
+        b = symbol_bits(len(self.alphabet))
+        lengths = [literal_bits(len(x), b)]
+        if "run" in self.schemes and len(set(x)) == 1:
+            lengths.append(run_bits(len(x), b))
+        for i, mu in enumerate(self.model_list[: self.model_count(n)], start=1):
+            mass = mu.mass(x)
+            if mass > 0:
+                lengths.append(model_bits(i, log2_bracket(mass).lo))
+        return min(lengths)
+
+
+def khat(x, n, alphabet, model_list=(), schemes=_DEFAULT_SCHEMES):
+    """`ComplexityEstimator.khat` of an estimator with no stage cap."""
+    return ComplexityEstimator(alphabet, schemes, model_list).khat(x, n)
 
 
 def kraft_audit(estimator, length_cap):

@@ -58,14 +58,12 @@ class Bracket(NamedTuple):
 
 
 def _atanh_twice(z, eps):
-    """Bracket 2*atanh(z) = ln((1+z)/(1-z)) for rational 0 <= z < 1/3.
+    """Bracket 2*atanh(z) = ln((1+z)/(1-z)) for rational 0 < z <= 1/3.
 
     Partial sums of 2*sum z^(2i+1)/(2i+1) are exact lower bounds; the tail
     after truncation is below 2*z^(2t+3)/(2t+3) * 1/(1-z^2) <= next_term*9/8
     because z^2 <= 1/9.
     """
-    if z == 0:
-        return _ZERO, _ZERO
     zz = z * z
     power = z
     total = _ZERO
@@ -85,25 +83,18 @@ def _ln2(eps):
     return _atanh_twice(_THIRD, eps)
 
 
-def ln_bracket(q, eps=BRACKET_EPS):
-    """Bracket the natural logarithm of a positive rational, width < eps."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ProbidError("ln of nonpositive rational")
-    if q == 1:
-        return Bracket(_ZERO, _ZERO)
-    if q < 1:
-        lo, hi = ln_bracket(1 / q, eps)
-        return Bracket(-hi, -lo)
-    e = log2_bracket(q).lo
-    m = q / (1 << e)  # in [1, 2)
-    if e == 0:
-        mlo, mhi = _atanh_twice((m - 1) / (m + 1), eps)
-        return Bracket(mlo, mhi)
+def ln_bracket(n, eps=BRACKET_EPS):
+    """Bracket the natural logarithm of an integer n >= 2, width < eps.
+
+    With n = 2**e * m, 1 <= m < 2, ln n = e ln 2 + 2*atanh((m-1)/(m+1)),
+    each half bracketed to eps/2; m = 1 adds nothing.
+    """
+    e = n.bit_length() - 1
     part = eps / 2
     l2lo, l2hi = _ln2(part / e)
-    if m == 1:
+    if n == 1 << e:
         return Bracket(e * l2lo, e * l2hi)
+    m = Fraction(n, 1 << e)
     mlo, mhi = _atanh_twice((m - 1) / (m + 1), part)
     return Bracket(e * l2lo + mlo, e * l2hi + mhi)
 

@@ -179,13 +179,14 @@ def _parse_config(obj):
     estimator = obj.get("estimator", {})
     if not isinstance(estimator, dict):
         raise ConfigInvalid("estimator", "must be an object")
-    schemes = estimator.get("schemes", ["literal"])
-    if not isinstance(schemes, list) or "literal" not in schemes:
-        # literal is the one scheme that prices every prefix
-        raise ConfigInvalid("estimator.schemes", "must be a list that includes literal")
-    for scheme in schemes:
-        if scheme not in ("literal", "run", "model"):
-            raise ConfigInvalid("estimator.schemes", "unknown scheme %r" % (scheme,))
+    if "schemes" in estimator:
+        schemes = estimator["schemes"]
+        if not isinstance(schemes, list) or "literal" not in schemes:
+            # literal is the one scheme that prices every prefix
+            raise ConfigInvalid("estimator.schemes", "must be a list that includes literal")
+        for scheme in schemes:
+            if scheme not in ("literal", "run", "model"):
+                raise ConfigInvalid("estimator.schemes", "unknown scheme %r" % (scheme,))
     if estimator.get("stage_cap") is not None:
         _positive_int(estimator["stage_cap"], "estimator.stage_cap")
 
@@ -255,26 +256,15 @@ def _build_list(mode, specs, path):
 
 
 # ---------------------------------------------------------------------------
-# Extensional equality and the minimal equal index
+# The minimal equal index
 # ---------------------------------------------------------------------------
 
 
-def _equal_hypotheses(a, b):
-    if hasattr(a, "equal_pmf"):
-        return a.equal_pmf(b)
-    if hasattr(a, "equal_chain"):
-        return a.equal_chain(b)
-    if a.spec.family == b.spec.family == "iid_measure":
-        return a.pmf.equal_pmf(b.pmf)
-    # Extensional equality of measures is undecidable; spec-level equality
-    # is the decidable stand-in for the shipped families.
-    return a.spec == b.spec
-
-
 def minimal_equal_index(hyp_list, target_index):
+    """The answer a run must reach: the least index `same` as the target."""
     target = hyp_list.get(target_index)
     for i in range(1, target_index + 1):
-        if _equal_hypotheses(hyp_list.get(i), target):
+        if hyp_list.get(i).same(target):
             return i
     return target_index
 
@@ -368,10 +358,8 @@ def _run_single(cfg, run_id, seed):
 
 def _measure_estimator(cfg, hyp_list):
     est = default_estimator(hyp_list, extra_symbols=cfg.input_sequence or ())
-    schemes = tuple(cfg.estimator.get("schemes", est.schemes))
     return est._replace(
-        schemes=schemes,
-        model_list=est.model_list if "model" in schemes else (),
+        schemes=tuple(cfg.estimator.get("schemes", est.schemes)),
         stage_cap=cfg.estimator.get("stage_cap"),
     )
 

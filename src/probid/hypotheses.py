@@ -7,6 +7,8 @@ outward-rounded brackets of the irrational thresholds (see `exactnum`).
 A hypothesis carries a `HypothesisSpec`, a finite JSON-safe description
 (family tag plus rational parameters) that reconstructs it losslessly, and
 the `kind` of `HypothesisList` it joins: "pmf", "markov" or "measure".
+Its `same(other)` decides whether another hypothesis is the same model,
+which settles the right answer of a run (`harness.minimal_equal_index`).
 The pmfs are defined here, Markov chains in `chains`, measures in
 `measures` and the `simple_pmf` term language in `terms`; a family's
 module is imported the first time a spec names it, and its public names
@@ -103,10 +105,9 @@ class FinitePmf:
     def items(self):
         return [(s, self._masses[s]) for s in self._order]
 
-    def equal_pmf(self, other):
-        if isinstance(other, FinitePmf):
-            return self._masses == other._masses
-        return False
+    def same(self, other):
+        """Extensional equality: the same mass on every symbol."""
+        return isinstance(other, FinitePmf) and self._masses == other._masses
 
     def __repr__(self):
         return "FinitePmf(%s)" % (self.spec.params["probs"],)
@@ -140,7 +141,7 @@ class GeometricPmf:
             return ZERO
         return ONE - Fraction(1, 1 << m)
 
-    def equal_pmf(self, other):
+    def same(self, other):
         return isinstance(other, GeometricPmf)
 
     def __repr__(self):

@@ -51,7 +51,7 @@ class SigmaTrace:
     (`map`, `min`, `accumulate`), not a loop per prefix: per measure, floor
     and ceil of log2 of each prefix mass (-inf at mass 0), split from its
     `log2_prefixes` pairs and shared by every position and model code; per
-    model count c (the model-list measures the stage admits), khat: row 0
+    model count c (the estimator's `model_count(n)` at stage n), khat: row 0
     the literal code, lowered to the run code over the data's initial run,
     row c the min of row 0 and model codes 1..c (+inf at mass 0); and per
     (measure, c), the running max of sigma = -ceil(log2 m) - khat.  The
@@ -82,11 +82,6 @@ class SigmaTrace:
             hi.extend(map(itemgetter(1), new))
         return lo, hi
 
-    def _model_count(self, n):
-        est = self.estimator
-        stage = est.stage(n)
-        return min(stage, len(est.model_list)) if "model" in est.schemes and stage >= 2 else 0
-
     def _khat(self, count, j):
         """khat per prefix length with model-list measures 1..count admitted."""
         row = self._khat_rows.setdefault(count, [])
@@ -112,12 +107,12 @@ class SigmaTrace:
     def value(self, pos, j, n):
         """sigma at interleaved position pos, prefix length j, stage n."""
         hi = self._masses(self.hyp_list.get(pos), j)[1]
-        return -hi[j - 1] - self._khat(self._model_count(n), j)[j - 1]
+        return -hi[j - 1] - self._khat(self.estimator.model_count(n), j)[j - 1]
 
     def max_value(self, pos, n):
         """max over 1 <= j <= n of the stage-n sigma at one position."""
         mu = self.hyp_list.get(pos)
-        count = self._model_count(n)
+        count = self.estimator.model_count(n)
         # running[j] is the max over prefix lengths 1..j; running[0] = -inf
         running = self._max_rows.setdefault((id(mu), count), [-inf])
         start = len(running) - 1

@@ -39,6 +39,11 @@ class MeasureBase:
     def step(self, state, i, a):
         raise NotImplementedError
 
+    def same(self, other):
+        """Extensional equality of measures is undecidable; spec equality is
+        the decidable stand-in for the shipped families."""
+        return self.spec == other.spec
+
     def _prefix_state(self, prefix):
         """(state, mass) of a whole prefix."""
         state, mass = self.start, ONE
@@ -75,6 +80,10 @@ class ProductMeasure(MeasureBase):
     def step(self, state, i, a):
         mass = state * self.pmf.mass(a)
         return mass, mass
+
+    def same(self, other):
+        """Equal exactly when the pmfs are, in any symbol order."""
+        return isinstance(other, ProductMeasure) and self.pmf.same(other.pmf)
 
     def log2_prefixes(self, symbols):
         return _product_row(self._ratios, symbols)

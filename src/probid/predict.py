@@ -12,8 +12,6 @@ from typing import NamedTuple
 from .errors import EmptyHistory, UnknownState
 from .measures import make_black_swan_pair
 
-ONE = Fraction(1)
-
 
 class _Rest:
     """Placeholder key for the un-enumerated tail of an infinite support."""

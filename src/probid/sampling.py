@@ -33,8 +33,8 @@ draw in the support or in the chain's tuple of positive-mass transitions,
 which the streams tally; the chain's steps come in lists of 1024, one per
 block of lanes.  A product measure's conditional is its pmf at every step,
 and a marked run's is uniform or the marker alone, so `draw_from_measure`
-draws both through one threshold table; for any other measure `_pick`
-reads the rule lazily, per conditional.
+draws both through one threshold table, and any other measure by the
+chain rule through one `_table` per conditional, bisected as every table is.
 """
 
 from bisect import bisect_left
@@ -43,7 +43,6 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, count, islice
 from struct import Struct
-from typing import NamedTuple
 
 from .errors import BadStart
 
@@ -97,14 +96,22 @@ class Rng:
         return self.next64() >> 11
 
 
-class SamplePrefix(NamedTuple):
+class SamplePrefix:
     """A drawn prefix x_1..x_n plus its per-symbol occurrence counts."""
 
-    symbols: tuple
-    counts: dict
+    __slots__ = ("symbols", "counts")
 
-    def __len__(self):  # the prefix length n, so _make and _replace do not apply
+    def __init__(self, symbols, counts):
+        self.symbols = symbols
+        self.counts = counts
+
+    def __len__(self):  # the prefix length n
         return len(self.symbols)
+
+    def __eq__(self, other):
+        if not isinstance(other, SamplePrefix):
+            return NotImplemented
+        return self.symbols == other.symbols and self.counts == other.counts
 
     def take(self, n):
         """Sub-prefix of the first n symbols, counts recomputed."""
@@ -129,11 +136,6 @@ def _thresholds(pairs):
         if mass:
             cum += mass
             yield symbol, (cum.numerator << 53) // cum.denominator
-
-
-def _pick(pairs, z):
-    """Symbol of the first threshold of `pairs` that reaches the draw z."""
-    return next(symbol for symbol, threshold in _thresholds(pairs) if threshold >= z)
 
 
 def _table(pairs):
@@ -316,7 +318,8 @@ def _draw_chain_rule(mu, seed, n):
     prefix = []
     for i, z in enumerate(islice(_uniforms(seed), n)):
         steps = {a: mu.step(state, i, a) for a in mu.alphabet}
-        a = _pick(((a, m / mass) for a, (_, m) in steps.items()), z)
+        symbols, thresholds = _table((a, m / mass) for a, (_, m) in steps.items())
+        a = symbols[bisect_left(thresholds, z)]
         prefix.append(a)
         state, mass = steps[a]
     return _sample_prefix(prefix)

@@ -88,6 +88,21 @@ def test_khat_stage_monotonicity_on_random_strings():
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def test_model_count_admits_list_measures_from_stage_two():
+    base = mixed_measure_list()
+    models = tuple(base.get(i) for i in range(1, 6))
+    all_schemes = ("literal", "run", "model")
+
+    def counts(schemes, stage_cap=None):
+        est = ComplexityEstimator(("a", "b"), schemes, models, stage_cap)
+        return [est.model_count(n) for n in range(1, 9)]
+
+    assert counts(all_schemes) == [0, 2, 3, 4, 5, 5, 5, 5]
+    assert counts(all_schemes, stage_cap=3) == [0, 2, 3, 3, 3, 3, 3, 3]
+    assert counts(all_schemes, stage_cap=1) == [0] * 8
+    assert counts(("literal", "run")) == [0] * 8
+
+
 # -- Kraft audit ------------------------------------------------------------
 
 

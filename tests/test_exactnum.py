@@ -82,12 +82,14 @@ def test_rational_arithmetic_is_exact(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@pytest.mark.parametrize(
-    "q", [Fraction(2), Fraction(3, 2), Fraction(10), Fraction(1, 7), Fraction(97, 13)]
-)
-def test_ln_bracket_contains_oracle(q):
-    lo, hi = ln_bracket(q, Fraction(1, 1 << 30))
-    v = _mp_frac(mpmath.log(q.numerator) - mpmath.log(q.denominator))
+# 1024 = 2**10 * 1 brackets only e ln 2; 10**13 + 37 lies past 2**40
+_LN_ARGS = [2, 3, 10, 97, 1024, 10**13 + 37]
+
+
+@pytest.mark.parametrize("n", _LN_ARGS, ids=["q%d" % k for k in range(len(_LN_ARGS))])
+def test_ln_bracket_contains_oracle(n):
+    lo, hi = ln_bracket(n, Fraction(1, 1 << 30))
+    v = _mp_frac(mpmath.log(n))
     assert lo <= v <= hi
     assert hi - lo <= Fraction(1, 1 << 30)
 

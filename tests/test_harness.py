@@ -119,6 +119,18 @@ def test_minimal_equal_index_prefers_duplicates():
     assert minimal_equal_index(hl, 3) == 1
     assert minimal_equal_index(hl, 2) == 2
 
+    def product(*pairs):
+        return {"family": "iid_measure", "params": {"pmf": _pmf_spec(*pairs)}}
+
+    specs = [
+        {"family": "constant_run", "params": {"alphabet": ["a", "b"], "symbol": "a"}},
+        product(("a", "1/4"), ("b", "3/4")),
+        product(("a", "1/2"), ("b", "1/2")),
+        product(("b", "3/4"), ("a", "1/4")),  # the second, in another symbol order
+    ]
+    hl = _build_list("measure", specs, "list")
+    assert [minimal_equal_index(hl, i) for i in (1, 2, 3, 4)] == [1, 2, 3, 2]
+
 
 # -- running -------------------------------------------------------------------
 

@@ -60,8 +60,8 @@ def test_finite_pmf_rejects_bad_input():
 def test_extensional_equality_ignores_order_and_spec():
     a = make_finite_pmf([(0, F(2, 5)), (1, F(3, 5))])
     b = make_finite_pmf([(1, F(3, 5)), (0, F(2, 5))])
-    assert a.equal_pmf(b) and a.spec != b.spec
-    assert not a.equal_pmf(make_geometric_pmf())
+    assert a.same(b) and a.spec != b.spec
+    assert not a.same(make_geometric_pmf())
 
 
 # -- simple (term-defined) pmfs ----------------------------------------------
@@ -392,10 +392,46 @@ def test_spec_round_trip_through_json(hyp):
     wire = json.dumps(hyp.spec.to_obj())
     rebuilt = build_hypothesis(HypothesisSpec.from_obj(json.loads(wire)))
     assert rebuilt.spec == hyp.spec
-    if hasattr(hyp, "equal_pmf"):
-        assert rebuilt.equal_pmf(hyp)
-    elif hasattr(hyp, "equal_chain"):
-        assert rebuilt.equal_chain(hyp)
-    else:
-        probe = [(), (hyp.alphabet[0],), (hyp.alphabet[0], hyp.alphabet[-1])]
-        assert [rebuilt.mass(x) for x in probe] == [hyp.mass(x) for x in probe]
+    assert rebuilt.same(hyp)
+
+
+# -- equality of hypotheses -------------------------------------------------------
+
+
+def _same(a, b):
+    """a.same(b), checked to equal b.same(a)."""
+    assert a.same(b) == b.same(a)
+    return a.same(b)
+
+
+def test_simple_and_finite_pmfs_of_equal_masses_are_the_same():
+    simple = make_simple_pmf("j", 3)
+    finite = make_finite_pmf([(3, F(1, 2)), (1, F(1, 6)), (2, F(1, 3))])
+    uniform = make_simple_pmf("1", 3)
+    assert simple.spec != finite.spec
+    assert _same(simple, finite) and not _same(simple, uniform)
+    assert _same(make_iid_measure(simple), make_iid_measure(finite))
+    assert not _same(make_iid_measure(simple), make_iid_measure(uniform))
+
+
+# pairwise different models of every family: pmfs, chains, each measure family
+_DISTINCT = [
+    make_finite_pmf([(1, HALF), (2, HALF)]),
+    make_simple_pmf("j", 3),
+    make_geometric_pmf(),
+    MarkovChain((0, 1), [[HALF, HALF], [F(1, 4), F(3, 4)]]),
+    MarkovChain((0, 1), [[HALF, HALF], [HALF, HALF]]),
+    make_iid_measure(make_simple_pmf("1", 3)),
+    make_iid_measure(make_finite_pmf([(1, HALF), (2, F(1, 4)), (3, F(1, 4))])),
+    constant_run_measure((1, 2, 3), 1),
+    switch_pair_measure((1, 2, 3), 1, 2, 1),
+    make_mu_k(3, 1),
+]
+
+
+@pytest.mark.parametrize("a", _DISTINCT, ids=lambda h: h.spec.family)
+@pytest.mark.parametrize("b", _DISTINCT, ids=lambda h: h.spec.family)
+def test_same_holds_between_equal_hypotheses_only(a, b):
+    # so a product measure is never the same as a path mixture or a marked run
+    assert _same(a, b) == (a is b)
+    assert _same(a, build_hypothesis(b.spec)) == (a is b)

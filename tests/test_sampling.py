@@ -1,5 +1,6 @@
 """Seeded generation: reproducibility, exact inversion, frequency sanity."""
 
+import pickle
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -37,8 +38,8 @@ from probid.measures import (
 )
 from probid.sampling import (
     Rng,
+    SamplePrefix,
     _draw_chain_rule,
-    _pick,
     _table,
     chain_blocks,
     draw_from_measure,
@@ -106,6 +107,18 @@ def test_draws_are_reproducible():
 def test_zero_length_draw():
     s = draw_iid(uniform_ab_pmf(), seed=1, n=0)
     assert s.symbols == () and s.counts == {}
+
+
+def test_sample_prefix_has_no_tuple_surface_that_disagrees_with_its_len():
+    # a tuple's _make and _replace expect as many fields as len() reports,
+    # which for a prefix is its length, not its two fields
+    s = draw_iid(uniform_ab_pmf(), seed=1, n=5)
+    assert len(s) == 5
+    assert not any(hasattr(SamplePrefix, name) for name in ("_make", "_replace", "_fields"))
+    clone = pickle.loads(pickle.dumps(s))
+    assert clone == s and (clone.symbols, clone.counts, len(clone)) == (s.symbols, s.counts, 5)
+    assert (clone.take(3).symbols, clone.take(3).counts) == (s.symbols[:3], Counter(s.symbols[:3]))
+    assert len(SamplePrefix(("a",), Counter("a"))) == 1
 
 
 def test_point_mass_is_degenerate():
@@ -244,18 +257,16 @@ def _table_pick(pairs, z):
 
 
 def test_inversion_ties_and_zero_masses():
-    # random draws almost never land on a threshold, so pin the edges here;
-    # the lazy pick and the whole table must agree on them
+    # random draws almost never land on a threshold, so pin the edges here
     half = 1 << 52  # z/2**53 = 1/2 exactly
     edges = (0, half, half + 1, (1 << 53) - 1)
     t = (1 << 53) // 3  # t/2**53 < 1/3 < (t+1)/2**53
-    for pick in (_pick, _table_pick):
-        zeros = [("a", F(0)), ("b", F(1, 2)), ("c", F(0)), ("d", F(1, 2))]
-        assert [pick(zeros, z) for z in edges] == ["b", "b", "d", "d"]
-        third = [("a", F(1, 3)), ("b", F(2, 3))]
-        assert [pick(third, t), pick(third, t + 1)] == ["a", "b"]
-        endless = [pick(((j, F(1, 1 << j)) for j in count(1)), z) for z in edges]
-        assert endless == [1, 1, 2, 53]
+    zeros = [("a", F(0)), ("b", F(1, 2)), ("c", F(0)), ("d", F(1, 2))]
+    assert [_table_pick(zeros, z) for z in edges] == ["b", "b", "d", "d"]
+    third = [("a", F(1, 3)), ("b", F(2, 3))]
+    assert [_table_pick(third, t), _table_pick(third, t + 1)] == ["a", "b"]
+    endless = [_table_pick(((j, F(1, 1 << j)) for j in count(1)), z) for z in edges]
+    assert endless == [1, 1, 2, 53]
 
 
 def test_geometric_table_ends_at_the_largest_draw():
