@@ -1,5 +1,6 @@
 """Shared fixture builders for the test suite."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -70,6 +71,14 @@ def dense_weights(size, s):
     """Integer weights of a chain on 0..size-1 with all size**2 transitions
     of positive mass: s into state 0 and 1..3 into each other state."""
     return [[s if j == 0 else 1 + (i + 2 * j) % 3 for j in range(size)] for i in range(size)]
+
+
+def random_weights(size, seed):
+    """Integer weights 1..97 of a chain on 0..size-1, drawn by `random.Random(seed)`:
+    all size**2 transitions have positive mass.  At size 17 and seeds 1, 2
+    and 3 no two rows share a threshold but the last, 2**53."""
+    rng = random.Random(seed)
+    return [[rng.randint(1, 97) for _ in range(size)] for _ in range(size)]
 
 
 def dense_chain(size, s=5):

@@ -6,19 +6,21 @@ change that alters which guess is emitted at any checkpoint, or how it is
 written, fails here.  "iid-families" and "iid-families-grid" list the
 simple and geometric pmfs.  The markov stream tallies "markov" by
 `bytes.count`, and "markov-8-states" (64 transitions, each index fits a
-byte) and "markov-17-states" (289 transitions) by a `Counter`.  The
-measure configs reach non-dyadic prefix masses (the 3/4-1/4 i.i.d.
-measure) as well as dyadic ones, so a change to how `log2(1/mass)` enters
-the deficiency is caught too; "measure-all-rows" lists one measure of
-every family whose mass row is computed its own way, and runs it again
-under two narrower scheme sets of the estimator.
+byte) and "markov-17-states" (289 transitions) by a `Counter`.
+The chain walk reads 8, 2 and 1 draws per table lookup on the targets of
+"markov-2-classes", "markov-4-states" and "markov-17-random".  The measure
+configs reach non-dyadic prefix masses (the 3/4-1/4 i.i.d. measure) as
+well as dyadic ones, so a change to how `log2(1/mass)` enters the
+deficiency is caught too; "measure-all-rows" lists one measure of every
+family whose mass row is computed its own way, and runs it again under
+two narrower scheme sets of the estimator.
 """
 
 import hashlib
 
 import pytest
 
-from helpers import dense_weights
+from helpers import dense_weights, random_weights
 from probid.harness import run_experiment
 
 
@@ -30,11 +32,17 @@ def _markov(rows):
     return {"family": "markov", "params": {"states": [0, 1], "rows": rows}}
 
 
+def _weights_markov(weights):
+    """The chain on 0..len(weights)-1 of these integer weights over each
+    row's sum."""
+    rows = [["%d/%d" % (w, sum(row)) for w in row] for row in weights]
+    return {"family": "markov", "params": {"states": list(range(len(weights))), "rows": rows}}
+
+
 def _dense_markov(size, s):
     """`size` states, all size**2 transitions of positive mass, over row
     sums that are mostly not powers of two."""
-    rows = [["%d/%d" % (w, sum(row)) for w in row] for row in dense_weights(size, s)]
-    return {"family": "markov", "params": {"states": list(range(size)), "rows": rows}}
+    return _weights_markov(dense_weights(size, s))
 
 
 def _simple(term, size):
@@ -184,6 +192,59 @@ GOLDEN = {
         },
         "f2cde3a5334c40fe490deaea7d20494ebc964aa08e9a9e17f07b21a4b4e3ec20",
         "e601bf06a0df6a6cc72a83d917875695953f769663c37ef54c8dba53eaca6ff7",
+    ),
+    # the chain walk merges the thresholds of all rows and reads m draws
+    # per table lookup, m the largest of 1, 2, 4, 8 with D**m <= 256 for D
+    # merged thresholds: the target here has D = 2 (state 1 always returns
+    # to 0), so m = 8; the guesses of some seeds move before they settle
+    "markov-2-classes": (
+        {
+            "mode": "markov",
+            "list": {
+                "items": [
+                    _markov([["1/2", "1/2"], ["1", "0"]]),
+                    _markov([["1/3", "2/3"], ["1/2", "1/2"]]),
+                    _markov([["2/5", "3/5"], ["1", "0"]]),
+                    _markov([["1/3", "2/3"], ["1", "0"]]),
+                ]
+            },
+            "target_index": 4,
+            "start_state": 0,
+            "n_max": 4000,
+            "checkpoint": {"stride": 40},
+            "seeds": [1, 2, 3],
+        },
+        "34a068fdf64bcff4e2db5ff6c234dc22728d91aadbe17c58aff8a25f238c807d",
+        "13ecbc3d23acc55a24445878b3da1d2c8c777154759ebdf1619c458047c2aee3",
+    ),
+    # 16 transitions, D = 7 and m = 2
+    "markov-4-states": (
+        {
+            "mode": "markov",
+            "list": {"items": [_dense_markov(4, s) for s in (3, 5, 7)]},
+            "target_index": 2,
+            "start_state": 0,
+            "n_max": 4000,
+            "checkpoint": {"stride": 40},
+            "seeds": [1, 2, 3],
+        },
+        "a072ddf7702ce4096da34ee85705e4f81b46b3443477ecd8196ed378f0f8e499",
+        "7140b9b0f2225cb3b9a3b0934e1b16bddf5d1fe16d54e1ad21b1aa95f89aa4b1",
+    ),
+    # 289 transitions of random weights: D = 273 merged thresholds, more
+    # than a byte holds, so m = 1 and the steps are not bytes
+    "markov-17-random": (
+        {
+            "mode": "markov",
+            "list": {"items": [_weights_markov(random_weights(17, s)) for s in (1, 2, 3)]},
+            "target_index": 2,
+            "start_state": 0,
+            "n_max": 5000,
+            "checkpoint": {"stride": 100},
+            "seeds": [1, 2, 3],
+        },
+        "37dbaba20224227480b4a2daf29677a7955823884d1496f149b3245cbe87bb62",
+        "ffb5dccb7998d8ca1c6bddb42f413382325cf41fcced67ce2315204efd2c8a0c",
     ),
     "measure-dyadic": (
         {
