@@ -143,11 +143,12 @@ class MarkovChain:
         return self.pi[self._index[state]]
 
     def same(self, other):
-        """The same states, in the same order, and the same transition rows."""
+        """The same set of states and the same row out of each, as a mapping
+        from next state to probability, whatever order the states are in."""
         return (
             isinstance(other, MarkovChain)
-            and self.states == other.states
-            and self.rows == other.rows
+            and self._index.keys() == other._index.keys()
+            and all(dict(self.row(s)) == dict(other.row(s)) for s in self.states)
         )
 
     def __repr__(self):

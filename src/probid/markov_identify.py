@@ -12,21 +12,21 @@ weight them differently.  `chain_candidate_test` on the counts of
 
 The stream never counts states pair by pair, nor steps one by one.  The
 sampler yields its steps, each an index into the chain's tuple of
-transitions `pairs`, in blocks of 1024.  At each checkpoint the stream adds
-the next `stride` steps to a tally vector over `pairs` and reads the visit
-and transition vectors off it (`chain_counts`), in time proportional to
-the number of transitions rather than to the length of the run.  A chain
-with few transitions for its stride has its blocks turned into `bytearray`s
-and tallied with one `count` per transition over the checkpoint's steps,
-one pass in C each; where those passes would cost more than a
-`Counter.update` per step (`_count_in_bytes`), a `Counter` tallies the
-lists.  Each candidate is compiled once per stream against `pairs`
-(`_compile`): per source state, its row as integer numerators over one
-denominator in `pairs` order, the candidate transitions the source never
-takes, its stationary numerator, and whether it lacks the state.  The
-vectors then feed both clauses directly, one integer deviation per clause
-decided by `exactnum.below_tau`, which computes a `tau` bracket only where
-bit lengths cannot decide.
+transitions `pairs`, in blocks of 1024: `bytes` where every index fits a
+byte, else lists.  At each checkpoint the stream adds the next `stride`
+steps to a tally vector over `pairs` and reads the visit and transition
+vectors off it (`chain_counts`), in time proportional to the number of
+transitions rather than to the length of the run.  A chain with few
+transitions for its stride has its steps tallied with one `bytes.count`
+per transition over the checkpoint's steps, one pass in C each; where
+those passes would cost more than a `Counter.update` per step
+(`_count_in_bytes`), a `Counter` tallies the blocks.  Each candidate is
+compiled once per stream against `pairs` (`_compile`): per source state,
+its row as integer numerators over one denominator in `pairs` order, the
+candidate transitions the source never takes, its stationary numerator,
+and whether it lacks the state.  The vectors then feed both clauses
+directly, one integer deviation per clause decided by `exactnum.below_tau`,
+which computes a `tau` bracket only where bit lengths cannot decide.
 """
 
 from collections import Counter
@@ -70,8 +70,6 @@ def chain_counts(source, x0, seed, stride):
     blocks, pairs = chain_blocks(source, x0, seed)
     into = [[k for k, (_, b) in enumerate(pairs) if b == s] for s in source.states]
     in_bytes = _count_in_bytes(pairs, stride)
-    if in_bytes:
-        blocks = map(bytearray, blocks)  # three times faster than bytes(list)
     return _checkpoint_counts(blocks, len(pairs), into, stride, in_bytes), pairs
 
 
@@ -97,8 +95,7 @@ def _count_in_bytes(pairs, stride):
     checkpoint; the rule is fitted to the crossovers measured on dense
     chains (2 vCPUs, Python 3.11): about 12 transitions at stride 100, 25
     at 300, 45 at 1000 and 55 at 10**4.  It holds for at most 59
-    transitions, so every index fits a byte of the `bytearray` that
-    `chain_counts` turns each block into."""
+    transitions, so the walk yields every block as `bytes`."""
     return len(pairs) * (stride + 400) <= 60 * stride
 
 

@@ -1,19 +1,14 @@
 """Deterministic seeded sampling of i.i.d. draws, chain runs, and measures.
 
-The generator is SplitMix64, chosen for its trivially portable integer
-recurrence: equal seeds give byte-identical streams on every platform.
-
-`Rng` is the scalar reference, one output per call.  The samplers read the
-same stream from `_lanes`, which computes it 1024 outputs at a time in one
-Python int: lane k occupies bits 128k..128k+127, its low 64 bits hold the
-state of output k of the block and its high 64 bits are scratch that
-catches what a right shift leaks in from lane k+1.  Each lane is masked
-back to 64 bits before every multiply, so no product carries into the next
-lane, and the lane states run from block to block, masked after every add.
-A stream holds one such block (16 KiB), never its whole length.
-Both readers serialise a block little-endian, one layout on every host:
-`_uniforms` unpacks it as 1024 53-bit numerators and the chain walk reads
-the top byte of each.
+The generator is SplitMix64, whose portable integer recurrence gives
+byte-identical streams on every platform.  `Rng` is the scalar reference.
+The samplers read the stream from `_lanes`, 1024 outputs at a time in one
+Python int of 128-bit lanes: the low word of lane k holds output k of the
+block, and the high word catches what a right shift leaks in from lane
+k+1 and the carry of a product; a mask clears it before every multiply.
+A stream holds one block (16 KiB), never its whole length.  Both readers
+serialise a block little-endian: `_uniforms` unpacks 1024 53-bit
+numerators, and the chain walk reads the top byte of each lane.
 
 Symbols are drawn by exact inversion: the 53-bit output z maps to the
 dyadic rational u = z/2**53 in [0, 1), and we pick the least symbol whose
@@ -21,20 +16,15 @@ exact cumulative mass reaches u.  Ties (u exactly on a boundary) resolve
 to the lower index; symbols of zero mass are never selected.
 
 One rule, `_thresholds`, turns masses into the integer thresholds
-floor(cum * 2**53) that z is bisected against.  No symbol after the first
-threshold >= 2**53 - 1 can be drawn, so `iid_steps` reads a pmf's table up
-to there, once (53 entries for the geometric pmf), and maps a bisect in C
-over the uniforms.  `chain_blocks` reads one whole table per chain state
-and a guide table over the 256 cells of the top byte of z (Chen and Asau's
-indexed search): where no threshold of the state splits the cell of a
-draw, its step is one lookup by that byte, and only the draws in a cell
-that some state splits are bisected.  Both yield steps, the index of each
-draw in the support or in the chain's tuple of positive-mass transitions,
-which the streams tally; the chain's steps come in lists of 1024, one per
-block of lanes.  A product measure's conditional is its pmf at every step,
-and a marked run's is uniform or the marker alone, so `draw_from_measure`
-draws both through one threshold table, and any other measure by the
-chain rule through one `_table` per conditional, bisected as every table is.
+floor(cum * 2**53) that z is bisected against.  `iid_steps` reads a pmf's
+table up to the first threshold >= 2**53 - 1, past which no draw reaches
+(53 entries for the geometric pmf), and maps a bisect in C over the
+uniforms.  `chain_blocks` merges the thresholds of all rows into behaviour
+classes, on each of which every state takes one transition (`_classes`),
+maps a block's top bytes to classes in C, bisecting only the draws in
+cells that a threshold splits (`_cells`), and reads m draws per table
+lookup.  Both yield steps, indices into the support or into the chain's
+tuple of positive-mass transitions.
 """
 
 from bisect import bisect_left
@@ -42,6 +32,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import chain, count, islice
+from operator import ne
 from struct import Struct
 
 from .errors import BadStart
@@ -66,6 +57,7 @@ _LANE_OFFSETS = int.from_bytes(
 # A block is serialised little-endian, so lane k is bytes 16k..16k+15 and
 # its low 64-bit word comes first; the high word is skipped as padding.
 _LOW_WORDS = Struct("<" + "Q8x" * _LANES)
+_WORD = Struct("<Q")
 # `run_chain` names its chain `chain`, which hides itertools.chain
 _flatten = chain.from_iterable
 
@@ -76,7 +68,7 @@ class Rng:
     This is the scalar reference: `_uniforms(seed)` must yield exactly
     `Rng(seed).next53()` repeated, and the tests check that it does.
     Output i of the stream mixes the state seed + (i+1)*_GOLDEN mod 2**64,
-    which is what lane i mod 1024 of block i // 1024 holds in `_lanes`.
+    as lane i mod 1024 of block i // 1024 does in `_lanes`.
     """
 
     __slots__ = ("state",)
@@ -152,26 +144,21 @@ def _table(pairs):
 def _lanes(seed):
     """Endless blocks of the SplitMix64 stream of `seed`, one int per block.
 
-    Lane k of block b holds z ^ (z >> 31) for output 1024b + k: its low 64
-    bits are that output of `Rng(seed).next64`, bits 64-96 are zero and
-    bits 97-127 hold what lane k+1 leaked in.  The lane states run from
-    block to block: each add of `_LANE_STEP` can carry only into the high
-    word of its own lane, which the mask clears, so every lane stays its
-    state mod 2**64 at any block index.
-    """
+    Lane k of block b holds output 1024b + k of `Rng(seed).next64` before
+    the mix's last step, `z ^ (z >> 31)` and the mask, which leave its top
+    byte as it is.  An add of `_LANE_STEP` carries only into the high word
+    of a lane, which the mask clears, so the lane states run on."""
     # lane k of block b holds the state seed + (1024b + k + 1)*_GOLDEN mod 2**64
     state = ((seed & _MASK) * _LANE_ONES + _LANE_OFFSETS) & _LANE_MASK
     while True:
         z = ((state ^ (state >> 30)) & _LANE_MASK) * _MIX1 & _LANE_MASK
-        z = ((z ^ (z >> 27)) & _LANE_MASK) * _MIX2 & _LANE_MASK
-        yield z ^ (z >> 31)
+        yield ((z ^ (z >> 27)) & _LANE_MASK) * _MIX2
         state = (state + _LANE_STEP) & _LANE_MASK
 
 
 def _low_words(lanes):
-    # after the >> 11 the low word of a lane is its 53-bit output; what
-    # lane k+1 leaked in lands in the high word, which is never read
-    return _LOW_WORDS.unpack((lanes >> 11).to_bytes(_BLOCK_BYTES, "little"))
+    lanes &= _LANE_MASK  # then the mix's last step, and the >> 11 to 53 bits
+    return _LOW_WORDS.unpack(((lanes ^ (lanes >> 31)) >> 11).to_bytes(_BLOCK_BYTES, "little"))
 
 
 def _uniforms(seed):
@@ -202,69 +189,82 @@ def chain_blocks(chain, x0, seed):
     """Endless steps of a chain run from x0, and the transitions they index.
 
     Returns (blocks, pairs): `pairs` is the tuple of (state, next_state)
-    transitions of positive mass in row order, and each block is a list of
-    the next 1024 steps, step t the index of (x_{t-1}, x_t) in `pairs`.
+    transitions of positive mass in row order, and each block holds the
+    next 1024 steps, step t the index of (x_{t-1}, x_t) in `pairs`: `bytes`
+    where every index fits a byte (at most 256 transitions), else a list.
     Raises BadStart at the call, before any state is drawn.
     """
     if not chain.has_state(x0):
         raise BadStart("start state %r not in chain" % (x0,))
-    pairs, rows = [], {}
+    pairs, merged, steps = _classes(chain)
+    part, join = (bytes, b"".join) if len(pairs) <= 256 else (tuple, lambda p: [*_flatten(p)])
+    # tables[i][code]: (the steps, the next state's table) of m draws from state i
+    tables = [[] for _ in chain.states]
+    table_of = dict(zip(chain.states, tables))
+    entries = [(part([k]), table_of[target]) for k, (_, target) in enumerate(pairs)]
+    for table, row in zip(tables, steps):
+        table.extend(map(entries.__getitem__, row))
+    width, m = len(merged), 1
+    while m < 8 and width ** (2 * m) <= 256:
+        # the code of 2m draws is lo + D**m * hi, lo and hi those of its halves
+        span = range(width**m)
+        new = [[(a + b, c) for hi in span for a, t in old for b, c in (t[hi],)] for old in tables]
+        for table, row in zip(tables, new):
+            table[:] = row
+        m *= 2
+    return _walk(table_of[x0], merged, m, join, _lanes(seed)), tuple(pairs)
+
+
+def _classes(chain):
+    """(pairs, merged, steps): `pairs` as `chain_blocks` gives it, `merged`
+    the sorted distinct thresholds of all rows, and steps[i][j] the index in
+    `pairs` of the transition state i takes on every draw z of class j,
+    merged[j-1] < z <= merged[j].  Every row ends at 2**53, so K transitions
+    out of S states make at most D = K - S + 1 classes."""
+    pairs, rows = [], []
     for state in chain.states:
         targets, thresholds = zip(*_thresholds(chain.row(state)))
-        rows[state] = (_guide(thresholds, len(pairs)), thresholds, len(pairs))
+        rows.append((len(pairs), thresholds))
         pairs.extend((state, target) for target in targets)
-    guides = [guide for guide, _, _ in rows.values()]
-    split = bytes(any(guide[c] is None for guide in guides) for c in range(256))
-    # the row of the state each step enters, then x0's, where the walk starts
-    then = [rows[target] for _, target in pairs] + [rows[x0]]
-    return _walk(then, split, _lanes(seed)), tuple(pairs)
+    merged = sorted({t for _, thresholds in rows for t in thresholds})
+    steps = [[base + bisect_left(thresholds, t) for t in merged] for base, thresholds in rows]
+    return pairs, merged, steps
 
 
-def _guide(thresholds, base):
-    """256 cells of one state's row: cell c holds the draws z with top byte
-    z >> 45 == c, and entry c is base + the index that `bisect_left` gives
-    every one of them, or None where a threshold splits the cell."""
-    guide = []
-    for c in range(256):
-        k = bisect_left(thresholds, c << 45)
-        guide.append(base + k if k == bisect_left(thresholds, ((c + 1) << 45) - 1) else None)
-    return tuple(guide)
+def _cells(merged):
+    """(low, split) of the 256 cells c of the top byte, the draws z >> 45 == c:
+    the class of a cell's lowest draw, and 1 where its highest is in another."""
+    low = [bisect_left(merged, c << 45) for c in range(256)]
+    high = [bisect_left(merged, ((c + 1) << 45) - 1) for c in range(256)]
+    return low, bytes(map(ne, low, high))
 
 
-def _walk(then, split, lanes):
-    """Steps of a chain run, one list of `_LANES` steps per block of lanes.
-
-    `then[k]` is the (guide, thresholds, base) row of the state that step k
-    enters, and the walk starts from the last.  The cell of draw i is byte
-    16i + 7 of the block in little-endian order, the top byte of its lane's
-    low word.  A draw in a cell that no state splits takes two lookups, its
-    step in the current guide and the guide of the state it enters; a
-    draw whose cell `split` marks is read whole and bisected.
-    """
-    guides = [guide for guide, _, _ in then]
-    k = len(then) - 1  # the last row, x0's
-    guide = guides[k]
+def _walk(table, merged, m, join, lanes):
+    """Steps of a chain run from the state of `table`, one block per block of
+    lanes, by one lookup per m draws.  The cell of draw i is byte 16i + 7 of
+    the block; a draw in a split cell is read whole, mixed to its output and
+    bisected into `merged`.  A code byte packs the classes of m draws, the
+    r-th times D**r, and sums to at most D**m - 1 <= 255: nothing carries."""
+    low, split = _cells(merged)
+    classes = bytes(low) if len(merged) <= 256 else None
     for block in lanes:
         raw = block.to_bytes(_BLOCK_BYTES, "little")
         cells = raw[7::16]
-        marks = cells.translate(split) + b"\x01"  # the end of the block ends the last run
-        steps = []
-        start = 0
-        while True:
-            stop = marks.find(1, start)
-            for c in cells[start:stop]:
-                k = guide[c]
-                guide = guides[k]
-                steps.append(k)
-            if stop == _LANES:
-                break
-            _, thresholds, base = then[k]
-            z = int.from_bytes(raw[16 * stop : 16 * stop + 8], "little") >> 11
-            k = base + bisect_left(thresholds, z)
-            guide = guides[k]
-            steps.append(k)
-            start = stop + 1
-        yield steps
+        codes = bytearray(cells.translate(classes)) if classes else [*map(low.__getitem__, cells)]
+        marks = cells.translate(split)
+        at = marks.find(1)
+        while at >= 0:
+            (z,) = _WORD.unpack_from(raw, 16 * at)
+            codes[at] = bisect_left(merged, (z ^ (z >> 31)) >> 11)
+            at = marks.find(1, at + 1)
+        if m > 1:
+            sums = sum(int.from_bytes(codes[r::m], "little") * len(merged) ** r for r in range(m))
+            codes = sums.to_bytes(_LANES // m, "little")
+        parts = []
+        for code in codes:
+            part, table = table[code]
+            parts.append(part)
+        yield join(parts)
 
 
 def draw_iid(pmf, seed, n):

@@ -81,29 +81,38 @@ def random_weights(size, seed):
     return [[rng.randint(1, 97) for _ in range(size)] for _ in range(size)]
 
 
+def random_chain(size, seed):
+    """Ergodic chain of `random_weights` over each row's sum."""
+    rows = [[F(w, sum(row)) for w in row] for row in random_weights(size, seed)]
+    return MarkovChain(tuple(range(size)), rows)
+
+
 def dense_chain(size, s=5):
     """Ergodic chain of `dense_weights` over each row's sum; with s = 5 most
     rows are not dyadic (none at sizes 4, 7, 16 and 17), so thresholds
-    split cells of the chain walk's guide tables."""
+    split cells of the top byte that the chain walk reads."""
     rows = [[F(w, sum(row)) for w in row] for row in dense_weights(size, s)]
     return MarkovChain(tuple(range(size)), rows)
 
 
-# rows whose thresholds split cells of the chain walk's guide tables, 2**45
-# draws wide: 1/3 and 2/3 mid-cell, 1/256 + 2**-53 one draw past the start
-# of cell 1, and 1/2 at the start of cell 128, whose first draw ties and
-# picks the lower index
+# rows whose thresholds split cells of the top byte that the chain walk
+# reads, 2**45 draws wide: 1/3 and 2/3 mid-cell, 1/256 + 2**-53 one draw
+# past the start of cell 1, and 1/2 at the start of cell 128, whose first
+# draw ties and picks the lower index; 1/2 - 2**-53, on the last draw of
+# cell 127, which splits no cell, and 1/2 - 2**-52, one draw before it
 CELL_SPLITTING_ROWS = (
     (F(1, 3), F(2, 3)),
     (F(2, 3), F(1, 3)),
     (F(1, 256) + F(1, 1 << 53), F(255, 256) - F(1, 1 << 53)),
     (F(1, 2), F(1, 2)),
+    (F(1, 2) - F(1, 1 << 53), F(1, 2) + F(1, 1 << 53)),
+    (F(1, 2) - F(1, 1 << 52), F(1, 2) + F(1, 1 << 52)),
 )
 
 
 @st.composite
 def chains_splitting_cells(draw):
-    """Ergodic two-state chains whose rows split cells of the guide tables."""
+    """Ergodic two-state chains whose rows split cells of the top byte."""
     rows = [draw(st.sampled_from(CELL_SPLITTING_ROWS)) for _ in range(2)]
     return MarkovChain((0, 1), rows)
 

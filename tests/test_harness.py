@@ -132,6 +132,19 @@ def test_minimal_equal_index_prefers_duplicates():
     assert [minimal_equal_index(hl, i) for i in (1, 2, 3, 4)] == [1, 2, 3, 2]
 
 
+def test_minimal_equal_index_finds_a_chain_written_in_another_state_order():
+    from probid.harness import _build_list
+
+    def chain(states, rows):
+        return {"family": "markov", "params": {"states": states, "rows": rows}}
+
+    a = chain([0, 1], [["1/2", "1/2"], ["1/4", "3/4"]])
+    a_reordered = chain([1, 0], [["3/4", "1/4"], ["1/2", "1/2"]])
+    b = chain([0, 1], [["3/4", "1/4"], ["1/2", "1/2"]])  # a's rows, states swapped
+    hl = _build_list("markov", [a_reordered, b, a], "list")
+    assert [minimal_equal_index(hl, i) for i in (1, 2, 3)] == [1, 2, 1]
+
+
 # -- running -------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate, count, islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +18,7 @@ from helpers import (
     chains_with_zeros,
     dense_chain,
     pmf_weights,
+    random_chain,
     separated_pmf,
     uniform_ab_pmf,
     weights_pmf,
@@ -318,56 +319,117 @@ def test_geometric_draw_follows_inversion_rule(seed, n):
     assert draw_iid(g, seed, n).symbols == expected
 
 
-_chains = chains_with_zeros() | chains_splitting_cells()
+# The walk reads m draws per table lookup, m the largest of 1, 2, 4, 8 with
+# D**m <= 256 for D behaviour classes: chains of up to 4 states (D <= 13)
+# give m = 8, 4 and 2; dense chains of 2..17 states D = 3..49 (m = 4, 2, 1)
+# and up to 289 transitions; random 16- and 17-state chains D = 241 (256
+# transitions, each index still a byte) and D = 273, more than a byte holds.
+_chains = (
+    chains_with_zeros()
+    | chains_splitting_cells()
+    | st.integers(2, 17).map(dense_chain)
+    | st.builds(random_chain, st.sampled_from([16, 17]), st.integers(0, 1 << 32))
+)
+# one chain of each lookup width, by its number D of classes
+_EVERY_M = {
+    1: MarkovChain((0,), [[F(1)]]),
+    2: MarkovChain((0, 1), [[F(1, 3), F(2, 3)], [F(1), F(0)]]),
+    3: MarkovChain((0, 1), CELL_SPLITTING_ROWS[1:3]),
+    7: dense_chain(4),
+    49: dense_chain(17),
+    241: random_chain(16, 0),
+    273: random_chain(17, 1),
+}
+
+
+def test_chain_examples_cover_every_lookup_width():
+    widths = {d: len(sampling._classes(chain)[1]) for d, chain in _EVERY_M.items()}
+    assert widths == {d: d for d in _EVERY_M}
 
 
 # n up to 2100 crosses two block boundaries of the lane stream
 @settings(max_examples=40, deadline=None)
 @given(chain=_chains, seed=_seeds, n=st.integers(0, 2100))
-@example(chain=MarkovChain((0, 1), CELL_SPLITTING_ROWS[1:3]), seed=1, n=2100)
+@example(chain=_EVERY_M[1], seed=1, n=2100)
+@example(chain=_EVERY_M[2], seed=1, n=2100)
+@example(chain=_EVERY_M[3], seed=1, n=2100)
+@example(chain=_EVERY_M[7], seed=1, n=2100)
+@example(chain=_EVERY_M[49], seed=1, n=2100)
+@example(chain=_EVERY_M[241], seed=1, n=2100)
+@example(chain=_EVERY_M[273], seed=1, n=2100)
 def test_run_chain_follows_inversion_rule(chain, seed, n):
     assert run_chain(chain, 0, seed, n) == _oracle_run(chain, _uniforms(seed, n))
 
 
+_LAST = (1 << 53) - 1  # the largest draw
+
+
 @settings(max_examples=30, deadline=None)
 @given(chain=_chains)
-def test_guide_entry_is_the_pick_at_both_ends_of_its_cell(chain):
-    # cell c holds the draws z with z >> 45 == c; an entry must name the
-    # transition that both ends of its cell pick, and a cell whose ends pick
-    # apart must hold None, so that the walk bisects its draws
-    base = 0
-    for state in chain.states:
-        row = chain.row(state)
-        targets = [t for t, m in row if m]
-        guide = sampling._guide(tuple(t for _, t in sampling._thresholds(row)), base)
-        assert len(guide) == 256
-        for c, entry in enumerate(guide):
-            lo, hi = (_oracle_pick(row, z) for z in (c << 45, ((c + 1) << 45) - 1))
-            assert entry == (base + targets.index(lo) if lo == hi else None)
-        base += len(targets)
+@example(chain=_EVERY_M[3])
+@example(chain=MarkovChain((0, 1), CELL_SPLITTING_ROWS[2:4]))
+@example(chain=MarkovChain((0, 1), CELL_SPLITTING_ROWS[4:6]))
+def test_class_table_is_the_pick_at_both_ends_of_every_cell(chain):
+    # class j holds the draws merged[j-1] < z <= merged[j], and every state
+    # must pick its class step at both ends of it; cell c holds the draws
+    # z >> 45 == c, its lowest draw must be in class low[c], and it must be
+    # split exactly where some state picks apart at its two ends
+    pairs, merged, steps = sampling._classes(chain)
+    low, split = sampling._cells(merged)
+    assert pairs == [(s, t) for s in chain.states for t, m in chain.row(s) if m]
+    assert len(merged) <= len(pairs) - len(chain.states) + 1
+    picks = [_picker(chain.row(state)) for state in chain.states]
+    ends = [0] + [t + 1 for t in merged]
+    for j, top in enumerate(merged):
+        if ends[j] <= _LAST:
+            for i, pick in enumerate(picks):
+                for z in (ends[j], min(top, _LAST)):
+                    assert pairs[steps[i][j]] == (chain.states[i], pick(z))
+    assert len(low) == len(split) == 256
+    for c in range(256):
+        apart = False
+        for i, pick in enumerate(picks):
+            lo, hi = pick(c << 45), pick(((c + 1) << 45) - 1)
+            assert pairs[steps[i][low[c]]] == (chain.states[i], lo)
+            apart |= lo != hi
+        assert split[c] == apart
+
+
+def _picker(row):
+    """`_oracle_pick` of one row, by bisection over its exact cumulative masses."""
+    targets = [t for t, m in row if m]
+    cums = list(accumulate(m for _, m in row if m))
+    return lambda z: targets[bisect_left(cums, F(z, 1 << 53))]
 
 
 def _lane_block(draws):
-    """A block as `_lanes` yields it, whose outputs hold these 53-bit draws;
-    the high word of every lane, which the samplers never read, is all ones."""
-    return sum((z << 11 | ((1 << 64) - 1) << 64) << 128 * i for i, z in enumerate(draws))
+    """A block as `_lanes` yields it, whose outputs hold these 53-bit draws:
+    each lane holds x with x ^ (x >> 31) = z << 11, the inverse of the mix's
+    last step, and a high word of all ones, which the mask clears."""
+    words = (z << 11 for z in draws)
+    lanes = (w ^ (w >> 31) ^ (w >> 62) | ((1 << 64) - 1) << 64 for w in words)
+    return sum(x << 128 * i for i, x in enumerate(lanes))
 
 
-@pytest.mark.parametrize("rows", [CELL_SPLITTING_ROWS[:2], CELL_SPLITTING_ROWS[1:3]])
+@pytest.mark.parametrize("rows", [CELL_SPLITTING_ROWS[i : i + 2] for i in range(5)])
 def test_chain_walk_bisects_draws_in_split_cells(monkeypatch, rows):
     # random draws almost never land next to a threshold, so walk two blocks
-    # of draws that do: each threshold, its neighbours and the ends of its cell
+    # of draws that do: each threshold, its neighbours and the ends of its
+    # cell, among them the tie at the start of cell 128 (row 1/2, 1/2),
+    # 1/256 + 2**-53, one draw past the start of cell 1, and the last two
+    # draws of cell 127
     chain = MarkovChain((0, 1), rows)
-    edges = {0, (1 << 53) - 1}
+    edges = {0, _LAST}
     for state in chain.states:
         for _, t in sampling._thresholds(chain.row(state)):
             c = t >> 45
             edges.update((t - 1, t, t + 1, c << 45, ((c + 1) << 45) - 1))
-    edges = sorted(z for z in edges if 0 <= z < 1 << 53)
+    edges = sorted(z for z in edges if 0 <= z <= _LAST)
     rng = random.Random(len(edges))
     draws = [rng.choice(edges) for _ in range(2 * 1024)]
     blocks = [_lane_block(draws[:1024]), _lane_block(draws[1024:])]
     monkeypatch.setattr(sampling, "_lanes", lambda seed: iter(blocks))
+    assert list(islice(sampling._uniforms(0), len(draws))) == draws
     assert run_chain(chain, 0, 0, len(draws)) == _oracle_run(chain, draws)
 
 
@@ -381,12 +443,13 @@ def test_chain_blocks_index_the_transitions_of_the_run(chain, seed, n):
     assert [pairs[k] for k in steps] == list(zip(run, run[1:]))
 
 
-@pytest.mark.parametrize("size", [2, 17])
+@pytest.mark.parametrize("size", [2, 16, 17])
 def test_chain_blocks_are_lists_of_1024_steps(size):
-    # one format whether every index fits a byte (4 transitions) or not (289)
+    # `bytes` where every index fits a byte (4 and 256 transitions), lists
+    # past that (289)
     blocks, pairs = chain_blocks(dense_chain(size), 0, 1)
     for block in islice(blocks, 2):
-        assert type(block) is list and len(block) == 1024
+        assert type(block) is (bytes if len(pairs) <= 256 else list) and len(block) == 1024
         assert all(type(k) is int and 0 <= k < len(pairs) for k in block)
 
 
