@@ -15,16 +15,17 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "chains": ("MarkovChain",),
-    "enumeration": ("HypothesisList", "InterleavedList", "interleave_decode"),
-    "exactnum": ("Bracket", "Rational", "tau"),
+    "bands": ("tau",),
+    "chains": ("MarkovChain", "run_chain"),
+    "enumeration": ("GuessTrace", "HypothesisList", "InterleavedList", "interleave_decode"),
+    "exactnum": ("Bracket", "Rational"),
     "hypotheses": ("HypothesisSpec", "build_hypothesis", "make_finite_pmf", "make_geometric_pmf"),
-    "iid_identify": ("GuessTrace", "candidate_test", "identify_step", "identify_stream"),
+    "iid_identify": ("candidate_test", "identify_step", "identify_stream"),
     "markov_identify": ("ergodic_mean", "identify_chain", "stationary"),
     "measure_identify": ("identify_measure_step", "identify_measure_stream", "sigma_stage"),
-    "measures": ("make_black_swan_pair", "make_iid_measure", "make_mu_k"),
+    "measures": ("draw_from_measure", "make_black_swan_pair", "make_iid_measure", "make_mu_k"),
     "predict": ("black_swan_demo", "predict_iid", "predict_markov", "predict_measure"),
-    "sampling": ("Rng", "SamplePrefix", "draw_from_measure", "draw_iid", "run_chain"),
+    "sampling": ("Rng", "SamplePrefix", "draw_iid"),
     "terms": ("make_simple_pmf",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,14 +1,32 @@
 """Finite ergodic Markov chains with exact stationary distributions,
-solved by rational Gaussian elimination (`_solve_stationary`).  Only a
-config that names a chain, and the `stationary` command, load this module
-(see `hypotheses.build_hypothesis`).
+solved by rational Gaussian elimination (`_solve_stationary`), and the walk
+that runs them.  Only a config that names a chain, and the `stationary`
+command, load this module (see `hypotheses.build_hypothesis`).
+
+The walk reads the SplitMix64 lane stream of `sampling`.  `chain_blocks`
+merges the thresholds of all rows into behaviour classes, on each of which
+every state takes one transition (`_classes`), maps a block's top bytes to
+classes in C, bisecting only the draws in cells that a threshold splits
+(`_cells`), and reads m draws per table lookup.  It yields steps, indices
+into the chain's tuple of positive-mass transitions.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain, islice
 from math import gcd
+from operator import ne
+from struct import Struct
 
-from .errors import InvalidTransitionMatrix, NotErgodic, SingularSystem
+from .errors import BadStart, InvalidTransitionMatrix, NotErgodic, SingularSystem
 from .hypotheses import ONE, ZERO, HypothesisSpec, _frac_str
+from .sampling import _BLOCK_BYTES, _LANES, _lanes, _thresholds
+
+# A block is serialised little-endian, so lane k is bytes 16k..16k+15 and
+# its low 64-bit word, which `_walk` reads whole, comes first.
+_WORD = Struct("<Q")
+# `run_chain` names its chain `chain`, which hides itertools.chain
+_flatten = chain.from_iterable
 
 
 def _strongly_connected(adj, n):
@@ -153,3 +171,92 @@ class MarkovChain:
 
     def __repr__(self):
         return "MarkovChain(states=%r)" % (self.states,)
+
+
+def chain_blocks(chain, x0, seed):
+    """Endless steps of a chain run from x0, and the transitions they index.
+
+    Returns (blocks, pairs): `pairs` is the tuple of (state, next_state)
+    transitions of positive mass in row order, and each block holds the
+    next 1024 steps, step t the index of (x_{t-1}, x_t) in `pairs`: `bytes`
+    where every index fits a byte (at most 256 transitions), else a list.
+    Raises BadStart at the call, before any state is drawn.
+    """
+    if not chain.has_state(x0):
+        raise BadStart("start state %r not in chain" % (x0,))
+    pairs, merged, steps = _classes(chain)
+    part, join = (bytes, b"".join) if len(pairs) <= 256 else (tuple, lambda p: [*_flatten(p)])
+    # tables[i][code]: (the steps, the next state's table) of m draws from state i
+    tables = [[] for _ in chain.states]
+    table_of = dict(zip(chain.states, tables))
+    entries = [(part([k]), table_of[target]) for k, (_, target) in enumerate(pairs)]
+    for table, row in zip(tables, steps):
+        table.extend(map(entries.__getitem__, row))
+    width, m = len(merged), 1
+    while m < 8 and width ** (2 * m) <= 256:
+        # the code of 2m draws is lo + D**m * hi, lo and hi those of its halves
+        span = range(width**m)
+        new = [[(a + b, c) for hi in span for a, t in old for b, c in (t[hi],)] for old in tables]
+        for table, row in zip(tables, new):
+            table[:] = row
+        m *= 2
+    return _walk(table_of[x0], merged, m, join, _lanes(seed)), tuple(pairs)
+
+
+def _classes(chain):
+    """(pairs, merged, steps): `pairs` as `chain_blocks` gives it, `merged`
+    the sorted distinct thresholds of all rows, and steps[i][j] the index in
+    `pairs` of the transition state i takes on every draw z of class j,
+    merged[j-1] < z <= merged[j].  Every row ends at 2**53, so K transitions
+    out of S states make at most D = K - S + 1 classes."""
+    pairs, rows = [], []
+    for state in chain.states:
+        targets, thresholds = zip(*_thresholds(chain.row(state)))
+        rows.append((len(pairs), thresholds))
+        pairs.extend((state, target) for target in targets)
+    merged = sorted({t for _, thresholds in rows for t in thresholds})
+    steps = [[base + bisect_left(thresholds, t) for t in merged] for base, thresholds in rows]
+    return pairs, merged, steps
+
+
+def _cells(merged):
+    """(low, split) of the 256 cells c of the top byte, the draws z >> 45 == c:
+    the class of a cell's lowest draw, and 1 where its highest is in another."""
+    low = [bisect_left(merged, c << 45) for c in range(256)]
+    high = [bisect_left(merged, ((c + 1) << 45) - 1) for c in range(256)]
+    return low, bytes(map(ne, low, high))
+
+
+def _walk(table, merged, m, join, lanes):
+    """Steps of a chain run from the state of `table`, one block per block of
+    lanes, by one lookup per m draws.  The cell of draw i is byte 16i + 7 of
+    the block; a draw in a split cell is read whole, mixed to its output and
+    bisected into `merged`.  A code byte packs the classes of m draws, the
+    r-th times D**r, and sums to at most D**m - 1 <= 255: nothing carries."""
+    low, split = _cells(merged)
+    classes = bytes(low) if len(merged) <= 256 else None
+    for block in lanes:
+        raw = block.to_bytes(_BLOCK_BYTES, "little")
+        cells = raw[7::16]
+        codes = bytearray(cells.translate(classes)) if classes else [*map(low.__getitem__, cells)]
+        marks = cells.translate(split)
+        at = marks.find(1)
+        while at >= 0:
+            (z,) = _WORD.unpack_from(raw, 16 * at)
+            codes[at] = bisect_left(merged, (z ^ (z >> 31)) >> 11)
+            at = marks.find(1, at + 1)
+        if m > 1:
+            sums = sum(int.from_bytes(codes[r::m], "little") * len(merged) ** r for r in range(m))
+            codes = sums.to_bytes(_LANES // m, "little")
+        parts = []
+        for code in codes:
+            part, table = table[code]
+            parts.append(part)
+        yield join(parts)
+
+
+def run_chain(chain, x0, seed, n):
+    """Run a chain n steps from x0; returns the state sequence x_1..x_n."""
+    blocks, pairs = chain_blocks(chain, x0, seed)
+    targets = tuple(target for _, target in pairs)
+    return tuple(map(targets.__getitem__, islice(_flatten(blocks), n)))

@@ -8,13 +8,33 @@ import json
 import sys
 
 from .errors import ConfigInvalid, IoError
-from .harness import (
-    ExperimentConfig,
-    load_config_file,
-    run_experiment,
-    write_plot_script,
-)
+from .harness import ExperimentConfig, _write_file, run_experiment
 from .hypotheses import build_hypothesis
+
+PLOT_SCRIPT = """# gnuplot script: guess trajectories from the checkpoint log
+set datafile separator ","
+set key outside
+set xlabel "n"
+set ylabel "guess (0 = undecided)"
+plot "checkpoints.csv" every ::1 using 3:4 with points pointtype 7 title "guesses"
+"""
+
+
+def write_plot_script(out_dir):
+    _write_file(out_dir, "plot.gp", PLOT_SCRIPT)
+
+
+def load_config_file(path):
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise IoError(str(exc))
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:
+        raise ConfigInvalid("", "not valid JSON: %s" % exc)
+    return ExperimentConfig.from_obj(obj)
 
 
 def _build_parser():

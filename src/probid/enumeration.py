@@ -1,4 +1,5 @@
-"""Indexed hypothesis lists and the infinite-repetition interleaver.
+"""Indexed hypothesis lists, the infinite-repetition interleaver, and the
+scan and checkpoint loop that every identifier runs over them.
 
 Lists are 1-based and stable: position i always resolves to the same
 hypothesis.  A list is either an explicit finite sequence or a generated
@@ -10,9 +11,14 @@ infinitely many positions, which the measure identifier requires.  It uses
 the diagonal pairing: positions walk diagonals d = 1, 2, ... and diagonal d
 emits base indices 1..d, so base index b shows up once on every diagonal
 d >= b.
+
+Each identifier emits the least passing index of a list (`least_passing`)
+at checkpoints n = stride, 2*stride, ... (`checkpoint_trace`), and the
+guesses make a `GuessTrace`.
 """
 
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import IndexOutOfRange
 
@@ -109,3 +115,43 @@ class InterleavedList(_Enumeration):
 
     def scan_bound(self, n):
         return n
+
+
+class GuessTrace(NamedTuple):
+    """Guesses recorded at increasing checkpoint sizes.
+
+    converged_at is the least recorded n0 such that every guess from n0 on
+    is decided and identical; None when the tail has not stabilized.
+    """
+
+    checkpoints: list  # [(n, guess-or-None), ...] strictly increasing in n
+    converged_at: int | None = None
+
+    @property
+    def final_guess(self):
+        if not self.checkpoints:
+            return None
+        return self.checkpoints[-1][1]
+
+
+def trace_from_checkpoints(checkpoints):
+    checkpoints = list(checkpoints)
+    converged = None
+    if checkpoints and checkpoints[-1][1] is not None:
+        final = checkpoints[-1][1]
+        converged = checkpoints[-1][0]
+        for n, guess in reversed(checkpoints[:-1]):
+            if guess != final:
+                break
+            converged = n
+    return GuessTrace(checkpoints, converged)
+
+
+def checkpoint_trace(step, n_max, stride):
+    """The checkpoint loop shared by all three identifiers.
+
+    Calls step(n) at n = stride, 2*stride, ... <= n_max and traces the
+    guesses it returns.  Each mode's step grows its one data sequence by
+    the next `stride` symbols, updates its statistics, and runs its scan.
+    """
+    return trace_from_checkpoints((n, step(n)) for n in range(stride, n_max + 1, stride))

@@ -14,14 +14,12 @@ Output files (fixed headers):
 
 import importlib
 import itertools
-import json
 import os
-import tempfile
 from typing import NamedTuple
 
 from .enumeration import HypothesisList, interleave_decode
 from .errors import ConfigInvalid, EmptyInput, IoError, ProbidError
-from .hypotheses import build_hypothesis
+from .hypotheses import build_hypothesis, has_symbol
 
 _CHECKPOINT_HEADER = ["run_id", "seed", "n", "guess", "changed"]
 _SUMMARY_HEADER = ["run_id", "seed", "final_guess", "converged_at", "correct"]
@@ -91,6 +89,12 @@ def _positive_int(value, path):
     return value
 
 
+# A sweep runs one identification per seed, so 65536 seeds are far past desk
+# scale; an unbounded count would have `probid validate` list seeds until
+# memory ran out.
+_MAX_SEEDS = 1 << 16
+
+
 def _parse_seeds(obj, path):
     if isinstance(obj, list):
         if not obj or not all(isinstance(s, int) and not isinstance(s, bool) for s in obj):
@@ -98,6 +102,8 @@ def _parse_seeds(obj, path):
         return list(obj)
     if isinstance(obj, dict):
         count = _positive_int(_need(obj, "count", path + ".count"), path + ".count")
+        if count > _MAX_SEEDS:  # checked before the list of seeds is built
+            raise ConfigInvalid(path + ".count", "%d past %d seeds" % (count, _MAX_SEEDS))
         base = obj.get("base", 1)
         if not isinstance(base, int) or isinstance(base, bool):
             raise ConfigInvalid(path + ".base", "must be an integer")
@@ -157,6 +163,7 @@ def _parse_config(obj):
         input_sequence = tuple(raw)
         if len(input_sequence) < n_max:
             raise ConfigInvalid("input_sequence", "shorter than n_max")
+        _check_look_alikes(input_sequence, hypotheses)
 
     if input_sequence is not None:
         target_index = None  # ignored when a fixed input drives the run
@@ -172,8 +179,7 @@ def _parse_config(obj):
         chain = hypotheses.get(target_index)
         if start_state is None:
             start_state = chain.states[0]
-        # the JSON type must match too: true == 1 and 1.0 == 1, yet neither names state 1
-        elif not any(type(s) is type(start_state) and s == start_state for s in chain.states):
+        elif not has_symbol(chain.states, start_state):
             raise ConfigInvalid("start_state", "not a state of the target chain")
 
     estimator = obj.get("estimator", {})
@@ -203,6 +209,21 @@ def _parse_config(obj):
         output=_parse_output(obj),
         hypotheses=hypotheses,
     )
+
+
+def _check_look_alikes(sequence, hypotheses):
+    """Reject a symbol of `sequence` equal to an alphabet symbol of another
+    JSON type, such as true or 1.0 against 1 (see `hypotheses.has_symbol`);
+    a symbol equal to none stays, as one that every measure gives mass 0."""
+    types = {}
+    for i in range(1, hypotheses.length + 1):
+        for a in hypotheses.get(i).alphabet:
+            types.setdefault(a, set()).add(type(a))
+    for kind, symbol in {(type(x), x) for x in sequence}:
+        if kind not in types.get(symbol, (kind,)):
+            raise ConfigInvalid(
+                "input_sequence", "%r equals an alphabet symbol of another type" % (symbol,)
+            )
 
 
 def _list_specs(decl, path):
@@ -443,17 +464,16 @@ def summarize(records):
 
 def _write_file(directory, name, text):
     """Write `text` to directory/name atomically, creating the directory;
-    any OSError is raised as IoError."""
+    any OSError is raised as IoError.  The text goes to a new file of a
+    random name first, which is then renamed into place."""
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".probid-", suffix=".tmp")
+        tmp = os.path.join(directory, ".probid-%s.tmp" % os.urandom(8).hex())
+        # O_EXCL: never an existing file; the kernel takes the umask off 0o666
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", newline="") as handle:
                 handle.write(text)
-            # mkstemp creates the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, os.path.join(directory, name))
         except OSError:
             if os.path.exists(tmp):
@@ -489,29 +509,3 @@ def write_results(records, out_dir):
         )
     _write_file(out_dir, "checkpoints.csv", _render_csv(_CHECKPOINT_HEADER, checkpoint_rows))
     _write_file(out_dir, "summary.csv", _render_csv(_SUMMARY_HEADER, summary_rows))
-
-
-PLOT_SCRIPT = """# gnuplot script: guess trajectories from the checkpoint log
-set datafile separator ","
-set key outside
-set xlabel "n"
-set ylabel "guess (0 = undecided)"
-plot "checkpoints.csv" every ::1 using 3:4 with points pointtype 7 title "guesses"
-"""
-
-
-def write_plot_script(out_dir):
-    _write_file(out_dir, "plot.gp", PLOT_SCRIPT)
-
-
-def load_config_file(path):
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise IoError(str(exc))
-    try:
-        obj = json.loads(data)
-    except ValueError as exc:
-        raise ConfigInvalid("", "not valid JSON: %s" % exc)
-    return ExperimentConfig.from_obj(obj)

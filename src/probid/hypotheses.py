@@ -168,6 +168,12 @@ _MAX_PMF_SIZE = 1 << 16
 # ---------------------------------------------------------------------------
 
 
+def has_symbol(symbols, value):
+    """Whether `value` is one of `symbols` as the same JSON value: true == 1
+    and 1.0 == 1 in Python, yet neither names the symbol 1."""
+    return any(type(s) is type(value) and s == value for s in symbols)
+
+
 def _parse_frac(value):
     if isinstance(value, bool) or isinstance(value, float):
         raise BadSymbol("rational parameters must be ints or 'num/den' strings")

@@ -13,50 +13,10 @@ when no index passes the step reports Undecided (None).
 from collections import Counter
 from functools import lru_cache
 from itertools import islice
-from typing import NamedTuple
 
-from .exactnum import tau
+from .bands import tau, within_band
+from .enumeration import checkpoint_trace
 from .sampling import iid_steps
-
-
-class GuessTrace(NamedTuple):
-    """Guesses recorded at increasing checkpoint sizes.
-
-    converged_at is the least recorded n0 such that every guess from n0 on
-    is decided and identical; None when the tail has not stabilized.
-    """
-
-    checkpoints: list  # [(n, guess-or-None), ...] strictly increasing in n
-    converged_at: int | None = None
-
-    @property
-    def final_guess(self):
-        if not self.checkpoints:
-            return None
-        return self.checkpoints[-1][1]
-
-
-def trace_from_checkpoints(checkpoints):
-    checkpoints = list(checkpoints)
-    converged = None
-    if checkpoints and checkpoints[-1][1] is not None:
-        final = checkpoints[-1][1]
-        converged = checkpoints[-1][0]
-        for n, guess in reversed(checkpoints[:-1]):
-            if guess != final:
-                break
-            converged = n
-    return GuessTrace(checkpoints, converged)
-
-
-def checkpoint_trace(step, n_max, stride):
-    """The checkpoint loop shared by all three identifiers.
-
-    Calls step(n) at n = stride, 2*stride, ... <= n_max and traces the
-    guesses it returns.  Each mode's step grows its one data sequence by
-    the next `stride` symbols, updates its statistics, and runs its scan.
-    """
-    return trace_from_checkpoints((n, step(n)) for n in range(stride, n_max + 1, stride))
 
 
 @lru_cache(maxsize=None)
@@ -76,27 +36,6 @@ def mass_cutoff(pmf, n):
         if size is not None and m >= size:  # tail is 0 from here on
             return tuple(pmf.support(j) for j in range(1, size + 1))
         m += 1
-
-
-def within_band(mass, symbols, counts, total, bracket):
-    """True iff |mass(a) - c/total| < bracket.lo for every a in `symbols`
-    and every a with a positive count c = counts[a].
-
-    The one frequency-band test: i.i.d. candidates, markov rows and the
-    stationary clause all decide through it.  A deviation inside the
-    bracket fails.  The comparison is made in integers,
-    |q.num*total - c*q.den| * lo.den < lo.num * q.den * total.
-    """
-    lo = bracket.lo
-    bound, scale = lo.numerator * total, lo.denominator
-    checked = set(symbols)
-    checked.update(a for a, c in counts.items() if c > 0)
-    for a in checked:
-        q = mass(a)
-        den = q.denominator
-        if abs(q.numerator * total - counts.get(a, 0) * den) * scale >= bound * den:
-            return False
-    return True
 
 
 def candidate_test(pmf, counts, n):

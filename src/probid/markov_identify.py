@@ -25,7 +25,7 @@ compiled once per stream against `pairs` (`_compile`): per source state,
 its row as integer numerators over one denominator in `pairs` order, the
 candidate transitions the source never takes, its stationary numerator,
 and whether it lacks the state.  The vectors then feed both clauses
-directly, one integer deviation per clause decided by `exactnum.below_tau`,
+directly, one integer deviation per clause decided by `bands.below_tau`,
 which computes a `tau` bracket only where bit lengths cannot decide.
 """
 
@@ -36,10 +36,9 @@ from math import lcm
 from operator import add, sub
 from typing import NamedTuple
 
-from .chains import MarkovChain
-from .exactnum import below_tau, tau
-from .iid_identify import checkpoint_trace, within_band
-from .sampling import chain_blocks
+from .bands import below_tau, tau, within_band
+from .chains import MarkovChain, chain_blocks
+from .enumeration import checkpoint_trace
 
 
 class TransitionCounts(NamedTuple):
@@ -59,7 +58,7 @@ def chain_counts(source, x0, seed, stride):
     """Counts of the run prefixes of length stride, 2*stride, ... of a chain.
 
     Returns (counts, pairs), `pairs` the chain's tuple of positive-mass
-    transitions (see `sampling.chain_blocks`).  At each prefix x_1..x_n,
+    transitions (see `chains.chain_blocks`).  At each prefix x_1..x_n,
     `counts` yields the lists (visits, trans): visits[i] counts the visits
     to source.states[i], and trans[k] the steps within x_1..x_n that take
     pairs[k].  Each step (x_{t-1}, x_t), t = 1..n, enters its target state

@@ -29,11 +29,10 @@ from math import inf
 from operator import itemgetter, neg, sub
 
 from .complexity import ComplexityEstimator, literal_bits, model_bits, run_bits, symbol_bits
-from .enumeration import InterleavedList
+from .enumeration import InterleavedList, checkpoint_trace
 from .errors import ProbidError
 from .exactnum import log2_bracket
-from .iid_identify import checkpoint_trace
-from .sampling import draw_from_measure
+from .measures import draw_from_measure
 
 def sigma_stage(mu, x, j, n, estimator):
     """Floored stage-n deficiency of mu on the length-j prefix of x; +inf at mass 0."""

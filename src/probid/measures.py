@@ -1,16 +1,19 @@
 """Measures on infinite sequences, evaluated on finite prefixes: product
-measures, path mixtures (constant runs, switch pairs) and marked runs.
-Only a config that names a measure loads this module (see
+measures, path mixtures (constant runs, switch pairs) and marked runs, and
+`draw_from_measure`, which samples a prefix from any of them.  Only a
+config that names a measure loads this module (see
 `hypotheses.build_hypothesis`).
 """
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, chain, repeat, tee
+from itertools import accumulate, chain, islice, repeat, tee
 from math import inf
 
 from .errors import BadSymbol, SumNotOne, ZeroMassPrefix
 from .exactnum import log2_bracket, log2_ratio_bracket
-from .hypotheses import _MAX_PMF_SIZE, ONE, ZERO, HypothesisSpec
+from .hypotheses import _MAX_PMF_SIZE, ONE, ZERO, HypothesisSpec, has_symbol
+from .sampling import _sample_prefix, _steps, _table, _uniforms, draw_iid
 
 #: The `log2_prefixes` entry of a prefix of mass 0: log2 0 = -inf.
 MASS_ZERO = (-inf, -inf)
@@ -169,7 +172,7 @@ class PathMixtureMeasure(MeasureBase):
 
 def constant_run_measure(alphabet, symbol):
     """Deterministic measure: the sequence is `symbol` forever, mass 1."""
-    if symbol not in alphabet:
+    if not has_symbol(alphabet, symbol):
         raise BadSymbol("run symbol %r not in alphabet" % (symbol,))
     return PathMixtureMeasure(
         alphabet,
@@ -182,7 +185,7 @@ def constant_run_measure(alphabet, symbol):
 
 def switch_pair_measure(alphabet, run_symbol, switch_symbol, n_switch):
     """Half the mass runs `run_symbol` forever; half switches after n_switch."""
-    if run_symbol not in alphabet or switch_symbol not in alphabet:
+    if not (has_symbol(alphabet, run_symbol) and has_symbol(alphabet, switch_symbol)):
         raise BadSymbol("switch symbols must come from the alphabet")
     if n_switch < 1:
         raise BadSymbol("n_switch must be >= 1")
@@ -271,3 +274,46 @@ def make_mu_k(k, marker):
 
 def make_iid_measure(pmf):
     return ProductMeasure(pmf)
+
+
+def draw_from_measure(mu, seed, n):
+    """Sample a length-n prefix from a measure via exact conditionals.
+
+    Each step inverts the next-symbol distribution mu(xa)/mu(x) over the
+    alphabet.  A product measure's conditional is its pmf, in the same
+    order, so it is drawn as `draw_iid(mu.pmf, seed, n)`: the same
+    thresholds of the same masses against the same uniforms, with no
+    `step` call or `Fraction` division per symbol.  A marked run's first
+    conditional is uniform on 1..k, and each later one is the marker
+    alone once the run starts on it, uniform on 1..k otherwise; so it is
+    drawn as uniform i.i.d. draws, replaced by the marker throughout when
+    the first draw is the marker.  Any other measure goes through
+    `_draw_chain_rule`.
+    """
+    if isinstance(mu, ProductMeasure):
+        return draw_iid(mu.pmf, seed, n)
+    if isinstance(mu, MarkedRunMeasure):
+        steps, symbols = _steps(((a, Fraction(1, mu.k)) for a in mu.alphabet), seed)
+        prefix = tuple(map(symbols.__getitem__, islice(steps, n)))
+        if prefix[:1] == (mu.marker,):
+            prefix = (mu.marker,) * n
+        return _sample_prefix(prefix)
+    return _draw_chain_rule(mu, seed, n)
+
+
+def _draw_chain_rule(mu, seed, n):
+    """`draw_from_measure` by the chain rule, which holds for every measure.
+
+    The prefix state and mass are carried forward; each step inverts
+    mu(xa)/mu(x) over the alphabet.  A picked symbol has positive mass, so
+    the prefix never reaches mass zero.
+    """
+    state, mass = mu.start, Fraction(1)
+    prefix = []
+    for i, z in enumerate(islice(_uniforms(seed), n)):
+        steps = {a: mu.step(state, i, a) for a in mu.alphabet}
+        symbols, thresholds = _table((a, m / mass) for a, (_, m) in steps.items())
+        a = symbols[bisect_left(thresholds, z)]
+        prefix.append(a)
+        state, mass = steps[a]
+    return _sample_prefix(prefix)

@@ -19,9 +19,10 @@ from helpers import (
     separated_pmf_list,
     uniform_ab_measure,
 )
+from probid.bands import tau
+from probid.chains import run_chain
 from probid.complexity import ComplexityEstimator, khat, kraft_audit
 from probid.enumeration import HypothesisList, InterleavedList
-from probid.exactnum import tau
 from probid.harness import run_experiment
 from probid.hypotheses import make_finite_pmf
 from probid.iid_identify import identify_stream
@@ -29,7 +30,7 @@ from probid.markov_identify import ergodic_mean, identify_chain_stream, stationa
 from probid.measure_identify import identify_measure_stream
 from probid.measures import make_black_swan_pair
 from probid.predict import black_swan_demo
-from probid.sampling import Rng, draw_iid, run_chain
+from probid.sampling import Rng, draw_iid
 
 F = Fraction
 SEEDS = range(1, 101)

@@ -8,18 +8,10 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from probid import exactnum
-from probid.exactnum import (
-    _LN2_LO,
-    BRACKET_EPS,
-    Bracket,
-    below_tau,
-    ln_bracket,
-    log2_bracket,
-    log2_ratio_bracket,
-    tau,
-)
+from probid import bands
+from probid.bands import _LN2_LO, BRACKET_EPS, below_tau, ln_bracket, tau
 from probid.errors import ProbidError
+from probid.exactnum import Bracket, log2_bracket, log2_ratio_bracket
 
 mpmath.mp.dps = 50
 
@@ -231,5 +223,5 @@ def test_below_tau_decides_against_the_bracket(bracket, n, anchor, bits, delta, 
     sides of each filter's edge and inside the bracket."""
     d = max(0, _edge_steps(n, anchor, bracket, bits) + delta) * factor
     scale = factor << bits
-    with mock.patch.object(exactnum, "tau", bracket):
+    with mock.patch.object(bands, "tau", bracket):
         assert below_tau(d, scale, n) == (Fraction(d, scale) < bracket(n).lo)

@@ -488,6 +488,19 @@ def test_output_files_take_the_umask_mode(tmp_path):
     assert sorted(os.listdir(out)) == sorted(names)
 
 
+def test_writing_a_file_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # setting the umask, even for a moment, would let another thread of the
+    # calling program create world-writable files
+    def set_umask(mask):
+        raise AssertionError("the umask was set")
+
+    monkeypatch.setattr(os, "umask", set_umask)
+    harness._write_file(str(tmp_path / "out"), "a.csv", "1,2\n")
+    harness._write_file(str(tmp_path / "out"), "a.csv", "3,4\n")
+    assert os.listdir(tmp_path / "out") == ["a.csv"]
+    assert (tmp_path / "out" / "a.csv").read_text() == "3,4\n"
+
+
 def _fresh_python(code, *args, stdin=b""):
     """Standard output of `code` run by a new interpreter that finds this probid;
     -S keeps site hooks from importing anything first."""
@@ -549,19 +562,21 @@ def test_parsing_a_config_imports_only_its_modes_modules():
     # the demo command imports predict, and the stationary command chains
     assert not {"predict", "chains", "measures", "terms"} & set(loaded["cli"])
     own = {
-        "iid": {"iid_identify"},
-        "iid-simple": {"iid_identify", "terms"},
-        "markov": {"markov_identify", "chains"},
+        "iid": {"iid_identify", "bands"},
+        "iid-simple": {"iid_identify", "bands", "terms"},
+        "markov": {"markov_identify", "bands", "chains"},
         "measure": {"measure_identify", "complexity", "measures"},
         "demo": {"predict", "measures"},
     }
     families = {"chains", "measures", "terms"}
+    # the chain walk is in `chains`, the measure draws in `measures`, and the
+    # band machinery of the i.i.d. and markov tests in `bands`
     left_out = {
         "iid": {"markov_identify", "measure_identify", "complexity", "predict"} | families,
         "iid-simple": {"chains", "measures"},
-        "markov": {"measure_identify", "complexity", "predict", "measures", "terms"},
-        "measure": {"markov_identify", "predict", "chains", "terms"},
-        "demo": {"iid_identify", "markov_identify", "measure_identify", "complexity", "chains", "terms"},
+        "markov": {"iid_identify", "measure_identify", "complexity", "predict", "measures", "terms"},
+        "measure": {"iid_identify", "markov_identify", "predict", "bands", "chains", "terms"},
+        "demo": {"iid_identify", "markov_identify", "measure_identify", "complexity", "bands", "chains", "terms"},
     }
     for mode in configs:
         assert own[mode] <= set(loaded[mode]), mode
@@ -694,6 +709,50 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
     assert cli.main(["run", "--config", path, "--out", str(out), "--jobs", jobs]) == 2
     assert "config invalid: --jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _binary_runs(symbol=1):
+    """The constant-0 and constant-`symbol` measures over the alphabet [0, 1]."""
+    def run(s):
+        return {"family": "constant_run", "params": {"alphabet": [0, 1], "symbol": s}}
+
+    return {"items": [run(0), run(symbol)]}
+
+
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        # forty true, or forty 1.0, settled on the constant-1 measure
+        (_measure_cfg(list=_binary_runs(), n_max=40, input_sequence=[True] * 40), "input_sequence"),
+        (_measure_cfg(list=_binary_runs(), n_max=40, input_sequence=[1.0] * 40), "input_sequence"),
+        (_measure_cfg(list=_binary_runs(True), target_index=1), "list.items[1]"),
+        (_measure_cfg(list=_binary_runs(1.0), target_index=1), "list.items[1]"),
+    ],
+    ids=["input-true", "input-1.0", "symbol-true", "symbol-1.0"],
+)
+def test_cli_rejects_symbols_of_another_json_type(tmp_path, capsys, cfg, path):
+    # true == 1 and 1.0 == 1 in Python, yet neither names the integer symbol 1
+    config = _write_cfg(tmp_path, cfg)
+    for command in (["validate", "--config", config], ["run", "--config", config]):
+        assert cli.main(command) == 2
+        assert "config invalid: %s" % path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symbol, guess", [(1, 3), ("1", 1)], ids=["int", "string"])
+def test_input_symbols_equal_to_no_alphabet_symbol_fall_back(symbol, guess):
+    # position 3 of the interleaved list is the constant-1 measure; "1" is no
+    # symbol of either measure, so every position fails and the guess is 1
+    cfg = _measure_cfg(list=_binary_runs(), n_max=40, input_sequence=[symbol] * 40, seeds=[1])
+    records, _ = run_experiment(ExperimentConfig.from_obj(cfg))
+    assert records[0].final_guess == guess
+
+
+def test_seed_count_is_capped_before_the_seeds_are_listed():
+    # the cap is read first: a config of 10**12 seeds would otherwise be
+    # listed whole while it is parsed, allocating until memory ran out
+    assert _invalid_path(_iid_cfg(seeds={"count": harness._MAX_SEEDS + 1})) == "seeds.count"
+    assert _invalid_path(_iid_cfg(seeds={"count": 10**12})) == "seeds.count"
+    assert len(ExperimentConfig.from_obj(_iid_cfg(seeds={"count": harness._MAX_SEEDS})).seeds) == 1 << 16
 
 
 def test_cli_exit_code_on_io_error(tmp_path):

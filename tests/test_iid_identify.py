@@ -5,18 +5,11 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import pmf_weights, separated_pmf, separated_pmf_list, weights_pmf
-from probid.enumeration import HypothesisList
-from probid.exactnum import Bracket, tau
+from probid.bands import tau, within_band
+from probid.enumeration import HypothesisList, trace_from_checkpoints
+from probid.exactnum import Bracket
 from probid.hypotheses import make_finite_pmf, make_geometric_pmf
-from probid.iid_identify import (
-    candidate_test,
-    identify_step,
-    identify_stream,
-    iid_counts,
-    mass_cutoff,
-    trace_from_checkpoints,
-    within_band,
-)
+from probid.iid_identify import candidate_test, identify_step, identify_stream, iid_counts, mass_cutoff
 from probid.sampling import SamplePrefix, draw_iid
 
 F = Fraction

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import chain_3state, chain_a, chain_b, chains_with_zeros, dense_chain
-from probid.chains import MarkovChain
+from probid.chains import MarkovChain, chain_blocks, run_chain
 from probid.enumeration import HypothesisList
 from probid.errors import NotErgodic
 from probid.hypotheses import make_finite_pmf
@@ -29,7 +29,6 @@ from probid.markov_identify import (
     stationary,
     _rows_pass,
 )
-from probid.sampling import chain_blocks, run_chain
 
 F = Fraction
 HALF = F(1, 2)

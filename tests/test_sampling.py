@@ -23,31 +23,23 @@ from helpers import (
     uniform_ab_pmf,
     weights_pmf,
 )
-from probid import sampling
-from probid.chains import MarkovChain
+from probid import chains, sampling
+from probid.bands import tau
+from probid.chains import MarkovChain, chain_blocks, run_chain
 from probid.errors import BadStart, ZeroMassPrefix
-from probid.exactnum import tau
 from probid.hypotheses import make_finite_pmf, make_geometric_pmf
 from probid.measures import (
     MarkedRunMeasure,
     ProductMeasure,
+    _draw_chain_rule,
     constant_run_measure,
+    draw_from_measure,
     make_black_swan_pair,
     make_iid_measure,
     make_mu_k,
     switch_pair_measure,
 )
-from probid.sampling import (
-    Rng,
-    SamplePrefix,
-    _draw_chain_rule,
-    _table,
-    chain_blocks,
-    draw_from_measure,
-    draw_iid,
-    iid_steps,
-    run_chain,
-)
+from probid.sampling import Rng, SamplePrefix, _table, draw_iid, iid_steps
 
 F = Fraction
 
@@ -343,7 +335,7 @@ _EVERY_M = {
 
 
 def test_chain_examples_cover_every_lookup_width():
-    widths = {d: len(sampling._classes(chain)[1]) for d, chain in _EVERY_M.items()}
+    widths = {d: len(chains._classes(chain)[1]) for d, chain in _EVERY_M.items()}
     assert widths == {d: d for d in _EVERY_M}
 
 
@@ -374,8 +366,8 @@ def test_class_table_is_the_pick_at_both_ends_of_every_cell(chain):
     # must pick its class step at both ends of it; cell c holds the draws
     # z >> 45 == c, its lowest draw must be in class low[c], and it must be
     # split exactly where some state picks apart at its two ends
-    pairs, merged, steps = sampling._classes(chain)
-    low, split = sampling._cells(merged)
+    pairs, merged, steps = chains._classes(chain)
+    low, split = chains._cells(merged)
     assert pairs == [(s, t) for s in chain.states for t, m in chain.row(s) if m]
     assert len(merged) <= len(pairs) - len(chain.states) + 1
     picks = [_picker(chain.row(state)) for state in chain.states]
@@ -429,6 +421,7 @@ def test_chain_walk_bisects_draws_in_split_cells(monkeypatch, rows):
     draws = [rng.choice(edges) for _ in range(2 * 1024)]
     blocks = [_lane_block(draws[:1024]), _lane_block(draws[1024:])]
     monkeypatch.setattr(sampling, "_lanes", lambda seed: iter(blocks))
+    monkeypatch.setattr(chains, "_lanes", lambda seed: iter(blocks))
     assert list(islice(sampling._uniforms(0), len(draws))) == draws
     assert run_chain(chain, 0, 0, len(draws)) == _oracle_run(chain, draws)
 
