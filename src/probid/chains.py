@@ -29,25 +29,6 @@ _WORD = Struct("<Q")
 _flatten = chain.from_iterable
 
 
-def _strongly_connected(adj, n):
-    def reach(edges):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in edges[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    back = [[] for _ in range(n)]
-    for u in range(n):
-        for v in adj[u]:
-            back[v].append(u)
-    return len(reach(adj)) == n and len(reach(back)) == n
-
-
 def _period(adj, n):
     # gcd of (dist[u] + 1 - dist[v]) over edges of a strongly connected graph
     dist = [None] * n
@@ -71,7 +52,8 @@ def _solve_stationary(rows):
     """Exact solve of pi Q = pi, sum pi = 1 by rational Gaussian elimination.
 
     Operates on the (n+1) x n system stacking (Q^T - I) with the
-    normalization row, so no equation has to be dropped by hand.
+    normalization row, so no equation has to be dropped by hand.  Raises
+    SingularSystem when the solution is not unique.
     """
     n = len(rows)
     aug = []
@@ -103,9 +85,10 @@ def _solve_stationary(rows):
 class MarkovChain:
     """Finite time-homogeneous chain, exact rational rows, ergodic.
 
-    Construction checks irreducibility (strong connectivity of the positive
-    transition graph) and aperiodicity (gcd of cycle length differences is
-    1), then solves the stationary distribution exactly.
+    Construction solves the stationary distribution exactly and reads
+    irreducibility off the solve: the chain is reducible when the solve has
+    no unique solution or the solution puts mass 0 on some state.  It then
+    checks aperiodicity (gcd of cycle length differences is 1).
     """
 
     kind = "markov"
@@ -127,16 +110,20 @@ class MarkovChain:
             matrix.append(row)
         if len(matrix) != n:
             raise InvalidTransitionMatrix("need one row per state")
-        adj = [[j for j in range(n) if matrix[i][j] > 0] for i in range(n)]
-        if not _strongly_connected(adj, n):
-            raise NotErgodic("chain is reducible")
-        if _period(adj, n) != 1:
-            raise NotErgodic("chain is periodic")
         self.states = states
         self.rows = tuple(matrix)
         self._index = {s: i for i, s in enumerate(states)}
-        self.pi = _solve_stationary(self.rows)
-        if any(p <= 0 for p in self.pi) or sum(self.pi) != 1:
+        # a finite chain is irreducible exactly when it has one stationary
+        # distribution and that distribution is positive on every state
+        try:
+            self.pi = _solve_stationary(self.rows)
+        except SingularSystem:
+            raise NotErgodic("chain is reducible") from None
+        if any(p <= 0 for p in self.pi):
+            raise NotErgodic("chain is reducible")
+        if _period([[j for j in range(n) if row[j] > 0] for row in matrix], n) != 1:
+            raise NotErgodic("chain is periodic")
+        if sum(self.pi) != 1:
             raise SingularSystem("stationary solve produced a non-distribution")
         for j in range(n):
             if sum(self.pi[i] * self.rows[i][j] for i in range(n)) != self.pi[j]:

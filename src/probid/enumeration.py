@@ -81,11 +81,8 @@ def interleave_decode(pos):
     """
     if pos < 1:
         raise IndexOutOfRange("position %d" % pos)
-    d = (isqrt(8 * pos) + 1) // 2
-    while d * (d - 1) // 2 >= pos:
-        d -= 1
-    while d * (d + 1) // 2 < pos:
-        d += 1
+    # pos is on diagonal d: d(d-1)/2 < pos <= d(d+1)/2, or (2d-1)**2 <= 8pos-7 < (2d+1)**2
+    d = (isqrt(8 * pos - 7) + 1) // 2
     return pos - d * (d - 1) // 2
 
 

@@ -150,7 +150,8 @@ def _parse_config(obj):
     seeds = _parse_seeds(obj.get("seeds", {"count": 1, "base": 1}), "seeds")
 
     list_decl = _need(obj, "list", "list")
-    hypotheses = _parse_list(mode, list_decl)
+    symbol_types = {}
+    hypotheses = _parse_list(mode, list_decl, symbol_types)
 
     input_sequence = None
     if obj.get("input_sequence") is not None:
@@ -163,7 +164,7 @@ def _parse_config(obj):
         input_sequence = tuple(raw)
         if len(input_sequence) < n_max:
             raise ConfigInvalid("input_sequence", "shorter than n_max")
-        _check_look_alikes(input_sequence, hypotheses)
+        _check_look_alikes(input_sequence, symbol_types)
 
     if input_sequence is not None:
         target_index = None  # ignored when a fixed input drives the run
@@ -211,16 +212,12 @@ def _parse_config(obj):
     )
 
 
-def _check_look_alikes(sequence, hypotheses):
+def _check_look_alikes(sequence, symbol_types):
     """Reject a symbol of `sequence` equal to an alphabet symbol of another
     JSON type, such as true or 1.0 against 1 (see `hypotheses.has_symbol`);
     a symbol equal to none stays, as one that every measure gives mass 0."""
-    types = {}
-    for i in range(1, hypotheses.length + 1):
-        for a in hypotheses.get(i).alphabet:
-            types.setdefault(a, set()).add(type(a))
     for kind, symbol in {(type(x), x) for x in sequence}:
-        if kind not in types.get(symbol, (kind,)):
+        if symbol_types.get(symbol, kind) is not kind:
             raise ConfigInvalid(
                 "input_sequence", "%r equals an alphabet symbol of another type" % (symbol,)
             )
@@ -249,16 +246,30 @@ def _list_specs(decl, path):
     raise ConfigInvalid(path, "must declare items or family+grid")
 
 
-def _parse_list(mode, decl):
+def _parse_list(mode, decl, symbol_types):
     """HypothesisList of a declaration; faults at list.items[k] or list.grid[k]."""
     specs = _list_specs(decl, "list")
-    return _build_list(mode, specs, "list.items" if "items" in decl else "list.grid")
+    return _build_list(mode, specs, "list.items" if "items" in decl else "list.grid", symbol_types)
 
 
 _KINDS = {"iid": "pmf", "markov": "markov", "measure": "measure"}
 
 
-def _build_list(mode, specs, path):
+def _symbols(hyp):
+    """The finite symbols of a hypothesis: a pmf's support (none for an
+    infinite one), a chain's states or a measure's alphabet."""
+    if hyp.kind == "markov":
+        return hyp.states
+    if hyp.kind == "measure":
+        return hyp.alphabet
+    return map(hyp.support, range(1, (hyp.support_size or 0) + 1))
+
+
+def _build_list(mode, specs, path, symbol_types):
+    """HypothesisList of `specs`, filling `symbol_types` with the JSON type
+    of every symbol of the list; an item with a symbol equal to an earlier
+    item's of another type, such as true or 1.0 against 1, is rejected:
+    Python would take one for the other."""
     built = []
     for k, spec in enumerate(specs):
         path_k = "%s[%d]" % (path, k)
@@ -272,6 +283,11 @@ def _build_list(mode, specs, path):
             raise ConfigInvalid(path_k, "%s: %s" % (type(exc).__name__, exc))
         if hyp.kind != _KINDS[mode]:
             raise ConfigInvalid(path_k, "wrong kind for mode")
+        for symbol in _symbols(hyp):
+            if symbol_types.setdefault(symbol, type(symbol)) is not type(symbol):
+                raise ConfigInvalid(
+                    path_k, "%r equals an earlier symbol of another type" % (symbol,)
+                )
         built.append(hyp)
     return HypothesisList(_KINDS[mode], built)
 

@@ -20,7 +20,7 @@ transitions rather than to the length of the run.  A chain with few
 transitions for its stride has its steps tallied with one `bytes.count`
 per transition over the checkpoint's steps, one pass in C each; where
 those passes would cost more than a `Counter.update` per step
-(`_count_in_bytes`), a `Counter` tallies the blocks.  Each candidate is
+(`_count_in_bytes`), a `Counter` tallies them.  Each candidate is
 compiled once per stream against `pairs` (`_compile`): per source state,
 its row as integer numerators over one denominator in `pairs` order, the
 candidate transitions the source never takes, its stationary numerator,
@@ -73,18 +73,15 @@ def chain_counts(source, x0, seed, stride):
 
 
 def _strides(blocks, stride):
-    """The steps of `blocks` in runs of `stride`, each a list of slices."""
-    block, at = (), 0
+    """The steps of `blocks` in flat runs of `stride`, cut from one growing
+    buffer (a `bytearray` for `bytes` blocks): adding a block copies it alone."""
+    block = next(blocks)
+    buf = bytearray(block) if isinstance(block, bytes) else list(block)
     while True:
-        run, need = [], stride
-        while need:
-            if at == len(block):
-                block, at = next(blocks), 0
-            chunk = block[at : at + need]
-            run.append(chunk)
-            at += len(chunk)
-            need -= len(chunk)
-        yield run
+        while len(buf) < stride:
+            buf += next(blocks)
+        yield buf[:stride]
+        del buf[:stride]
 
 
 def _count_in_bytes(pairs, stride):
@@ -101,17 +98,15 @@ def _count_in_bytes(pairs, stride):
 def _checkpoint_counts(blocks, size, into, stride, in_bytes):
     runs = _strides(blocks, stride)
     run = next(runs)
-    first = run[0][0]
+    first = run[0]
     indices = range(size)
     counter, tally = Counter(), [0] * size
     while True:
         if in_bytes:
             # one pass in C per transition, no object per step
-            steps = b"".join(run)
-            tally = list(map(add, tally, map(steps.count, indices)))
+            tally = list(map(add, tally, map(run.count, indices)))
         else:
-            for chunk in run:
-                counter.update(chunk)
+            counter.update(run)
             tally = list(map(counter.get, indices, repeat(0)))
         trans = tally.copy()
         trans[first] -= 1

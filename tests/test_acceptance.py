@@ -9,16 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (
-    all_a_measure,
-    chain_3state,
-    chain_a,
-    chain_b,
-    mixed_measure_list,
-    separated_pmf,
-    separated_pmf_list,
-    uniform_ab_measure,
-)
+from helpers import chain_3state, chain_a, chain_b, mixed_measure_list, separated_pmf
 from probid.bands import tau
 from probid.chains import run_chain
 from probid.complexity import ComplexityEstimator, khat, kraft_audit

@@ -53,6 +53,12 @@ def test_interleave_decode_examples():
 def test_interleave_decode_matches_brute_force():
     expected = _brute_force_decode(500)
     assert [interleave_decode(p) for p in range(1, 501)] == expected
+    # diagonal d starts right after position d(d-1)/2, the last of diagonal
+    # d - 1; from d near 10**9 on, a float square root of 8 * pos misplaces it
+    for d in [*range(2, 1000), *(10**k + e for k in range(3, 21) for e in (-1, 0, 1))]:
+        last = d * (d - 1) // 2
+        assert interleave_decode(last) == d - 1
+        assert interleave_decode(last + 1) == 1
 
 
 def test_every_base_index_recurs():

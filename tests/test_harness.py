@@ -115,7 +115,7 @@ def test_minimal_equal_index_prefers_duplicates():
         _pmf_spec((0, "9/10"), (1, "1/10")),
         _pmf_spec((1, "1/2"), (0, "1/2")),  # same function, different spec
     ]
-    hl = _build_list("iid", specs, "list")
+    hl = _build_list("iid", specs, "list", {})
     assert minimal_equal_index(hl, 3) == 1
     assert minimal_equal_index(hl, 2) == 2
 
@@ -128,7 +128,7 @@ def test_minimal_equal_index_prefers_duplicates():
         product(("a", "1/2"), ("b", "1/2")),
         product(("b", "3/4"), ("a", "1/4")),  # the second, in another symbol order
     ]
-    hl = _build_list("measure", specs, "list")
+    hl = _build_list("measure", specs, "list", {})
     assert [minimal_equal_index(hl, i) for i in (1, 2, 3, 4)] == [1, 2, 3, 2]
 
 
@@ -141,7 +141,7 @@ def test_minimal_equal_index_finds_a_chain_written_in_another_state_order():
     a = chain([0, 1], [["1/2", "1/2"], ["1/4", "3/4"]])
     a_reordered = chain([1, 0], [["3/4", "1/4"], ["1/2", "1/2"]])
     b = chain([0, 1], [["3/4", "1/4"], ["1/2", "1/2"]])  # a's rows, states swapped
-    hl = _build_list("markov", [a_reordered, b, a], "list")
+    hl = _build_list("markov", [a_reordered, b, a], "list", {})
     assert [minimal_equal_index(hl, i) for i in (1, 2, 3)] == [1, 2, 1]
 
 
@@ -719,6 +719,15 @@ def _binary_runs(symbol=1):
     return {"items": [run(0), run(symbol)]}
 
 
+def _binary_chain(states):
+    return {"family": "markov", "params": {"states": states, "rows": [["1/2", "1/2"], ["1/3", "2/3"]]}}
+
+
+_FAIR_01 = _pmf_spec((0, "1/2"), (1, "1/2"))
+_BOOL_RUN = {"family": "constant_run", "params": {"alphabet": [False, True], "symbol": True}}
+_GRID_PROBS = [[[0, "1/2"], [1, "1/2"]], [[True, "1/4"], [False, "3/4"]]]
+
+
 @pytest.mark.parametrize(
     "cfg, path",
     [
@@ -727,8 +736,25 @@ def _binary_runs(symbol=1):
         (_measure_cfg(list=_binary_runs(), n_max=40, input_sequence=[1.0] * 40), "input_sequence"),
         (_measure_cfg(list=_binary_runs(True), target_index=1), "list.items[1]"),
         (_measure_cfg(list=_binary_runs(1.0), target_index=1), "list.items[1]"),
+        # items on look-alike symbols: the pmf on {false, true} was scored
+        # as the pmf on {0, 1} before it
+        (_iid_cfg(list={"items": [_pmf_spec((False, "1/2"), (True, "1/2")), _FAIR_01]}), "list.items[1]"),
+        (_iid_cfg(list={"items": [_FAIR_01, _pmf_spec((0.0, "1/2"), (1.0, "1/2"))]}), "list.items[1]"),
+        (_markov_cfg(list={"items": [_binary_chain([False, True]), _binary_chain([0, 1])]}), "list.items[1]"),
+        (_measure_cfg(list={"items": [_binary_runs()["items"][0], _BOOL_RUN]}), "list.items[1]"),
+        (_iid_cfg(list={"family": "finite_pmf", "grid": {"probs": _GRID_PROBS}}), "list.grid[1]"),
     ],
-    ids=["input-true", "input-1.0", "symbol-true", "symbol-1.0"],
+    ids=[
+        "input-true",
+        "input-1.0",
+        "symbol-true",
+        "symbol-1.0",
+        "pmf-bool",
+        "pmf-float",
+        "chain-state",
+        "measure-alphabet",
+        "pmf-grid",
+    ],
 )
 def test_cli_rejects_symbols_of_another_json_type(tmp_path, capsys, cfg, path):
     # true == 1 and 1.0 == 1 in Python, yet neither names the integer symbol 1

@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -365,6 +365,61 @@ def test_markov_rejects_non_ergodic():
         MarkovChain((0, 1), [[F(1), F(0)], [F(0), F(1)]])  # reducible
     with pytest.raises(NotErgodic):
         MarkovChain((0, 1), [[F(0), F(1)], [F(1), F(0)]])  # period 2
+
+
+def _ergodicity_oracle(weights):
+    """"reducible", "periodic" or None for the chain whose row i moves to j
+    with positive weight weights[i][j]."""
+    n = len(weights)
+    succ = [[j for j in range(n) if w[j]] for w in weights]
+    pred = [[i for i in range(n) if weights[i][j]] for j in range(n)]
+
+    def reach(edges):
+        seen, stack = {0}, [0]
+        while stack:
+            for v in edges[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+
+    if len(reach(succ)) < n or len(reach(pred)) < n:
+        return "reducible"
+    # the period is the gcd of level[u] + 1 - level[v] over the edges u -> v
+    level, queue, g = {0: 0}, [0], 0
+    for u in queue:
+        for v in succ[u]:
+            if v in level:
+                g = gcd(g, level[u] + 1 - level[v])
+            else:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return None if abs(g) == 1 else "periodic"
+
+
+# half the weights 0, so that about 40% of the chains are reducible
+_WEIGHT_ROWS = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from((0, 0, 1, 3)), min_size=n, max_size=n).filter(any),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(_WEIGHT_ROWS)
+@settings(max_examples=400, deadline=None)
+@example([[1, 0], [0, 1]])  # two closed classes
+@example([[1, 1, 0], [0, 1, 1], [0, 1, 1]])  # state 0 transient
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # a 3-cycle
+def test_markov_rejects_exactly_the_non_ergodic_rows(weights):
+    rows = [[F(w, sum(row)) for w in row] for row in weights]
+    verdict = _ergodicity_oracle(weights)
+    if verdict is None:
+        assert sum(MarkovChain(range(len(rows)), rows).pi) == 1
+    else:
+        with pytest.raises(NotErgodic, match="chain is " + verdict):
+            MarkovChain(range(len(rows)), rows)
 
 
 def test_single_state_chain():
