@@ -24,17 +24,21 @@ def write_plot_script(out_dir):
     _write_file(out_dir, "plot.gp", PLOT_SCRIPT)
 
 
-def load_config_file(path):
+def _read_json(path):
+    """The JSON value in the file at `path`, for configs and chain files."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise IoError(str(exc))
     try:
-        obj = json.loads(data)
+        return json.loads(data)
     except ValueError as exc:
         raise ConfigInvalid("", "not valid JSON: %s" % exc)
-    return ExperimentConfig.from_obj(obj)
+
+
+def load_config_file(path):
+    return ExperimentConfig.from_obj(_read_json(path))
 
 
 def _build_parser():
@@ -78,8 +82,7 @@ def _cmd_run(args):
     if cfg.mode == "demo":
         print(result.as_text())
         return 0
-    if summary is not None:
-        print(summary.as_text())
+    print(summary.as_text())
     if args.emit_plot_script:
         write_plot_script(out_dir)
     if out_dir:
@@ -88,11 +91,7 @@ def _cmd_run(args):
 
 
 def _cmd_demo(args):
-    if args.switch < 1:
-        raise ConfigInvalid("switch", "must be >= 1")
-    from .predict import black_swan_demo  # only this command needs it
-
-    report = black_swan_demo(args.switch)
+    report, _ = run_experiment({"mode": "demo", "n_switch": args.switch})
     print(report.as_text())
     print()
     print(report.as_csv(), end="")
@@ -100,25 +99,12 @@ def _cmd_demo(args):
 
 
 def _cmd_stationary(args):
-    from .chains import MarkovChain  # only this command needs it
-
+    obj = _read_json(args.chain)
     try:
-        with open(args.chain, "r") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise IoError(str(exc))
-    except ValueError as exc:
-        raise ConfigInvalid("", "not valid JSON: %s" % exc)
-    try:
-        if "family" in obj:
-            chain = build_hypothesis(obj)
-        else:
-            chain = build_hypothesis({"family": "markov", "params": obj})
-    except ConfigInvalid:
-        raise
+        chain = build_hypothesis(obj if "family" in obj else {"family": "markov", "params": obj})
     except Exception as exc:
         raise ConfigInvalid("chain", str(exc))
-    if not isinstance(chain, MarkovChain):
+    if chain.kind != "markov":
         raise ConfigInvalid("chain", "file does not describe a Markov chain")
     for state, mass in zip(chain.states, chain.pi):
         print("pi[%s] = %s" % (state, mass))

@@ -14,6 +14,7 @@ Output files (fixed headers):
 
 import importlib
 import itertools
+import math
 import os
 from typing import NamedTuple
 
@@ -89,10 +90,23 @@ def _positive_int(value, path):
     return value
 
 
-# A sweep runs one identification per seed, so 65536 seeds are far past desk
-# scale; an unbounded count would have `probid validate` list seeds until
-# memory ran out.
+# Caps on what a config can make the parser or a run build, each checked
+# before that is built.  A sweep runs one identification per seed, so 65536
+# seeds are far past desk scale.
 _MAX_SEEDS = 1 << 16
+_MAX_SWITCH = 1 << 16  # the demo builds its whole history: 65536 take a second
+_MAX_MEASURE_N = 10**6  # a measure run draws n_max symbols; `SigmaTrace` rows are as long
+_MAX_SPECS = 1 << 16  # items or grid points; five keys of 100 values ask for 10^10
+# Finite symbols of all list items, repeats counted: ten simple_pmf items of
+# 65536 symbols take seconds and hundreds of MiB to build.
+_MAX_SYMBOLS = 1 << 20
+_TOTAL = object()  # the key under which `symbol_types` counts the symbols it took
+
+
+def _at_most(value, cap, path, unit):
+    if value > cap:
+        raise ConfigInvalid(path, "%d past %d %s" % (value, cap, unit))
+    return value
 
 
 def _parse_seeds(obj, path):
@@ -102,8 +116,7 @@ def _parse_seeds(obj, path):
         return list(obj)
     if isinstance(obj, dict):
         count = _positive_int(_need(obj, "count", path + ".count"), path + ".count")
-        if count > _MAX_SEEDS:  # checked before the list of seeds is built
-            raise ConfigInvalid(path + ".count", "%d past %d seeds" % (count, _MAX_SEEDS))
+        _at_most(count, _MAX_SEEDS, path + ".count", "seeds")
         base = obj.get("base", 1)
         if not isinstance(base, int) or isinstance(base, bool):
             raise ConfigInvalid(path + ".base", "must be an integer")
@@ -128,6 +141,7 @@ def _parse_config(obj):
 
     if mode == "demo":
         n_switch = _positive_int(obj.get("n_switch", 5), "n_switch")
+        _at_most(n_switch, _MAX_SWITCH, "n_switch", "symbols")
         return ExperimentConfig(
             mode=mode,
             list_decl=None,
@@ -145,13 +159,15 @@ def _parse_config(obj):
         raise ConfigInvalid("checkpoint", "must be an object")
     stride = _positive_int(checkpoint.get("stride", 100), "checkpoint.stride")
     n_max = _positive_int(_need(obj, "n_max", "n_max"), "n_max")
+    if mode == "measure":
+        _at_most(n_max, _MAX_MEASURE_N, "n_max", "symbols")
     if stride > n_max:
         raise ConfigInvalid("checkpoint.stride", "exceeds n_max: no checkpoint would be recorded")
     seeds = _parse_seeds(obj.get("seeds", {"count": 1, "base": 1}), "seeds")
 
     list_decl = _need(obj, "list", "list")
     symbol_types = {}
-    hypotheses = _parse_list(mode, list_decl, symbol_types)
+    hypotheses = _build_list(mode, *_list_specs(list_decl), symbol_types)
 
     input_sequence = None
     if obj.get("input_sequence") is not None:
@@ -164,7 +180,8 @@ def _parse_config(obj):
         input_sequence = tuple(raw)
         if len(input_sequence) < n_max:
             raise ConfigInvalid("input_sequence", "shorter than n_max")
-        _check_look_alikes(input_sequence, symbol_types)
+        distinct = {(type(x), x): x for x in input_sequence}  # 1 and true are two
+        _check_types(distinct.values(), symbol_types, "input_sequence")
 
     if input_sequence is not None:
         target_index = None  # ignored when a fixed input drives the run
@@ -212,44 +229,29 @@ def _parse_config(obj):
     )
 
 
-def _check_look_alikes(sequence, symbol_types):
-    """Reject a symbol of `sequence` equal to an alphabet symbol of another
-    JSON type, such as true or 1.0 against 1 (see `hypotheses.has_symbol`);
-    a symbol equal to none stays, as one that every measure gives mass 0."""
-    for kind, symbol in {(type(x), x) for x in sequence}:
-        if symbol_types.get(symbol, kind) is not kind:
-            raise ConfigInvalid(
-                "input_sequence", "%r equals an alphabet symbol of another type" % (symbol,)
-            )
-
-
-def _list_specs(decl, path):
-    """Expand a list declaration into spec dicts (inline array or grid)."""
+def _list_specs(decl):
+    """Expand a list declaration (inline array or grid) into spec dicts;
+    returns them with the path that numbers them."""
     if isinstance(decl, dict) and "items" in decl:
         items = decl["items"]
         if not isinstance(items, list) or not items:
-            raise ConfigInvalid(path + ".items", "must be a nonempty array")
-        return list(items)
+            raise ConfigInvalid("list.items", "must be a nonempty array")
+        _at_most(len(items), _MAX_SPECS, "list.items", "items")
+        return items, "list.items"
     if isinstance(decl, dict) and "family" in decl and "grid" in decl:
         grid = decl["grid"]
         if not isinstance(grid, dict) or not grid:
-            raise ConfigInvalid(path + ".grid", "must be a nonempty object")
-        keys = list(grid.keys())
-        for k in keys:
-            if not isinstance(grid[k], list) or not grid[k]:
-                raise ConfigInvalid(path + ".grid." + k, "must be a nonempty array")
-        out = []
-        for combo in itertools.product(*(grid[k] for k in keys)):
-            params = dict(zip(keys, combo))
-            out.append({"family": decl["family"], "params": params})
-        return out
-    raise ConfigInvalid(path, "must declare items or family+grid")
-
-
-def _parse_list(mode, decl, symbol_types):
-    """HypothesisList of a declaration; faults at list.items[k] or list.grid[k]."""
-    specs = _list_specs(decl, "list")
-    return _build_list(mode, specs, "list.items" if "items" in decl else "list.grid", symbol_types)
+            raise ConfigInvalid("list.grid", "must be a nonempty object")
+        for k, values in grid.items():
+            if not isinstance(values, list) or not values:
+                raise ConfigInvalid("list.grid." + k, "must be a nonempty array")
+        _at_most(math.prod(map(len, grid.values())), _MAX_SPECS, "list.grid", "specs")
+        specs = [
+            {"family": decl["family"], "params": dict(zip(grid, combo))}
+            for combo in itertools.product(*grid.values())
+        ]
+        return specs, "list.grid"
+    raise ConfigInvalid("list", "must declare items or family+grid")
 
 
 _KINDS = {"iid": "pmf", "markov": "markov", "measure": "measure"}
@@ -265,11 +267,21 @@ def _symbols(hyp):
     return map(hyp.support, range(1, (hyp.support_size or 0) + 1))
 
 
+def _check_types(symbols, symbol_types, path):
+    """Record the JSON type of each of `symbols` in `symbol_types`; a symbol
+    equal to a recorded one of another type, such as true or 1.0 against 1,
+    is rejected at `path`: Python would take one for the other.  So is the
+    call that takes the count of all symbols recorded past _MAX_SYMBOLS."""
+    total = symbol_types.get(_TOTAL, 0)
+    for total, symbol in enumerate(symbols, total + 1):
+        if symbol_types.setdefault(symbol, type(symbol)) is not type(symbol):
+            raise ConfigInvalid(path, "%r equals an earlier symbol of another type" % (symbol,))
+    symbol_types[_TOTAL] = _at_most(total, _MAX_SYMBOLS, path, "symbols in all")
+
+
 def _build_list(mode, specs, path, symbol_types):
-    """HypothesisList of `specs`, filling `symbol_types` with the JSON type
-    of every symbol of the list; an item with a symbol equal to an earlier
-    item's of another type, such as true or 1.0 against 1, is rejected:
-    Python would take one for the other."""
+    """HypothesisList of `specs`, numbered under `path`; `_check_types` takes
+    the symbols of each item in turn."""
     built = []
     for k, spec in enumerate(specs):
         path_k = "%s[%d]" % (path, k)
@@ -283,11 +295,7 @@ def _build_list(mode, specs, path, symbol_types):
             raise ConfigInvalid(path_k, "%s: %s" % (type(exc).__name__, exc))
         if hyp.kind != _KINDS[mode]:
             raise ConfigInvalid(path_k, "wrong kind for mode")
-        for symbol in _symbols(hyp):
-            if symbol_types.setdefault(symbol, type(symbol)) is not type(symbol):
-                raise ConfigInvalid(
-                    path_k, "%r equals an earlier symbol of another type" % (symbol,)
-                )
+        _check_types(_symbols(hyp), symbol_types, path_k)
         built.append(hyp)
     return HypothesisList(_KINDS[mode], built)
 
@@ -427,8 +435,9 @@ def run_experiment(cfg, jobs=1, out_dir=None):
     if isinstance(cfg, dict):
         cfg = ExperimentConfig.from_obj(cfg)
     _load_mode(cfg.mode)  # a no-op for a config that `_parse_config` built
+    destination = out_dir or cfg.output
     if cfg.mode == "demo":
-        return _run_demo(cfg, out_dir)
+        return _run_demo(cfg, destination)
     tasks = list(enumerate(cfg.seeds, start=1))
     if jobs > 1 and len(tasks) > 1:
         # imported here: the pool's modules cost a serial run's start-up time
@@ -444,15 +453,13 @@ def run_experiment(cfg, jobs=1, out_dir=None):
         records = [_run_single(cfg, run_id, seed) for run_id, seed in tasks]
     records.sort(key=lambda rec: rec.run_id)
     summary = summarize(records)
-    destination = out_dir or cfg.output
     if destination:
         write_results(records, destination)
     return records, summary
 
 
-def _run_demo(cfg, out_dir):
+def _run_demo(cfg, destination):
     report = black_swan_demo(cfg.n_switch)
-    destination = out_dir or cfg.output
     if destination:
         _write_file(destination, "black_swan.csv", report.as_csv())
     return report, None

@@ -13,7 +13,9 @@ configs reach non-dyadic prefix masses (the 3/4-1/4 i.i.d. measure) as
 well as dyadic ones, so a change to how `log2(1/mass)` enters the
 deficiency is caught too; "measure-all-rows" lists one measure of every
 family whose mass row is computed its own way, and runs it again under
-two narrower scheme sets of the estimator.
+two narrower scheme sets of the estimator and with each of its first three
+measures as the target, so the chain-rule draw (the switch pair and the
+constant run) and the marked-run draw are pinned too.
 """
 
 import hashlib
@@ -295,6 +297,26 @@ GOLDEN = {
     "measure-all-rows-literal-model": (
         {**_ALL_ROWS_CFG, "estimator": {"schemes": ["literal", "model"], "stage_cap": 2}},
         *_LITERAL_DIGESTS,
+    ),
+    # drawn by the chain rule: the guess is the switch pair at every
+    # checkpoint of every seed whichever of the two draws, as it also fits
+    # the constant run's 1s, so only `correct` tells the two apart
+    "measure-all-rows-target-1": (
+        {**_ALL_ROWS_CFG, "target_index": 1},
+        "a8b06cedc7a45a6b83119dc979e4c821b355df2781965eaa4cc4ea36945ffa7d",
+        "792759b7d77065b2065db8410c35b6526a912c207e1f0380aea61ad244eca95a",
+    ),
+    "measure-all-rows-target-2": (
+        {**_ALL_ROWS_CFG, "target_index": 2},
+        "a8b06cedc7a45a6b83119dc979e4c821b355df2781965eaa4cc4ea36945ffa7d",
+        "15b0aedf18eb821fb15bbf838926f6bf26ff7e27ac3ba4a79b825f310bf45f04",
+    ),
+    # the marked run: seed 3 draws the marker first and stays on it, the
+    # other seven start off it
+    "measure-all-rows-target-3": (
+        {**_ALL_ROWS_CFG, "target_index": 3},
+        "892320efd8c509ac8c16efe0e5d174594c6780003045b38aeca2b969ffcd3b20",
+        "ca181203967ecbc221318bae7d5b23e366e4f37c1413faea96f2fd8bbc52a792",
     ),
 }
 

@@ -1,6 +1,7 @@
 """Config validation, deterministic persistence, CLI exit codes."""
 
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -9,6 +10,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,8 +105,9 @@ def test_grid_expansion_order():
     # grid expands in declaration order: term varies fastest across products
     from probid.harness import _list_specs
 
-    specs = _list_specs(cfg["list"], "list")
+    specs, path = _list_specs(cfg["list"])
     assert [s["params"]["term"] for s in specs] == ["1", "j", "j*j"]
+    assert path == "list.grid"
 
 
 def test_minimal_equal_index_prefers_duplicates():
@@ -734,6 +737,8 @@ _GRID_PROBS = [[[0, "1/2"], [1, "1/2"]], [[True, "1/4"], [False, "3/4"]]]
         # forty true, or forty 1.0, settled on the constant-1 measure
         (_measure_cfg(list=_binary_runs(), n_max=40, input_sequence=[True] * 40), "input_sequence"),
         (_measure_cfg(list=_binary_runs(), n_max=40, input_sequence=[1.0] * 40), "input_sequence"),
+        # symbols of no alphabet, yet the literal code's alphabet would merge them
+        (_measure_cfg(input_sequence=[1, True] * 60), "input_sequence"),
         (_measure_cfg(list=_binary_runs(True), target_index=1), "list.items[1]"),
         (_measure_cfg(list=_binary_runs(1.0), target_index=1), "list.items[1]"),
         # items on look-alike symbols: the pmf on {false, true} was scored
@@ -747,6 +752,7 @@ _GRID_PROBS = [[[0, "1/2"], [1, "1/2"]], [[True, "1/4"], [False, "3/4"]]]
     ids=[
         "input-true",
         "input-1.0",
+        "input-1-and-true",
         "symbol-true",
         "symbol-1.0",
         "pmf-bool",
@@ -781,6 +787,42 @@ def test_seed_count_is_capped_before_the_seeds_are_listed():
     assert len(ExperimentConfig.from_obj(_iid_cfg(seeds={"count": harness._MAX_SEEDS})).seeds) == 1 << 16
 
 
+_MARKED_FULL = {"family": "marked_run", "params": {"k": 65536, "marker": 1}}
+
+
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        # 10^10 specs if expanded; geometric_pmf ignores the extra keys
+        (
+            _iid_cfg(list={"family": "geometric_pmf", "grid": {k: list(range(100)) for k in "abcde"}}),
+            "list.grid: 10000000000 past 65536 specs",
+        ),
+        (_iid_cfg(list={"items": [{"family": "geometric_pmf"}] * 65537}), "list.items: 65537 past 65536 items"),
+        # sixteen marked runs on {1..65536} take 2^20 symbols, the seventeenth is refused
+        (_measure_cfg(list={"items": [_MARKED_FULL] * 17}, target_index=1), "list.items[16]: 1114112 past"),
+        (
+            _measure_cfg(list={"family": "marked_run", "grid": {"k": [65536] * 17, "marker": [1]}}, target_index=1),
+            "list.grid[16]: 1114112 past",
+        ),
+        (_measure_cfg(n_max=10**6 + 1), "n_max: 1000001 past 1000000 symbols"),
+        ({"mode": "demo", "n_switch": 65537}, "n_switch: 65537 past 65536 symbols"),
+    ],
+    ids=["grid", "items", "symbols", "grid-symbols", "measure-n_max", "n_switch"],
+)
+def test_caps_refuse_a_config_before_building_it(tmp_path, capsys, cfg, path):
+    config = _write_cfg(tmp_path, cfg)
+    start = time.perf_counter()
+    assert cli.main(["validate", "--config", config]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "config invalid: %s" % path in capsys.readouterr().err
+
+
+def test_symbol_total_admits_two_to_the_twenty():
+    cfg = _measure_cfg(list={"items": [_MARKED_FULL] * 16}, target_index=1)
+    assert ExperimentConfig.from_obj(cfg).hypotheses.length == 16
+
+
 def test_cli_exit_code_on_io_error(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
@@ -789,10 +831,20 @@ def test_cli_exit_code_on_io_error(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 3
 
 
+# sha256 of what `probid demo black-swan --switch 3` prints
+_DEMO_3_DIGEST = "ae4b050de2f8154f4db104bc1ce76ee4a6aac3b260e8cf33bd5e28b651f9ff87"
+
+
 def test_cli_demo_and_stationary(tmp_path, capsys):
     assert cli.main(["demo", "black-swan", "--switch", "3"]) == 0
     out = capsys.readouterr().out
-    assert "1/2" in out and "aaa" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == _DEMO_3_DIGEST
+    # a demo config runs the same demo and prints the same report text
+    assert cli.main(["run", "--config", _write_cfg(tmp_path, {"mode": "demo", "n_switch": 3})]) == 0
+    assert out.startswith(capsys.readouterr().out + "\n")
+    for switch in ("0", "65537"):
+        assert cli.main(["demo", "black-swan", "--switch", switch]) == 2
+        assert "config invalid: n_switch" in capsys.readouterr().err
     chain_file = tmp_path / "chain.json"
     chain_file.write_text(json.dumps({"states": [0, 1], "rows": [["1/2", "1/2"], ["1/4", "3/4"]]}))
     assert cli.main(["stationary", "--chain", str(chain_file)]) == 0
@@ -801,6 +853,12 @@ def test_cli_demo_and_stationary(tmp_path, capsys):
     bad = tmp_path / "bad_chain.json"
     bad.write_text(json.dumps({"states": [0, 1], "rows": [["1", "0"], ["0", "1"]]}))
     assert cli.main(["stationary", "--chain", str(bad)]) == 2
+    bad.write_text(json.dumps({"family": "geometric_pmf"}))
+    assert cli.main(["stationary", "--chain", str(bad)]) == 2
+    assert "config invalid: chain: file does not describe a Markov chain" in capsys.readouterr().err
+    bad.write_text("{")
+    assert cli.main(["stationary", "--chain", str(bad)]) == 2
+    assert cli.main(["stationary", "--chain", str(tmp_path / "missing.json")]) == 3
 
 
 _BAD_ITEMS = [
