@@ -13,6 +13,23 @@ import importlib
 
 __version__ = "0.1.0"
 
+
+def _lend(namespace, table):
+    """A module `__getattr__` that lends `namespace` the names of `table`
+    (module of this package -> names it defines).  The first use of a name
+    imports its module and binds the name with `namespace.setdefault`, so a
+    name rebound before that is kept."""
+    home = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name):
+        if name not in home:
+            raise AttributeError("module %r has no attribute %r" % (namespace["__name__"], name))
+        value = getattr(importlib.import_module("." + home[name], __name__), name)
+        return namespace.setdefault(name, value)
+
+    return __getattr__
+
+
 # module -> the public names it defines
 _EXPORTS = {
     "bands": ("tau",),
@@ -28,14 +45,5 @@ _EXPORTS = {
     "sampling": ("Rng", "SamplePrefix", "draw_iid"),
     "terms": ("make_simple_pmf",),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_HOME)
-
-
-def __getattr__(name):
-    if name not in _HOME:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
-    globals()[name] = value
-    return value
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__getattr__ = _lend(globals(), _EXPORTS)

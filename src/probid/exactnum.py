@@ -10,16 +10,16 @@ need, since every other term they are compared with is an integer (see
 
 The bracket of the irrational band sqrt(ln n / n), `tau`, and the tests
 against it are in `bands`, which only the i.i.d. and markov identifiers
-load; their names still resolve from this module.
+load; `tau` still resolves from this module.
 
 Rationals are `fractions.Fraction` (arbitrary precision, normalized with a
 positive denominator), re-exported as `Rational`.
 """
 
-import importlib
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import _lend
 from .errors import ProbidError
 
 Rational = Fraction
@@ -66,11 +66,5 @@ def log2_ratio_bracket(num, den, twos=0):
     return e, e if num == den else e + 1
 
 
-# the names of the band machinery, which moved to `bands` and resolve from here too
-_MOVED = ("BRACKET_EPS", "below_tau", "ln_bracket", "tau")
-
-
-def __getattr__(name):
-    if name not in _MOVED:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    return getattr(importlib.import_module(".bands", __package__), name)
+# the band bracket, which moved to `bands` and resolves from here too
+__getattr__ = _lend(globals(), {"bands": ("tau",)})

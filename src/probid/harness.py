@@ -12,12 +12,12 @@ Output files (fixed headers):
   summary.csv      run_id,seed,final_guess,converged_at,correct
 """
 
-import importlib
 import itertools
 import math
 import os
 from typing import NamedTuple
 
+from . import _lend
 from .enumeration import HypothesisList, interleave_decode
 from .errors import ConfigInvalid, EmptyInput, IoError, ProbidError
 from .hypotheses import build_hypothesis, has_symbol
@@ -97,9 +97,9 @@ _MAX_SEEDS = 1 << 16
 _MAX_SWITCH = 1 << 16  # the demo builds its whole history: 65536 take a second
 _MAX_MEASURE_N = 10**6  # a measure run draws n_max symbols; `SigmaTrace` rows are as long
 _MAX_SPECS = 1 << 16  # items or grid points; five keys of 100 values ask for 10^10
-# Finite symbols of all list items, repeats counted: ten simple_pmf items of
-# 65536 symbols take seconds and hundreds of MiB to build.
-_MAX_SYMBOLS = 1 << 20
+# Finite symbols of all list items, repeats counted: four simple_pmf items of
+# 65536 symbols already take seconds to build.
+_MAX_SYMBOLS = 1 << 18
 _TOTAL = object()  # the key under which `symbol_types` counts the symbols it took
 
 
@@ -135,8 +135,8 @@ def _parse_config(obj):
     if not isinstance(obj, dict):
         raise ConfigInvalid("", "config must be an object")
     mode = _need(obj, "mode", "mode")
-    if mode not in _MODES:
-        raise ConfigInvalid("mode", "must be one of %s" % (_MODES,))
+    if not isinstance(mode, str) or mode not in _MODES:  # a list is no key
+        raise ConfigInvalid("mode", "must be one of %s" % (tuple(_MODES),))
     _load_mode(mode)
 
     if mode == "demo":
@@ -254,9 +254,6 @@ def _list_specs(decl):
     raise ConfigInvalid("list", "must declare items or family+grid")
 
 
-_KINDS = {"iid": "pmf", "markov": "markov", "measure": "measure"}
-
-
 def _symbols(hyp):
     """The finite symbols of a hypothesis: a pmf's support (none for an
     infinite one), a chain's states or a measure's alphabet."""
@@ -293,11 +290,11 @@ def _build_list(mode, specs, path, symbol_types):
             raise ConfigInvalid(path_k, str(exc))
         except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigInvalid(path_k, "%s: %s" % (type(exc).__name__, exc))
-        if hyp.kind != _KINDS[mode]:
+        if hyp.kind != _MODES[mode][0]:
             raise ConfigInvalid(path_k, "wrong kind for mode")
         _check_types(_symbols(hyp), symbol_types, path_k)
         built.append(hyp)
-    return HypothesisList(_KINDS[mode], built)
+    return HypothesisList(_MODES[mode][0], built)
 
 
 # ---------------------------------------------------------------------------
@@ -319,68 +316,43 @@ def minimal_equal_index(hyp_list, target_index):
 # ---------------------------------------------------------------------------
 
 
-def _iid_trace(cfg, hyp_list, seed):
-    target = hyp_list.get(cfg.target_index)
-    return identify_stream(hyp_list, target, seed, cfg.n_max, cfg.stride)
-
-
-def _markov_trace(cfg, hyp_list, seed):
-    target = hyp_list.get(cfg.target_index)
-    return identify_chain_stream(
-        hyp_list, target, cfg.start_state, seed, cfg.n_max, cfg.stride
-    )
-
-
-def _measure_trace(cfg, hyp_list, seed):
-    source = cfg.input_sequence or hyp_list.get(cfg.target_index)
-    estimator = _measure_estimator(cfg, hyp_list)
-    return identify_measure_stream(
-        hyp_list, source, seed, cfg.n_max, cfg.stride, estimator
-    )
-
-
-# mode -> (trace of one seed, base list index of a guess, the module a run
-# of the mode imports, the names this module reads from it).  Only that
-# module is imported, by `_load_mode`, and the names become attributes of
-# this module that the functions above look up at call time, so rebinding
-# `harness.identify_stream` and the like takes effect.
-_RUNNERS = {
-    "iid": (_iid_trace, lambda g: g, "iid_identify", ("identify_stream",)),
-    "markov": (_markov_trace, lambda g: g, "markov_identify", ("identify_chain_stream",)),
-    "measure": (
-        _measure_trace,
-        interleave_decode,
-        "measure_identify",
-        ("identify_measure_stream", "default_estimator"),
-    ),
-    "demo": (None, None, "predict", ("black_swan_demo",)),
+# mode -> (the kind of its list, the module its runs import, the names this
+# module reads from that module at call time, so that rebinding one takes effect)
+_MODES = {
+    "iid": ("pmf", "iid_identify", ("identify_stream",)),
+    "markov": ("markov", "markov_identify", ("identify_chain_stream",)),
+    "measure": ("measure", "measure_identify", ("identify_measure_stream", "default_estimator")),
+    "demo": (None, "predict", ("black_swan_demo",)),
 }
-_MODES = tuple(_RUNNERS)
+__getattr__ = _lend(globals(), {module: names for _, module, names in _MODES.values()})
 
 
 def _load_mode(mode):
-    """Import the module of `mode` and bind the names it lends this module;
-    a name already bound, say by a caller that rebound it, is kept."""
-    _, _, module, names = _RUNNERS[mode]
-    home = importlib.import_module("." + module, __package__)
-    for name in names:
-        globals().setdefault(name, getattr(home, name))
+    """Bind the names `mode` lends this module; a name already bound, say by
+    a caller that rebound it, is kept."""
+    for name in _MODES[mode][2]:
+        __getattr__(name)
 
 
-def __getattr__(name):
-    # a stream name read before any config of its mode was parsed
-    for mode, (_, _, _, names) in _RUNNERS.items():
-        if name in names:
-            _load_mode(mode)
-            return globals()[name]
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+def _trace(cfg, seed):
+    """The identification trace of one seed of `cfg`."""
+    hyp_list = cfg.hypotheses
+    if cfg.mode == "measure":
+        source = cfg.input_sequence or hyp_list.get(cfg.target_index)
+        est = default_estimator(hyp_list, extra_symbols=cfg.input_sequence or ())
+        est = est._replace(
+            schemes=tuple(cfg.estimator.get("schemes", est.schemes)),
+            stage_cap=cfg.estimator.get("stage_cap"),
+        )
+        return identify_measure_stream(hyp_list, source, seed, cfg.n_max, cfg.stride, est)
+    target = hyp_list.get(cfg.target_index)
+    if cfg.mode == "markov":
+        return identify_chain_stream(hyp_list, target, cfg.start_state, seed, cfg.n_max, cfg.stride)
+    return identify_stream(hyp_list, target, seed, cfg.n_max, cfg.stride)
 
 
 def _run_single(cfg, run_id, seed):
-    hyp_list = cfg.hypotheses
-    run_trace, base_index, _, _ = _RUNNERS[cfg.mode]
-    trace = run_trace(cfg, hyp_list, seed)
-
+    trace = _trace(cfg, seed)
     rows = []
     prev = object()
     for n, guess in trace.checkpoints:
@@ -388,9 +360,11 @@ def _run_single(cfg, run_id, seed):
         prev = guess
     correct = None
     if cfg.target_index is not None:
-        expected = minimal_equal_index(hyp_list, cfg.target_index)
+        expected = minimal_equal_index(cfg.hypotheses, cfg.target_index)
         final = trace.final_guess
-        correct = final is not None and base_index(final) == expected
+        if cfg.mode == "measure" and final is not None:
+            final = interleave_decode(final)  # a guess is a position of the interleaved list
+        correct = final == expected
     return RunRecord(
         run_id=run_id,
         seed=seed,
@@ -398,14 +372,6 @@ def _run_single(cfg, run_id, seed):
         converged_at=trace.converged_at,
         final_guess=trace.final_guess,
         correct=correct,
-    )
-
-
-def _measure_estimator(cfg, hyp_list):
-    est = default_estimator(hyp_list, extra_symbols=cfg.input_sequence or ())
-    return est._replace(
-        schemes=tuple(cfg.estimator.get("schemes", est.schemes)),
-        stage_cap=cfg.estimator.get("stage_cap"),
     )
 
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
+from . import _lend
 from .errors import BadSymbol, IndexOutOfRange, NonpositiveMass, SumNotOne
 
 ZERO = Fraction(0)
@@ -61,7 +62,6 @@ class FinitePmf:
     def __init__(self, probs, spec=None):
         order = []
         masses = {}
-        total = ZERO
         for symbol, value in probs:
             q = Fraction(value)
             if q <= 0:
@@ -70,12 +70,12 @@ class FinitePmf:
                 raise BadSymbol("duplicate symbol %r" % (symbol,))
             order.append(symbol)
             masses[symbol] = q
-            total += q
+        self._cums = tuple(accumulate(masses.values()))
+        total = self._cums[-1] if self._cums else ZERO
         if total != 1:
             raise SumNotOne("masses sum to %s" % total)
         self._order = tuple(order)
         self._masses = masses
-        self._cums = tuple(accumulate(masses[s] for s in order))
         self.spec = spec or HypothesisSpec(
             "finite_pmf",
             {"probs": [[s, _frac_str(masses[s])] for s in order]},
@@ -230,16 +230,15 @@ def build_hypothesis(spec):
 
 
 # the public names of the family modules, which resolve from here too
-_MOVED = {
-    "chains": "MarkovChain",
-    "measures": "MASS_ZERO MarkedRunMeasure MeasureBase PathMixtureMeasure ProductMeasure"
-    " constant_run_measure make_black_swan_pair make_iid_measure make_mu_k switch_pair_measure",
-    "terms": "make_simple_pmf parse_term",
-}
-_HOME = {name: module for module, names in _MOVED.items() for name in names.split()}
-
-
-def __getattr__(name):
-    if name not in _HOME:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    return getattr(importlib.import_module("." + _HOME[name], __package__), name)
+__getattr__ = _lend(
+    globals(),
+    {
+        "chains": ("MarkovChain",),
+        "measures": (
+            "MASS_ZERO", "MarkedRunMeasure", "MeasureBase", "PathMixtureMeasure", "ProductMeasure",
+            "constant_run_measure", "make_black_swan_pair", "make_iid_measure", "make_mu_k",
+            "switch_pair_measure",
+        ),
+        "terms": ("make_simple_pmf", "parse_term"),
+    },
+)

@@ -23,16 +23,17 @@ table up to the first threshold >= 2**53 - 1, past which no draw reaches
 uniforms; it yields steps, indices into the support.  The chain walk
 lives in `chains` and the measure draws in `measures`, beside the models
 they draw from, so that a run compiles only its own regime's sampler;
-their names still resolve from this module.
+`run_chain` and `draw_from_measure` still resolve from this module.
 """
 
-import importlib
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import chain, count, islice
 from struct import Struct
+
+from . import _lend
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -187,11 +188,4 @@ def draw_iid(pmf, seed, n):
 
 # the chain walk and the measure draws, which moved beside their models and
 # resolve from here too
-_MOVED = {"chains": ("chain_blocks", "run_chain"), "measures": ("draw_from_measure",)}
-_HOME = {name: module for module, names in _MOVED.items() for name in names}
-
-
-def __getattr__(name):
-    if name not in _HOME:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    return getattr(importlib.import_module("." + _HOME[name], __package__), name)
+__getattr__ = _lend(globals(), {"chains": ("run_chain",), "measures": ("draw_from_measure",)})

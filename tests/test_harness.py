@@ -619,7 +619,7 @@ def test_rebinding_a_harness_name_takes_effect(monkeypatch, name, obj):
     # rebound before its mode's names are loaded, as in a new interpreter;
     # parsing the config loads the others and keeps this one
     original = getattr(harness, name)
-    for loaded in harness._RUNNERS[obj["mode"]][3]:
+    for loaded in harness._MODES[obj["mode"]][2]:
         monkeypatch.delitem(vars(harness), loaded)
     calls = []
 
@@ -664,20 +664,23 @@ _HYPOTHESES_NAMES = {
 
 
 def test_package_names_resolve_to_their_home_modules():
-    for name in probid.__all__:
-        home = importlib.import_module("probid." + probid._HOME[name])
-        assert getattr(probid, name) is getattr(home, name), name
-    # `hypotheses` still resolves the names that moved, from their new homes
-    hypotheses = importlib.import_module("probid.hypotheses")
-    for module, names in _HYPOTHESES_NAMES.items():
-        home = importlib.import_module("probid." + module)
-        for name in names:
-            assert getattr(hypotheses, name) is getattr(home, name), name
-            assert name in vars(home), name
-    with pytest.raises(AttributeError):
-        hypotheses.no_such_name
-    with pytest.raises(AttributeError):
-        probid.no_such_name
+    # each lending module resolves its names from their homes; `perfbench`
+    # reads the sampler and band names through `sampling` and `exactnum`
+    lenders = {
+        "probid": probid._EXPORTS,
+        "probid.hypotheses": _HYPOTHESES_NAMES,
+        "probid.sampling": {"chains": ("run_chain",), "measures": ("draw_from_measure",)},
+        "probid.exactnum": {"bands": ("tau",)},
+    }
+    for lender_name, table in lenders.items():
+        lender = importlib.import_module(lender_name)
+        for module, names in table.items():
+            home = importlib.import_module("probid." + module)
+            for name in names:
+                assert getattr(lender, name) is getattr(home, name), (lender_name, name)
+                assert name in vars(home), name
+        with pytest.raises(AttributeError, match="module '%s' has no attribute" % lender_name):
+            lender.no_such_name
     namespace = {}
     exec("from probid import *", namespace)
     assert set(probid.__all__) <= set(namespace)
@@ -799,11 +802,11 @@ _MARKED_FULL = {"family": "marked_run", "params": {"k": 65536, "marker": 1}}
             "list.grid: 10000000000 past 65536 specs",
         ),
         (_iid_cfg(list={"items": [{"family": "geometric_pmf"}] * 65537}), "list.items: 65537 past 65536 items"),
-        # sixteen marked runs on {1..65536} take 2^20 symbols, the seventeenth is refused
-        (_measure_cfg(list={"items": [_MARKED_FULL] * 17}, target_index=1), "list.items[16]: 1114112 past"),
+        # four marked runs on {1..65536} take 2^18 symbols, the fifth is refused
+        (_measure_cfg(list={"items": [_MARKED_FULL] * 5}, target_index=1), "list.items[4]: 327680 past"),
         (
-            _measure_cfg(list={"family": "marked_run", "grid": {"k": [65536] * 17, "marker": [1]}}, target_index=1),
-            "list.grid[16]: 1114112 past",
+            _measure_cfg(list={"family": "marked_run", "grid": {"k": [65536] * 5, "marker": [1]}}, target_index=1),
+            "list.grid[4]: 327680 past",
         ),
         (_measure_cfg(n_max=10**6 + 1), "n_max: 1000001 past 1000000 symbols"),
         ({"mode": "demo", "n_switch": 65537}, "n_switch: 65537 past 65536 symbols"),
@@ -818,9 +821,9 @@ def test_caps_refuse_a_config_before_building_it(tmp_path, capsys, cfg, path):
     assert "config invalid: %s" % path in capsys.readouterr().err
 
 
-def test_symbol_total_admits_two_to_the_twenty():
-    cfg = _measure_cfg(list={"items": [_MARKED_FULL] * 16}, target_index=1)
-    assert ExperimentConfig.from_obj(cfg).hypotheses.length == 16
+def test_symbol_total_admits_two_to_the_eighteen():
+    cfg = _measure_cfg(list={"items": [_MARKED_FULL] * 4}, target_index=1)
+    assert ExperimentConfig.from_obj(cfg).hypotheses.length == 4
 
 
 def test_cli_exit_code_on_io_error(tmp_path):
