@@ -12,9 +12,10 @@ the diagonal pairing: positions walk diagonals d = 1, 2, ... and diagonal d
 emits base indices 1..d, so base index b shows up once on every diagonal
 d >= b.
 
-Each identifier emits the least passing index of a list (`least_passing`)
-at checkpoints n = stride, 2*stride, ... (`checkpoint_trace`), and the
-guesses make a `GuessTrace`.
+Each identifier emits the least passing index of a list at checkpoints
+n = stride, 2*stride, ... (`checkpoint_trace`), and the guesses make a
+`GuessTrace`.  `least_passing` finds it by walking the indices; the
+measure step finds it over an interleaved list per base index instead.
 """
 
 from math import isqrt
@@ -24,7 +25,7 @@ from .errors import IndexOutOfRange
 
 
 class _Enumeration:
-    """The one least-passing-index scan shared by every identifier."""
+    """The least-passing-index scan: a walk over the indices in order."""
 
     def least_passing(self, n, passes):
         """Least i <= scan_bound(n) with passes(i, hypothesis at i) true, else None."""

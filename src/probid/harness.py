@@ -111,6 +111,7 @@ def _at_most(value, cap, path, unit):
 
 def _parse_seeds(obj, path):
     if isinstance(obj, list):
+        _at_most(len(obj), _MAX_SEEDS, path, "seeds")
         if not obj or not all(isinstance(s, int) and not isinstance(s, bool) for s in obj):
             raise ConfigInvalid(path, "must be a nonempty list of integers")
         return list(obj)

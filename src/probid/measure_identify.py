@@ -14,6 +14,15 @@ qualifies.  Run against a list in which every measure occurs at infinitely
 many positions, a typical measure eventually sits at a position exceeding
 its deficiency bound, so the guess stabilizes.
 
+Over the interleaved list the rule is decided per base measure, not per
+position.  At stage n every position of base b shares one value M_b =
+max_{j<=n} sigma_b^n(j), and b sits at positions d(d-1)/2 + b for d >= b,
+so one `isqrt` gives its least position above M_b.  The guess is the least
+of these over the bases, visited in order until the first position of base
+b, b(b+1)/2, passes n or the best position so far: at most sqrt(2n) bases
+per checkpoint, for a generated base list too, where walking positions
+1..n would take n.
+
 Only floor(log2(1/mu_i(x_1..x_j))) enters: the estimator value and the
 position are integers, and for a real L and integers K, i, L - K < i holds
 iff floor(L) - K < i.  So each sigma is the integer -ceil(log2 m) - K for
@@ -25,7 +34,7 @@ plain arithmetic.  The table extends its rows with C-level iterators.
 """
 
 from itertools import accumulate, chain, islice, repeat
-from math import inf
+from math import inf, isqrt
 from operator import itemgetter, neg, sub
 
 from .complexity import ComplexityEstimator, literal_bits, model_bits, run_bits, symbol_bits
@@ -55,7 +64,11 @@ class SigmaTrace:
     row c the min of row 0 and model codes 1..c (+inf at mass 0); and per
     (measure, c), the running max of sigma = -ceil(log2 m) - khat.  The
     literal code prices every prefix, so khat is finite and sigma is +inf
-    exactly at mass 0, by arithmetic.
+    exactly at mass 0, by arithmetic.  Row 0 is built by dyadic segments
+    of prefix lengths 2^k..2^(k+1)-1, over which the gamma code's length
+    is constant: the literal code over one is a `range` of step b bits per
+    symbol, and the run code, never longer, one `repeat` over the part
+    inside the data's initial run.
     """
 
     def __init__(self, hyp_list, x, estimator):
@@ -90,10 +103,16 @@ class SigmaTrace:
         est = self.estimator
         if count == 0:
             b = symbol_bits(len(est.alphabet))
-            row.extend(map(literal_bits, range(start + 1, j + 1), repeat(b)))
-            if "run" in est.schemes:
-                for length in range(start + 1, min(j, self._run) + 1):
-                    row[length - 1] = min(row[length - 1], run_bits(length, b))
+            run = self._run if "run" in est.schemes else 0
+            length = start + 1
+            while length <= j:
+                end = min(j, (2 << (length.bit_length() - 1)) - 1)  # gamma is constant to end
+                runs = max(0, min(end, run) - length + 1)
+                literals = end - length + 1 - runs
+                first = literal_bits(length, b) + runs * b
+                row.extend(repeat(run_bits(length, b), runs))
+                row.extend(range(first, first + literals * b, b) if b else repeat(first, literals))
+                length = end + 1
             return row
         # model_bits(i, lo) = model_bits(i, 0) - lo: +inf at mass 0
         codes = [
@@ -126,16 +145,31 @@ class SigmaTrace:
 def identify_measure_step(hyp_list, x, n, estimator, trace=None):
     """Least position i <= n with max_{j<=n} sigma_i^n(j) < i, else 1.
 
-    Works on a plain list (positions are base indices) or an interleaved
-    one (positions decode through the interleaver; positions past a finite
-    base carry no hypothesis and are skipped).
+    Works on a plain list (positions are base indices, walked in order) or
+    an interleaved one (decided per base measure; positions past a finite
+    base carry no hypothesis).
     """
     x = tuple(x)
     if len(x) < n:
         raise ProbidError("need at least n data symbols")
     if trace is None:
         trace = SigmaTrace(hyp_list, x, estimator)
-    return hyp_list.least_passing(n, lambda pos, mu: trace.max_value(pos, n) < pos) or 1
+    if not isinstance(hyp_list, InterleavedList):
+        return hyp_list.least_passing(n, lambda pos, mu: trace.max_value(pos, n) < pos) or 1
+    best, limit = 1, n  # a position must be <= limit to improve on best
+    bases = hyp_list.inner.length
+    b = first = 1  # base b sits at d(d-1)/2 + b for d >= b, first at b(b+1)/2
+    while first <= limit and (bases is None or b <= bases):
+        # the least d >= b with d(d-1)/2 + b > M_b
+        excess = trace.max_value(first, n) - b
+        if excess < inf:
+            d = b if excess < 0 else max(b, (isqrt(8 * excess + 1) + 3) // 2)
+            pos = d * (d - 1) // 2 + b
+            if pos <= limit:
+                best, limit = pos, pos - 1
+        b += 1
+        first += b
+    return best
 
 
 def default_estimator(base_list, extra_symbols=()):

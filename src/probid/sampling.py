@@ -84,13 +84,23 @@ class Rng:
 
 
 class SamplePrefix:
-    """A drawn prefix x_1..x_n plus its per-symbol occurrence counts."""
+    """A drawn prefix x_1..x_n plus its per-symbol occurrence counts.
 
-    __slots__ = ("symbols", "counts")
+    Counts given as None are counted on first read: the measure stream
+    reads only the symbols.
+    """
+
+    __slots__ = ("symbols", "_counts")
 
     def __init__(self, symbols, counts):
         self.symbols = symbols
-        self.counts = counts
+        self._counts = counts
+
+    @property
+    def counts(self):
+        if self._counts is None:
+            self._counts = Counter(self.symbols)
+        return self._counts
 
     def __len__(self):  # the prefix length n
         return len(self.symbols)
@@ -106,8 +116,7 @@ class SamplePrefix:
 
 
 def _sample_prefix(symbols):
-    symbols = tuple(symbols)
-    return SamplePrefix(symbols, Counter(symbols))
+    return SamplePrefix(tuple(symbols), None)
 
 
 def _thresholds(pairs):

@@ -15,7 +15,10 @@ deficiency is caught too; "measure-all-rows" lists one measure of every
 family whose mass row is computed its own way, and runs it again under
 two narrower scheme sets of the estimator and with each of its first three
 measures as the target, so the chain-rule draw (the switch pair and the
-constant run) and the marked-run draw are pinned too.
+constant run) and the marked-run draw are pinned too.  "measure-fallback"
+and "measure-duplicates" pin the measure step, which is decided per base
+measure: an input that no position ever passes, and a list that repeats
+two of its measures.
 """
 
 import hashlib
@@ -317,6 +320,35 @@ GOLDEN = {
         {**_ALL_ROWS_CFG, "target_index": 3},
         "892320efd8c509ac8c16efe0e5d174594c6780003045b38aeca2b969ffcd3b20",
         "ca181203967ecbc221318bae7d5b23e366e4f37c1413faea96f2fd8bbc52a792",
+    ),
+    # no interleaved position ever passes: the constant run gives "b" mass
+    # 0, so the guess falls back to 1 at every checkpoint, after a visit to
+    # every base the step may reach
+    "measure-fallback": (
+        {
+            "mode": "measure",
+            "list": {"items": [_ALL_A]},
+            "input_sequence": "ab" * 2000,
+            "n_max": 4000,
+            "checkpoint": {"stride": 100},
+            "seeds": [1],
+        },
+        "d864c79f7b26dabde74553eb40e103b3ca77d48f6a533622259580e3e253e3ab",
+        "dc8288a94130e686050e3895fa39a78bc8b20599ae2e2d6e1ea2a41c0afc418e",
+    ),
+    # two measures listed twice each, at a stride that divides no power of
+    # two; every seed settles on position 6, the first of base 3
+    "measure-duplicates": (
+        {
+            "mode": "measure",
+            "list": {"items": [_SKEWED, _ALL_A, _UNIFORM, _SKEWED, _UNIFORM]},
+            "target_index": 3,
+            "n_max": 3000,
+            "checkpoint": {"stride": 37},
+            "seeds": {"count": 4, "base": 1},
+        },
+        "41b033d91eb9dfa2359fa3ce18b997c57a8e69cd62dc6f70588d385de1f5d5bd",
+        "3e672445563922cf3994c7b3ae1f21d6964f9b063321d2584f2ce7b6a1a0cadb",
     ),
 }
 

@@ -788,6 +788,7 @@ def test_seed_count_is_capped_before_the_seeds_are_listed():
     assert _invalid_path(_iid_cfg(seeds={"count": harness._MAX_SEEDS + 1})) == "seeds.count"
     assert _invalid_path(_iid_cfg(seeds={"count": 10**12})) == "seeds.count"
     assert len(ExperimentConfig.from_obj(_iid_cfg(seeds={"count": harness._MAX_SEEDS})).seeds) == 1 << 16
+    assert len(ExperimentConfig.from_obj(_iid_cfg(seeds=list(range(harness._MAX_SEEDS)))).seeds) == 1 << 16
 
 
 _MARKED_FULL = {"family": "marked_run", "params": {"k": 65536, "marker": 1}}
@@ -810,8 +811,9 @@ _MARKED_FULL = {"family": "marked_run", "params": {"k": 65536, "marker": 1}}
         ),
         (_measure_cfg(n_max=10**6 + 1), "n_max: 1000001 past 1000000 symbols"),
         ({"mode": "demo", "n_switch": 65537}, "n_switch: 65537 past 65536 symbols"),
+        (_iid_cfg(seeds=list(range(65537))), "seeds: 65537 past 65536 seeds"),
     ],
-    ids=["grid", "items", "symbols", "grid-symbols", "measure-n_max", "n_switch"],
+    ids=["grid", "items", "symbols", "grid-symbols", "measure-n_max", "n_switch", "seed-list"],
 )
 def test_caps_refuse_a_config_before_building_it(tmp_path, capsys, cfg, path):
     config = _write_cfg(tmp_path, cfg)

@@ -3,7 +3,7 @@
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import inf
+from math import inf, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,14 @@ from probid.measure_identify import (
     identify_measure_stream,
     sigma_stage,
 )
-from probid.measures import make_black_swan_pair, make_iid_measure, make_mu_k
+from probid.measures import (
+    constant_run_measure,
+    draw_from_measure,
+    make_black_swan_pair,
+    make_iid_measure,
+    make_mu_k,
+    switch_pair_measure,
+)
 
 F = Fraction
 
@@ -254,6 +261,101 @@ def test_step_skips_invalid_interleaved_positions():
     # positions 1, 2 decode to the dead all-a measure; 3 decodes to uniform
     assert identify_measure_step(inter, x, 20, est) == 3
     assert inter.decode(3) == 2
+
+
+# one measure of every family on {1, 2}, and a marked run that also puts
+# mass on a third symbol
+_FAMILIES = (
+    lambda: constant_run_measure((1, 2), 1),
+    lambda: constant_run_measure((1, 2), 2),
+    lambda: switch_pair_measure((1, 2), 1, 2, 3),
+    lambda: switch_pair_measure((1, 2), 2, 1, 1),
+    lambda: make_mu_k(2, 1),
+    lambda: make_mu_k(3, 2),
+    lambda: make_iid_measure(make_finite_pmf([(1, F(1, 2)), (2, F(1, 2))])),
+    lambda: make_iid_measure(make_finite_pmf([(1, F(3, 4)), (2, F(1, 4))])),
+    lambda: make_iid_measure(make_finite_pmf([(1, F(1, 3)), (2, F(2, 3))])),
+)
+
+
+def _walk(inter, trace, n):
+    """The position walk: interleaved positions 1..n in order."""
+    return inter.least_passing(n, lambda pos, mu: trace.max_value(pos, n) < pos) or 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    picks=st.lists(st.tuples(st.integers(0, len(_FAMILIES) - 1), st.booleans()), min_size=1, max_size=5),
+    generated=st.booleans(),
+    source=st.one_of(
+        st.tuples(st.just("sampled"), st.integers(0, 4), st.integers(0, 2**16)),
+        st.tuples(st.just("fixed"), st.integers(0, 60), st.lists(st.sampled_from((1, 2, 3)), max_size=40)),
+    ),
+    n_max=st.integers(1, 240),
+    stride=st.integers(1, 47),
+    schemes=st.sampled_from([("literal",), ("literal", "run"), ("literal", "run", "model")]),
+)
+def test_step_per_base_equals_the_position_walk(picks, generated, source, n_max, stride, schemes):
+    # a pick marked True shares one object with every other such pick of its
+    # family; the others are equal measures built apart.  A generated list
+    # repeats the picks forever, so its bases never run out
+    shared = {}
+    items = [
+        shared.setdefault(k, _FAMILIES[k]()) if share else _FAMILIES[k]()
+        for k, share in picks
+    ]
+    if generated:
+        base = HypothesisList("measure", generator=lambda i: items[(i - 1) % len(items)])
+    else:
+        base = _plain(items)
+    if source[0] == "sampled":
+        x = draw_from_measure(items[source[1] % len(items)], source[2], n_max).symbols
+    else:
+        x = ((1,) * source[1] + tuple(source[2]) + (2, 1) * n_max)[:n_max]
+    est = ComplexityEstimator((1, 2, 3), schemes, tuple(items))
+    inter = InterleavedList(base)
+    closed, walked = SigmaTrace(inter, x, est), SigmaTrace(inter, x, est)
+    for n in range(stride, n_max + 1, stride):
+        assert identify_measure_step(inter, x, n, est, trace=closed) == _walk(inter, walked, n)
+    assert identify_measure_step(inter, x, n_max, est) == _walk(inter, walked, n_max)
+
+
+def _counted_fallback(monkeypatch, base, n_max, stride):
+    """max_value calls per checkpoint of `abab...` against `base`."""
+    calls = []
+    max_value = SigmaTrace.max_value
+
+    def counted(self, pos, n):
+        calls[-1] += 1
+        return max_value(self, pos, n)
+
+    monkeypatch.setattr(SigmaTrace, "max_value", counted)
+    mu = base.get(1)
+    est = ComplexityEstimator(("a", "b"), ("literal", "run", "model"), (mu,))
+    x = ("a", "b") * (n_max // 2)
+    inter = InterleavedList(base)
+    trace = SigmaTrace(inter, x, est)
+    for n in range(stride, n_max + 1, stride):
+        calls.append(0)
+        assert identify_measure_step(inter, x, n, est, trace=trace) == 1
+    monkeypatch.undo()
+    return calls, _walk(inter, trace, n_max)
+
+
+def test_step_visits_at_most_root_two_n_bases(monkeypatch):
+    # no position passes, so every checkpoint visits each base whose first
+    # position b(b+1)/2 is at most n: one base of the finite list, and
+    # about sqrt(2n) of a generated list that repeats the constant run
+    n_max, stride = 10**5, 100
+    mu = all_a_measure()
+    calls, walked = _counted_fallback(monkeypatch, _plain([mu]), n_max, stride)
+    assert calls == [1] * (n_max // stride) and walked == 1
+    forever = HypothesisList("measure", generator=lambda i: mu)
+    calls, walked = _counted_fallback(monkeypatch, forever, n_max, stride)
+    for k, count in enumerate(calls, start=1):
+        n = k * stride
+        assert count == (isqrt(8 * n + 1) - 1) // 2 <= isqrt(2 * n) + 1
+    assert walked == 1
 
 
 def test_h_index_style_stopping_is_sound_on_fixture():
