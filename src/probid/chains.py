@@ -3,28 +3,41 @@ solved by rational Gaussian elimination (`_solve_stationary`), and the walk
 that runs them.  Only a config that names a chain, and the `stationary`
 command, load this module (see `hypotheses.build_hypothesis`).
 
-The walk reads the SplitMix64 lane stream of `sampling`.  `chain_blocks`
-merges the thresholds of all rows into behaviour classes, on each of which
-every state takes one transition (`_classes`), maps a block's top bytes to
-classes in C, bisecting only the draws in cells that a threshold splits
-(`_cells`), and reads m draws per table lookup.  It yields steps, indices
-into the chain's tuple of positive-mass transitions.
+The walk reads the SplitMix64 lane stream of `sampling`, eight blocks of
+1024 draws at a time, folded into one int of their top two bytes and
+serialised once (`_fold`).  `chain_blocks` merges the thresholds of all
+rows into behaviour classes, on each of which every state takes one
+transition (`_classes`), and maps each draw's top byte to its class in C.
+A draw in a cell of the top byte that a threshold splits (`_cells`) takes
+its class from that cell's table of second bytes (`_subcells`); only a
+draw in a split sub-cell, 2**37 draws wide, is mixed whole from its index
+in the stream and bisected.  The walk reads m draws per table lookup and
+yields steps, indices into the chain's tuple of positive-mass
+transitions.  The tables are built once per chain
+(`MarkovChain.walk_tables`).
 """
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, islice
+from functools import cached_property
+from itertools import chain, count, islice
 from math import gcd
-from operator import ne
-from struct import Struct
+from operator import lshift, ne, rshift
+from typing import NamedTuple
 
 from .errors import BadStart, InvalidTransitionMatrix, NotErgodic, SingularSystem
 from .hypotheses import ONE, ZERO, HypothesisSpec, _frac_str
-from .sampling import _BLOCK_BYTES, _LANES, _lanes, _thresholds
+from .sampling import _BLOCK_BYTES, _GOLDEN, _LANE_ONES, _LANES, _MASK, _lanes, _mix, _thresholds
 
-# A block is serialised little-endian, so lane k is bytes 16k..16k+15 and
-# its low 64-bit word, which `_walk` reads whole, comes first.
-_WORD = Struct("<Q")
+# `_walk` reads the lane stream eight blocks at a time: (operator, shift,
+# mask) of block b moves bits 48-63 of each lane, the top two bytes of its
+# output, to bits 16b..16b+15, which serialise little-endian as bytes 2b
+# and 2b + 1 of the lane's 16.
+_BLOCK_STEPS = 8 * _LANES
+_FOLD = [
+    (*((rshift, 48 - s) if s <= 48 else (lshift, s - 48)), (0xFFFF << s) * _LANE_ONES)
+    for s in range(0, 128, 16)
+]
 # `run_chain` names its chain `chain`, which hides itertools.chain
 _flatten = chain.from_iterable
 
@@ -139,6 +152,11 @@ class MarkovChain:
     def has_state(self, state):
         return state in self._index
 
+    @cached_property
+    def walk_tables(self):
+        """What the chain walk reads of this chain (`_plan`), built on first use."""
+        return _plan(self)
+
     def row(self, state):
         """Transition row out of `state` as (next_state, probability) pairs."""
         i = self._index[state]
@@ -165,15 +183,38 @@ def chain_blocks(chain, x0, seed):
 
     Returns (blocks, pairs): `pairs` is the tuple of (state, next_state)
     transitions of positive mass in row order, and each block holds the
-    next 1024 steps, step t the index of (x_{t-1}, x_t) in `pairs`: `bytes`
+    next 8192 steps, step t the index of (x_{t-1}, x_t) in `pairs`: `bytes`
     where every index fits a byte (at most 256 transitions), else a list.
     Raises BadStart at the call, before any state is drawn.
     """
     if not chain.has_state(x0):
         raise BadStart("start state %r not in chain" % (x0,))
+    walk = chain.walk_tables
+    return _walk(walk, walk.tables[chain._index[x0]], seed), walk.pairs
+
+
+class _WalkTables(NamedTuple):
+    """What `_walk` reads of a chain, built once per chain (`MarkovChain.walk_tables`).
+
+    `tables[i][code]` is (the steps, the next state's table) of m draws from
+    state i whose classes the code packs; `low` and `split` are `_cells` of
+    the top byte, and subs[c] the sub-cell table of a split cell c (see
+    `_subcells`), None for the others."""
+
+    pairs: tuple
+    merged: list
+    m: int
+    join: object
+    tables: list
+    low: object  # `bytes` where every class fits a byte, else a list
+    split: bytes
+    subs: list
+
+
+def _plan(chain):
+    """The `_WalkTables` of a chain."""
     pairs, merged, steps = _classes(chain)
-    part, join = (bytes, b"".join) if len(pairs) <= 256 else (tuple, lambda p: [*_flatten(p)])
-    # tables[i][code]: (the steps, the next state's table) of m draws from state i
+    part, join = (bytes, b"".join) if len(pairs) <= 256 else (tuple, _join_lists)
     tables = [[] for _ in chain.states]
     table_of = dict(zip(chain.states, tables))
     entries = [(part([k]), table_of[target]) for k, (_, target) in enumerate(pairs)]
@@ -187,7 +228,14 @@ def chain_blocks(chain, x0, seed):
         for table, row in zip(tables, new):
             table[:] = row
         m *= 2
-    return _walk(table_of[x0], merged, m, join, _lanes(seed)), tuple(pairs)
+    low, split = _cells(merged)
+    subs = [_subcells(merged, c) if apart else None for c, apart in enumerate(split)]
+    low = bytes(low) if width <= 256 else low
+    return _WalkTables(tuple(pairs), merged, m, join, tables, low, split, subs)
+
+
+def _join_lists(parts):
+    return [*_flatten(parts)]
 
 
 def _classes(chain):
@@ -206,40 +254,75 @@ def _classes(chain):
     return pairs, merged, steps
 
 
-def _cells(merged):
-    """(low, split) of the 256 cells c of the top byte, the draws z >> 45 == c:
-    the class of a cell's lowest draw, and 1 where its highest is in another."""
-    low = [bisect_left(merged, c << 45) for c in range(256)]
-    high = [bisect_left(merged, ((c + 1) << 45) - 1) for c in range(256)]
+def _cells(merged, lowest=0, shift=45):
+    """(low, split) of the 256 cells of 2**shift draws from `lowest`, by
+    default the cells c of the top byte, the draws z >> 45 == c: the class
+    of a cell's lowest draw, and 1 where its highest is in another."""
+    low = [bisect_left(merged, lowest + (c << shift)) for c in range(256)]
+    high = [bisect_left(merged, lowest + ((c + 1) << shift) - 1) for c in range(256)]
     return low, bytes(map(ne, low, high))
 
 
-def _walk(table, merged, m, join, lanes):
-    """Steps of a chain run from the state of `table`, one block per block of
-    lanes, by one lookup per m draws.  The cell of draw i is byte 16i + 7 of
-    the block; a draw in a split cell is read whole, mixed to its output and
-    bisected into `merged`.  A code byte packs the classes of m draws, the
-    r-th times D**r, and sums to at most D**m - 1 <= 255: nothing carries."""
-    low, split = _cells(merged)
-    classes = bytes(low) if len(merged) <= 256 else None
-    for block in lanes:
-        raw = block.to_bytes(_BLOCK_BYTES, "little")
-        cells = raw[7::16]
-        codes = bytearray(cells.translate(classes)) if classes else [*map(low.__getitem__, cells)]
-        marks = cells.translate(split)
-        at = marks.find(1)
-        while at >= 0:
-            (z,) = _WORD.unpack_from(raw, 16 * at)
-            codes[at] = bisect_left(merged, (z ^ (z >> 31)) >> 11)
-            at = marks.find(1, at + 1)
-        if m > 1:
-            sums = sum(int.from_bytes(codes[r::m], "little") * len(merged) ** r for r in range(m))
-            codes = sums.to_bytes(_LANES // m, "little")
-        parts = []
-        for code in codes:
-            part, table = table[code]
-            parts.append(part)
-        yield join(parts)
+def _subcells(merged, c):
+    """The sub-cell table of cell c of the top byte: for each second byte s,
+    the class of the draws (z >> 37) == 256c + s, or None where a threshold
+    splits them."""
+    low, split = _cells(merged, c << 45, 37)
+    return tuple(None if apart else k for k, apart in zip(low, split))
+
+
+def _fold(lanes):
+    """The next eight blocks of `lanes` folded by `_FOLD` and serialised."""
+    folded = 0
+    for op, shift, mask in _FOLD:
+        folded |= op(next(lanes), shift) & mask
+    return folded.to_bytes(_BLOCK_BYTES, "little")
+
+
+def _walk(walk, table, seed):
+    """Steps of a chain run from the state of `table`, one block per eight
+    blocks of lanes, by one lookup per m draws.
+
+    The top two bytes of each output are bits 48-63 of its lane, which the
+    mix's last step leaves as they are: `_FOLD` moves those of block b to
+    bytes 2b, 2b + 1 of each lane, so one `to_bytes` serialises eight
+    blocks, and block b's cells and second bytes are stride-16 slices.  A
+    draw in a split cell takes its class from the sub-cell table of its
+    cell; only a draw in a split sub-cell is mixed whole, from its index in
+    the stream, and bisected into `merged`.  A code byte packs the classes
+    of m draws, the r-th times D**r, and sums to at most D**m - 1 <= 255:
+    nothing carries."""
+    _, merged, m, join, _, low, split, subs = walk
+    width = len(merged)
+    lanes = _lanes(seed)
+    for first in count(seed + _GOLDEN, _BLOCK_STEPS * _GOLDEN):
+        raw = _fold(lanes)
+        blocks = []
+        for b in range(8):
+            cells, seconds = raw[2 * b + 1 :: 16], raw[2 * b :: 16]
+            if width <= 256:
+                codes = bytearray(cells.translate(low))
+            else:
+                codes = [*map(low.__getitem__, cells)]
+            marks = cells.translate(split)
+            at = marks.find(1)
+            while at >= 0:
+                k = subs[cells[at]][seconds[at]]
+                if k is None:
+                    # output i of the stream mixes the state seed + (i+1)*_GOLDEN
+                    k = bisect_left(merged, _mix(first + (b * _LANES + at) * _GOLDEN & _MASK) >> 11)
+                codes[at] = k
+                at = marks.find(1, at + 1)
+            if m > 1:
+                sums = sum(int.from_bytes(codes[r::m], "little") * width**r for r in range(m))
+                codes = sums.to_bytes(_LANES // m, "little")
+            parts = []
+            for code in codes:
+                part, table = table[code]
+                parts.append(part)
+            # joined per lane block: `bytes.join` holds a buffer per part
+            blocks.append(join(parts))
+        yield join(blocks)
 
 
 def run_chain(chain, x0, seed, n):

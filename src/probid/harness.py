@@ -96,6 +96,11 @@ def _positive_int(value, path):
 _MAX_SEEDS = 1 << 16
 _MAX_SWITCH = 1 << 16  # the demo builds its whole history: 65536 take a second
 _MAX_MEASURE_N = 10**6  # a measure run draws n_max symbols; `SigmaTrace` rows are as long
+# An i.i.d. or markov run streams its draws in bounded memory, but an
+# i.i.d. run takes each stride with `islice`, whose stop must fit a C
+# ssize_t: a fixed 10**15 does on every 64-bit platform, and would take
+# years to draw.
+_MAX_N = 10**15
 _MAX_SPECS = 1 << 16  # items or grid points; five keys of 100 values ask for 10^10
 # Finite symbols of all list items, repeats counted: four simple_pmf items of
 # 65536 symbols already take seconds to build.
@@ -162,6 +167,8 @@ def _parse_config(obj):
     n_max = _positive_int(_need(obj, "n_max", "n_max"), "n_max")
     if mode == "measure":
         _at_most(n_max, _MAX_MEASURE_N, "n_max", "symbols")
+    else:
+        _at_most(n_max, _MAX_N, "n_max", "draws")
     if stride > n_max:
         raise ConfigInvalid("checkpoint.stride", "exceeds n_max: no checkpoint would be recorded")
     seeds = _parse_seeds(obj.get("seeds", {"count": 1, "base": 1}), "seeds")

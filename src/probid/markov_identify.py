@@ -12,15 +12,17 @@ weight them differently.  `chain_candidate_test` on the counts of
 
 The stream never counts states pair by pair, nor steps one by one.  The
 sampler yields its steps, each an index into the chain's tuple of
-transitions `pairs`, in blocks of 1024: `bytes` where every index fits a
+transitions `pairs`, in blocks of 8192: `bytes` where every index fits a
 byte, else lists.  At each checkpoint the stream adds the next `stride`
-steps to a tally vector over `pairs` and reads the visit and transition
-vectors off it (`chain_counts`), in time proportional to the number of
-transitions rather than to the length of the run.  A chain with few
-transitions for its stride has its steps tallied with one `bytes.count`
-per transition over the checkpoint's steps, one pass in C each; where
-those passes would cost more than a `Counter.update` per step
-(`_count_in_bytes`), a `Counter` tallies them.  Each candidate is
+steps to a tally vector over `pairs`, piece by piece as the blocks
+arrive, and reads the visit and transition vectors off it
+(`chain_counts`), in time proportional to the number of transitions
+rather than to the length of the run.  A chain with few transitions for
+its stride has each piece tallied by popcount (`_popcounts`): one
+`translate` and one `int.from_bytes` per group of eight transitions and
+one `bit_count` per transition, passes in C that branch on no step;
+where those would cost more than a `Counter` (`_count_in_bytes`), a
+`Counter` tallies the piece.  Each candidate is
 compiled once per stream against `pairs` (`_compile`): per source state,
 its row as integer numerators over one denominator in `pairs` order, the
 candidate transitions the source never takes, its stationary numerator,
@@ -37,7 +39,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .bands import below_tau, tau, within_band
-from .chains import MarkovChain, chain_blocks
+from .chains import _BLOCK_STEPS, MarkovChain, chain_blocks
 from .enumeration import checkpoint_trace
 
 
@@ -72,46 +74,67 @@ def chain_counts(source, x0, seed, stride):
     return _checkpoint_counts(blocks, len(pairs), into, stride, in_bytes), pairs
 
 
-def _strides(blocks, stride):
-    """The steps of `blocks` in flat runs of `stride`, cut from one growing
-    buffer (a `bytearray` for `bytes` blocks): adding a block copies it alone."""
-    block = next(blocks)
-    buf = bytearray(block) if isinstance(block, bytes) else list(block)
-    while True:
-        while len(buf) < stride:
-            buf += next(blocks)
-        yield buf[:stride]
-        del buf[:stride]
-
-
 def _count_in_bytes(pairs, stride):
-    """Whether one `bytes.count` per transition over each checkpoint's
-    steps tallies them faster than a `Counter.update` per step.  The counts
-    cost time in proportion to the transitions, both per step and per
-    checkpoint; the rule is fitted to the crossovers measured on dense
-    chains (2 vCPUs, Python 3.11): about 12 transitions at stride 100, 25
-    at 300, 45 at 1000 and 55 at 10**4.  It holds for at most 59
-    transitions, so the walk yields every block as `bytes`."""
-    return len(pairs) * (stride + 400) <= 60 * stride
+    """Whether popcounts (`_popcounts`) tally each checkpoint's steps faster
+    than a `Counter`.  Both cost time in proportion to the transitions per
+    piece of a block and per checkpoint, and the `Counter` also per step;
+    the rule is fitted to the crossovers measured on dense chains (2 vCPUs,
+    Python 3.11): about 24 transitions at stride 100, 30 at 300, 32 at 1000
+    and 39 at 10**4.  It holds for at most 39 transitions, whose steps the
+    walk yields as `bytes`."""
+    return len(pairs) * (stride + 100) <= 40 * stride
+
+
+# bit r of every byte of a piece, which is at most a block long
+_MASKS = [int.from_bytes(bytes([1 << r]) * _BLOCK_STEPS, "little") for r in range(8)]
+
+
+def _popcounts(size):
+    """count(piece): how often each of 0..size-1 occurs in the `bytes`
+    `piece`.  One `translate` per group of eight makes step k of the group
+    bit k mod 8 of its byte, and one `bit_count` per transition counts the
+    bits of its place in the whole piece, read as one int."""
+    groups = [
+        (bytes(1 << k - g if g <= k < g + 8 else 0 for k in range(256)), _MASKS[: size - g])
+        for g in range(0, size, 8)
+    ]
+
+    def count(piece):
+        counts = []
+        for table, masks in groups:
+            bits = int.from_bytes(piece.translate(table), "little")
+            counts += map(int.bit_count, map(bits.__and__, masks))
+        return counts
+
+    return count
 
 
 def _checkpoint_counts(blocks, size, into, stride, in_bytes):
-    runs = _strides(blocks, stride)
-    run = next(runs)
-    first = run[0]
-    indices = range(size)
-    counter, tally = Counter(), [0] * size
+    """The (visits, trans) of `chain_counts`.  Each piece of a block is
+    tallied as it arrives, so a stride of any length holds no more than a
+    block of steps."""
+    if in_bytes:
+        count = _popcounts(size)
+    else:
+
+        def count(piece):
+            return map(Counter(piece).get, range(size), repeat(0))
+
+    tally = [0] * size
+    block, at = next(blocks), 0
+    first = block[0]
     while True:
-        if in_bytes:
-            # one pass in C per transition, no object per step
-            tally = list(map(add, tally, map(run.count, indices)))
-        else:
-            counter.update(run)
-            tally = list(map(counter.get, indices, repeat(0)))
+        need = stride
+        while need:
+            if at == len(block):
+                block, at = next(blocks), 0
+            piece = block[at : at + need]
+            at += len(piece)
+            need -= len(piece)
+            tally = list(map(add, tally, count(piece)))
         trans = tally.copy()
         trans[first] -= 1
         yield [sum(map(tally.__getitem__, ks)) for ks in into], trans
-        run = next(runs)
 
 
 def stationary(rows):

@@ -6,10 +6,11 @@ The samplers read the stream from `_lanes`, 1024 outputs at a time in one
 Python int of 128-bit lanes: the low word of lane k holds output k of the
 block, and the high word catches what a right shift leaks in from lane
 k+1 and the carry of a product; a mask clears it before every multiply.
-A stream holds one block (16 KiB), never its whole length.  Both readers
-serialise a block little-endian: `_uniforms` unpacks 1024 53-bit
-numerators, and the chain walk (`chains.chain_blocks`) reads the top byte
-of each lane.
+A stream holds a block or two (16 KiB each), never its whole length.
+`_uniforms` serialises each block little-endian and unpacks 1024 53-bit
+numerators; the chain walk (`chains.chain_blocks`) folds the top two bytes
+of the lanes of eight blocks into one int, serialises that, and re-mixes
+by `_mix` the few draws it needs whole.
 
 Symbols are drawn by exact inversion: the 53-bit output z maps to the
 dyadic rational u = z/2**53 in [0, 1), and we pick the least symbol whose
@@ -57,6 +58,14 @@ _LANE_OFFSETS = int.from_bytes(
 _LOW_WORDS = Struct("<" + "Q8x" * _LANES)
 
 
+def _mix(state):
+    """The SplitMix64 output of one state; see `Rng` for the state of each
+    output.  The chain walk re-mixes a draw it needs whole by this."""
+    z = ((state ^ (state >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
 class Rng:
     """SplitMix64 stream, one output per call.
 
@@ -73,10 +82,7 @@ class Rng:
 
     def next64(self):
         self.state = (self.state + _GOLDEN) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        return _mix(self.state)
 
     def next53(self):
         """Numerator of a dyadic uniform z/2**53 in [0, 1)."""

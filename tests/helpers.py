@@ -110,6 +110,14 @@ CELL_SPLITTING_ROWS = (
 )
 
 
+# rows whose thresholds, floor(2**53 / 3) and 2**13 past it, split one
+# sub-cell of the two top bytes, 2**37 draws wide
+SUBCELL_SPLITTING_ROWS = (
+    (F(1, 3), F(2, 3)),
+    (F(1, 3) + F(1, 1 << 40), F(2, 3) - F(1, 1 << 40)),
+)
+
+
 @st.composite
 def chains_splitting_cells(draw):
     """Ergodic two-state chains whose rows split cells of the top byte."""

@@ -5,10 +5,12 @@ Each config runs through `run_experiment` and the sha256 of its
 change that alters which guess is emitted at any checkpoint, or how it is
 written, fails here.  "iid-families" and "iid-families-grid" list the
 simple and geometric pmfs.  The markov stream tallies "markov" by
-`bytes.count`, and "markov-8-states" (64 transitions, each index fits a
-byte) and "markov-17-states" (289 transitions) by a `Counter`.
-The chain walk reads 8, 2 and 1 draws per table lookup on the targets of
-"markov-2-classes", "markov-4-states" and "markov-17-random".  The measure
+popcount, and "markov-8-states" (64 transitions, each index fits a byte)
+and "markov-17-states" (289 transitions) by a `Counter`.  The chain walk
+reads 8, 2 and 1 draws per table lookup on the targets of
+"markov-2-classes", "markov-4-states" and "markov-17-random", and
+"markov-17-random-long" runs the last over three folds of eight lane
+blocks.  The measure
 configs reach non-dyadic prefix masses (the 3/4-1/4 i.i.d. measure) as
 well as dyadic ones, so a change to how `log2(1/mass)` enters the
 deficiency is caught too; "measure-all-rows" lists one measure of every
@@ -250,6 +252,21 @@ GOLDEN = {
         },
         "37dbaba20224227480b4a2daf29677a7955823884d1496f149b3245cbe87bb62",
         "ffb5dccb7998d8ca1c6bddb42f413382325cf41fcced67ce2315204efd2c8a0c",
+    ),
+    # the same list over 20000 steps: three folds of eight lane blocks, in
+    # whose split sub-cells some draws are mixed whole from their index
+    "markov-17-random-long": (
+        {
+            "mode": "markov",
+            "list": {"items": [_weights_markov(random_weights(17, s)) for s in (1, 2, 3)]},
+            "target_index": 2,
+            "start_state": 0,
+            "n_max": 20000,
+            "checkpoint": {"stride": 1000},
+            "seeds": [1, 2, 3],
+        },
+        "380506b1cb5cf4541e33c761eae006e3c2f4994b0fa6673223cb2e12d8e5218a",
+        "7c073fadb2592d4040ea969db1f8b11d7444a909922087cc99915ef75f4ba1a1",
     ),
     "measure-dyadic": (
         {

@@ -810,10 +810,23 @@ _MARKED_FULL = {"family": "marked_run", "params": {"k": 65536, "marker": 1}}
             "list.grid[4]: 327680 past",
         ),
         (_measure_cfg(n_max=10**6 + 1), "n_max: 1000001 past 1000000 symbols"),
+        # an islice stop past sys.maxsize once ended such a run in a traceback
+        (_iid_cfg(n_max=10**30, checkpoint={"stride": 10**30}), "n_max: %d past 10" % 10**30),
+        (_markov_cfg(n_max=10**15 + 1), "n_max: 1000000000000001 past 1000000000000000 draws"),
         ({"mode": "demo", "n_switch": 65537}, "n_switch: 65537 past 65536 symbols"),
         (_iid_cfg(seeds=list(range(65537))), "seeds: 65537 past 65536 seeds"),
     ],
-    ids=["grid", "items", "symbols", "grid-symbols", "measure-n_max", "n_switch", "seed-list"],
+    ids=[
+        "grid",
+        "items",
+        "symbols",
+        "grid-symbols",
+        "measure-n_max",
+        "iid-n_max",
+        "markov-n_max",
+        "n_switch",
+        "seed-list",
+    ],
 )
 def test_caps_refuse_a_config_before_building_it(tmp_path, capsys, cfg, path):
     config = _write_cfg(tmp_path, cfg)

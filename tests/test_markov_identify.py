@@ -1,14 +1,17 @@
 """Chain identification: exact stationary solve, counts, two-clause test."""
 
+import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import chain_3state, chain_a, chain_b, chains_with_zeros, dense_chain
-from probid.chains import MarkovChain, chain_blocks, run_chain
+from probid.chains import _BLOCK_STEPS, MarkovChain, chain_blocks, run_chain
 from probid.enumeration import HypothesisList
 from probid.errors import NotErgodic
 from probid.hypotheses import make_finite_pmf
@@ -16,6 +19,7 @@ from probid.iid_identify import candidate_test
 from probid.markov_identify import (
     TransitionCounts,
     _compile,
+    _checkpoint_counts,
     _compiled_test,
     _count_in_bytes,
     _gated,
@@ -100,17 +104,18 @@ def _strings(chain):
     start=st.integers(min_value=0, max_value=3),
 )
 # both tallies at their crossover: at stride 97, 9 transitions are counted
-# in bytes and 16 by a `Counter`, and at stride 1024, 36 and 49; 256
+# by popcount and 25 by a `Counter`, and at stride 1024, 36 and 49; 256
 # transitions, whose indices all fit a byte, and 289, whose indices do not;
-# at every stride and across block boundaries
-@example(chain=dense_chain(3), seed=2**64 - 1, stride=97, n_max=3100, start=2)
-@example(chain=dense_chain(4), seed=2**64 - 1, stride=97, n_max=3100, start=3)
-@example(chain=dense_chain(6), seed=5, stride=1024, n_max=3072, start=0)
-@example(chain=dense_chain(7), seed=5, stride=1024, n_max=3072, start=6)
+# at every stride, and across the walk's blocks of 8192 steps mid-stride
+# and at a checkpoint
+@example(chain=dense_chain(3), seed=2**64 - 1, stride=97, n_max=8500, start=2)
+@example(chain=dense_chain(5), seed=2**64 - 1, stride=97, n_max=8500, start=3)
+@example(chain=dense_chain(6), seed=5, stride=1024, n_max=9216, start=0)
+@example(chain=dense_chain(7), seed=5, stride=1024, n_max=9216, start=6)
 @example(chain=_strings(dense_chain(16)), seed=0, stride=1, n_max=1100, start=3)
 @example(chain=_strings(dense_chain(17)), seed=0, stride=1, n_max=1100, start=3)
 @example(chain=dense_chain(16), seed=2**64 - 1, stride=97, n_max=3100, start=15)
-@example(chain=dense_chain(17), seed=2**64 - 1, stride=1500, n_max=3000, start=16)
+@example(chain=dense_chain(17), seed=2**64 - 1, stride=1500, n_max=9000, start=16)
 def test_stream_counts_equal_empirical_at_every_checkpoint(chain, seed, stride, n_max, start):
     x0 = chain.states[start % len(chain.states)]
     counts, pairs = chain_counts(chain, x0, seed, stride)
@@ -124,8 +129,47 @@ def test_stream_counts_equal_empirical_at_every_checkpoint(chain, seed, stride, 
 
 def test_examples_straddle_the_tally_crossover():
     # the examples above exercise both tallies only while this holds
-    sides = [(9, 97), (16, 97), (36, 1024), (49, 1024)]
+    sides = [(9, 97), (25, 97), (36, 1024), (49, 1024)]
     assert [_count_in_bytes(range(t), stride) for t, stride in sides] == [True, False] * 2
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 256])
+@settings(max_examples=8, deadline=None)
+@given(
+    stride=st.integers(2, 3000).filter(lambda stride: 1024 % stride),
+    seed=st.integers(0, 2**32),
+    in_bytes=st.booleans(),
+)
+def test_popcount_tally_equals_counter(size, stride, seed, in_bytes):
+    # steps over two blocks and part of a third, cut by checkpoints that
+    # fall mid-block; both tallies against a `Counter` of the flat run
+    rng = random.Random(seed)
+    steps = bytes(rng.choices(range(size), k=2 * _BLOCK_STEPS + 300))
+    blocks = iter([steps[i : i + _BLOCK_STEPS] for i in range(0, len(steps), _BLOCK_STEPS)])
+    counts = _checkpoint_counts(blocks, size, [[k] for k in range(size)], stride, in_bytes)
+    expected = Counter()
+    for n in range(stride, len(steps) + 1, stride):
+        expected.update(steps[n - stride : n])
+        visits, trans = next(counts)
+        assert visits == [expected[k] for k in range(size)]
+        trans[steps[0]] += 1
+        assert trans == visits
+
+
+@pytest.mark.parametrize("stride", [10**4, 10**6])
+def test_chain_counts_memory_does_not_grow_with_the_stride(stride):
+    # each piece of a block is tallied as it arrives; buffering a whole
+    # stride of 10**6 steps peaked at about 2 MiB
+    tracemalloc.start()
+    try:
+        counts, _ = chain_counts(chain_a(), 0, 1, stride)
+        for visits, _ in islice(counts, 10**6 // stride):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(visits) == 10**6
+    assert peak < 256 * 1024
 
 
 def test_counts_invariants_on_sampled_run():

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     CELL_SPLITTING_ROWS,
+    SUBCELL_SPLITTING_ROWS,
     chain_a,
     chains_splitting_cells,
     chains_with_zeros,
@@ -39,7 +40,7 @@ from probid.measures import (
     make_mu_k,
     switch_pair_measure,
 )
-from probid.sampling import Rng, SamplePrefix, _table, draw_iid, iid_steps
+from probid.sampling import _GOLDEN, _MASK, Rng, SamplePrefix, _table, draw_iid, iid_steps
 
 F = Fraction
 
@@ -332,6 +333,8 @@ _EVERY_M = {
     241: random_chain(16, 0),
     273: random_chain(17, 1),
 }
+# two thresholds 2**13 apart, in one sub-cell
+_SUBCELL_SPLIT = MarkovChain((0, 1), SUBCELL_SPLITTING_ROWS)
 
 
 def test_chain_examples_cover_every_lookup_width():
@@ -339,7 +342,9 @@ def test_chain_examples_cover_every_lookup_width():
     assert widths == {d: d for d in _EVERY_M}
 
 
-# n up to 2100 crosses two block boundaries of the lane stream
+# n up to 2100 crosses two lane blocks of the walk's first fold of eight,
+# and n = 16500 two folds; random_chain(17, 1) splits enough sub-cells
+# that some of its draws are mixed whole
 @settings(max_examples=40, deadline=None)
 @given(chain=_chains, seed=_seeds, n=st.integers(0, 2100))
 @example(chain=_EVERY_M[1], seed=1, n=2100)
@@ -349,6 +354,10 @@ def test_chain_examples_cover_every_lookup_width():
 @example(chain=_EVERY_M[49], seed=1, n=2100)
 @example(chain=_EVERY_M[241], seed=1, n=2100)
 @example(chain=_EVERY_M[273], seed=1, n=2100)
+@example(chain=_EVERY_M[2], seed=2, n=16500)
+@example(chain=_EVERY_M[49], seed=2, n=16500)
+@example(chain=_EVERY_M[273], seed=2, n=16500)
+@example(chain=_SUBCELL_SPLIT, seed=2, n=16500)
 def test_run_chain_follows_inversion_rule(chain, seed, n):
     assert run_chain(chain, 0, seed, n) == _oracle_run(chain, _uniforms(seed, n))
 
@@ -403,27 +412,57 @@ def _lane_block(draws):
     return sum(x << 128 * i for i, x in enumerate(lanes))
 
 
-@pytest.mark.parametrize("rows", [CELL_SPLITTING_ROWS[i : i + 2] for i in range(5)])
+@settings(max_examples=10, deadline=None)
+@given(chain=chains_splitting_cells())
+@example(chain=_SUBCELL_SPLIT)
+def test_subcell_table_is_the_pick_at_both_ends_of_every_subcell(chain):
+    # split cell c holds the sub-cells of draws z >> 37 == 256c + s, and
+    # sub-cell s must map to the class of its lowest draw, or to None
+    # exactly where some state picks apart at its two ends
+    pairs, merged, steps = chains._classes(chain)
+    walk = chain.walk_tables
+    picks = [_picker(chain.row(state)) for state in chain.states]
+    for c, sub in enumerate(walk.subs):
+        assert (sub is None) == (not walk.split[c])
+        for s, k in enumerate(sub or ()):
+            lowest = (256 * c + s) << 37
+            ends = [(pick(lowest), pick(lowest + (1 << 37) - 1)) for pick in picks]
+            assert (k is None) == any(lo != hi for lo, hi in ends)
+            for i, (lo, _) in enumerate(ends if k is not None else ()):
+                assert pairs[steps[i][k]] == (chain.states[i], lo)
+
+
+@pytest.mark.parametrize(
+    "rows", [CELL_SPLITTING_ROWS[i : i + 2] for i in range(5)] + [SUBCELL_SPLITTING_ROWS]
+)
 def test_chain_walk_bisects_draws_in_split_cells(monkeypatch, rows):
-    # random draws almost never land next to a threshold, so walk two blocks
-    # of draws that do: each threshold, its neighbours and the ends of its
-    # cell, among them the tie at the start of cell 128 (row 1/2, 1/2),
-    # 1/256 + 2**-53, one draw past the start of cell 1, and the last two
-    # draws of cell 127
+    # random draws almost never land next to a threshold, so walk two folds
+    # of eight lane blocks of draws that do: each threshold, its neighbours
+    # and the ends of its cell and of its sub-cell, among them the tie at
+    # the start of cell 128 (row 1/2, 1/2), 1/256 + 2**-53, one draw past
+    # the start of cell 1, and the last two draws of cell 127.  The walk
+    # mixes a draw of a split sub-cell whole from its state, seed + (i+1) *
+    # _GOLDEN for draw i, so the scalar mix returns the same draws
     chain = MarkovChain((0, 1), rows)
     edges = {0, _LAST}
     for state in chain.states:
         for _, t in sampling._thresholds(chain.row(state)):
-            c = t >> 45
-            edges.update((t - 1, t, t + 1, c << 45, ((c + 1) << 45) - 1))
+            edges.update((t - 1, t, t + 1))
+            for shift in (45, 37):
+                c = t >> shift
+                edges.update((c << shift, ((c + 1) << shift) - 1))
     edges = sorted(z for z in edges if 0 <= z <= _LAST)
     rng = random.Random(len(edges))
-    draws = [rng.choice(edges) for _ in range(2 * 1024)]
-    blocks = [_lane_block(draws[:1024]), _lane_block(draws[1024:])]
+    draws = [rng.choice(edges) for _ in range(16 * 1024)]
+    blocks = [_lane_block(draws[i : i + 1024]) for i in range(0, len(draws), 1024)]
+    words = {(i + 1) * _GOLDEN & _MASK: z << 11 for i, z in enumerate(draws)}
+    mixed = []
     monkeypatch.setattr(sampling, "_lanes", lambda seed: iter(blocks))
     monkeypatch.setattr(chains, "_lanes", lambda seed: iter(blocks))
+    monkeypatch.setattr(chains, "_mix", lambda state: mixed.append(state) or words[state])
     assert list(islice(sampling._uniforms(0), len(draws))) == draws
     assert run_chain(chain, 0, 0, len(draws)) == _oracle_run(chain, draws)
+    assert mixed
 
 
 @settings(max_examples=40, deadline=None)
@@ -437,12 +476,12 @@ def test_chain_blocks_index_the_transitions_of_the_run(chain, seed, n):
 
 
 @pytest.mark.parametrize("size", [2, 16, 17])
-def test_chain_blocks_are_lists_of_1024_steps(size):
+def test_chain_blocks_are_lists_of_8192_steps(size):
     # `bytes` where every index fits a byte (4 and 256 transitions), lists
     # past that (289)
     blocks, pairs = chain_blocks(dense_chain(size), 0, 1)
     for block in islice(blocks, 2):
-        assert type(block) is (bytes if len(pairs) <= 256 else list) and len(block) == 1024
+        assert type(block) is (bytes if len(pairs) <= 256 else list) and len(block) == 8192
         assert all(type(k) is int and 0 <= k < len(pairs) for k in block)
 
 
