@@ -183,7 +183,7 @@ GOLDEN = {
         "e919108a3d59bc2dacf805460504fc6b4544a650562d2493a5aeacad78242a3e",
         "8eeec4403be8aa46f3f96a17ab60e3030943901eff9e935cdd6309242d1ec541",
     ),
-    # 64 transitions: too many at this stride for the byte tally, few
+    # 64 transitions: too many at this stride for the popcount tally, few
     # enough that every step fits a byte; over three lane blocks, and the
     # guess moves from candidate to candidate at checkpoints that differ by
     # seed
