@@ -4,9 +4,10 @@ that runs them.  Only a config that names a chain, and the `stationary`
 command, load this module (see `hypotheses.build_hypothesis`).
 
 The walk reads the SplitMix64 lane stream of `sampling`, eight blocks of
-1024 draws at a time, folded into one int of their top two bytes and
-serialised once (`_fold`).  `chain_blocks` merges the thresholds of all
-rows into behaviour classes, on each of which every state takes one
+1024 draws at a time (at the end only as many as the run's steps need),
+folded into one int of their top two bytes and serialised once
+(`_fold`).  `chain_blocks` merges the thresholds of all rows into
+behaviour classes, on each of which every state takes one
 transition (`_classes`), and maps each draw's top byte to its class in C.
 A draw in a cell of the top byte that a threshold splits (`_cells`) takes
 its class from that cell's table of second bytes (`_subcells`); only a
@@ -29,10 +30,10 @@ from .errors import BadStart, InvalidTransitionMatrix, NotErgodic, SingularSyste
 from .hypotheses import ONE, ZERO, HypothesisSpec, _frac_str
 from .sampling import _BLOCK_BYTES, _GOLDEN, _LANE_ONES, _LANES, _MASK, _lanes, _mix, _thresholds
 
-# `_walk` reads the lane stream eight blocks at a time: (operator, shift,
-# mask) of block b moves bits 48-63 of each lane, the top two bytes of its
-# output, to bits 16b..16b+15, which serialise little-endian as bytes 2b
-# and 2b + 1 of the lane's 16.
+# `_walk` reads the lane stream up to eight blocks at a time: (operator,
+# shift, mask) of block b moves bits 48-63 of each lane, the top two bytes
+# of its output, to bits 16b..16b+15, which serialise little-endian as
+# bytes 2b and 2b + 1 of the lane's 16.
 _BLOCK_STEPS = 8 * _LANES
 _FOLD = [
     (*((rshift, 48 - s) if s <= 48 else (lshift, s - 48)), (0xFFFF << s) * _LANE_ONES)
@@ -178,19 +179,21 @@ class MarkovChain:
         return "MarkovChain(states=%r)" % (self.states,)
 
 
-def chain_blocks(chain, x0, seed):
-    """Endless steps of a chain run from x0, and the transitions they index.
+def chain_blocks(chain, x0, seed, n):
+    """The first n steps (rounded up to 1024) of a chain run from x0, and
+    the transitions they index.
 
     Returns (blocks, pairs): `pairs` is the tuple of (state, next_state)
     transitions of positive mass in row order, and each block holds the
-    next 8192 steps, step t the index of (x_{t-1}, x_t) in `pairs`: `bytes`
-    where every index fits a byte (at most 256 transitions), else a list.
-    Raises BadStart at the call, before any state is drawn.
+    next 8192 steps, the last one fewer if n needs fewer, step t the index
+    of (x_{t-1}, x_t) in `pairs`: `bytes` where every index fits a byte (at
+    most 256 transitions), else a list.  Raises BadStart at the call,
+    before any state is drawn.
     """
     if not chain.has_state(x0):
         raise BadStart("start state %r not in chain" % (x0,))
     walk = chain.walk_tables
-    return _walk(walk, walk.tables[chain._index[x0]], seed), walk.pairs
+    return _walk(walk, walk.tables[chain._index[x0]], seed, n), walk.pairs
 
 
 class _WalkTables(NamedTuple):
@@ -271,17 +274,18 @@ def _subcells(merged, c):
     return tuple(None if apart else k for k, apart in zip(low, split))
 
 
-def _fold(lanes):
-    """The next eight blocks of `lanes` folded by `_FOLD` and serialised."""
+def _fold(lanes, k):
+    """The next k <= 8 blocks of `lanes` folded by `_FOLD` and serialised."""
     folded = 0
-    for op, shift, mask in _FOLD:
+    for op, shift, mask in _FOLD[:k]:
         folded |= op(next(lanes), shift) & mask
     return folded.to_bytes(_BLOCK_BYTES, "little")
 
 
-def _walk(walk, table, seed):
-    """Steps of a chain run from the state of `table`, one block per eight
-    blocks of lanes, by one lookup per m draws.
+def _walk(walk, table, seed, n):
+    """The first n steps, rounded up to 1024, of a chain run from the state
+    of `table`, by one lookup per m draws: one block per fold of eight
+    blocks of lanes, the last fold only as many as n still needs.
 
     The top two bytes of each output are bits 48-63 of its lane, which the
     mix's last step leaves as they are: `_FOLD` moves those of block b to
@@ -295,10 +299,12 @@ def _walk(walk, table, seed):
     _, merged, m, join, _, low, split, subs = walk
     width = len(merged)
     lanes = _lanes(seed)
-    for first in count(seed + _GOLDEN, _BLOCK_STEPS * _GOLDEN):
-        raw = _fold(lanes)
+    starts = count(seed + _GOLDEN, _BLOCK_STEPS * _GOLDEN)
+    for left, first in zip(range(-(-n // _LANES), 0, -8), starts):
+        folded = min(left, 8)  # lane blocks still needed, at most a fold
+        raw = _fold(lanes, folded)
         blocks = []
-        for b in range(8):
+        for b in range(folded):
             cells, seconds = raw[2 * b + 1 :: 16], raw[2 * b :: 16]
             if width <= 256:
                 codes = bytearray(cells.translate(low))
@@ -327,6 +333,6 @@ def _walk(walk, table, seed):
 
 def run_chain(chain, x0, seed, n):
     """Run a chain n steps from x0; returns the state sequence x_1..x_n."""
-    blocks, pairs = chain_blocks(chain, x0, seed)
+    blocks, pairs = chain_blocks(chain, x0, seed, n)
     targets = tuple(target for _, target in pairs)
     return tuple(map(targets.__getitem__, islice(_flatten(blocks), n)))

@@ -12,23 +12,24 @@ weight them differently.  `chain_candidate_test` on the counts of
 
 The stream never counts states pair by pair, nor steps one by one.  The
 sampler yields its steps, each an index into the chain's tuple of
-transitions `pairs`, in blocks of 8192: `bytes` where every index fits a
-byte, else lists.  At each checkpoint the stream adds the next `stride`
-steps to a tally vector over `pairs`, piece by piece as the blocks
-arrive, and reads the visit and transition vectors off it
-(`chain_counts`), in time proportional to the number of transitions
-rather than to the length of the run.  A chain with few transitions for
-its stride has each piece tallied by popcount (`_popcounts`): one
-`translate` and one `int.from_bytes` per group of eight transitions and
-one `bit_count` per transition, passes in C that branch on no step;
-where those would cost more than a `Counter` (`_count_in_bytes`), a
-`Counter` tallies the piece.  Each candidate is
-compiled once per stream against `pairs` (`_compile`): per source state,
-its row as integer numerators over one denominator in `pairs` order, the
-candidate transitions the source never takes, its stationary numerator,
-and whether it lacks the state.  The vectors then feed both clauses
-directly, one integer deviation per clause decided by `bands.below_tau`,
-which computes a `tau` bracket only where bit lengths cannot decide.
+transitions `pairs`, in blocks of 8192 (the last may be shorter, as the
+walk draws no more than the run's n_max steps need): `bytes` where every
+index fits a byte, else lists.  At each checkpoint the stream adds the
+next `stride` steps to a tally vector over `pairs`, piece by piece as the
+blocks arrive, and reads the visit and transition vectors off it
+(`chain_counts`), in time proportional to the number of transitions rather
+than to the length of the run.  A chain with few transitions for its
+stride has each piece tallied by popcount (`_popcounts`): one `translate`
+and one `int.from_bytes` per group of eight transitions and one
+`bit_count` per transition but the last, passes in C that branch on no
+step; where those would cost more than a `Counter` (`_count_in_bytes`), a
+`Counter` tallies the piece.  Each candidate is compiled once per stream
+against `pairs` (`_compile`): per source state, its row as integer
+numerators over one denominator in `pairs` order, the candidate
+transitions the source never takes, its stationary numerator, and whether
+it lacks the state.  The vectors then feed both clauses directly, one
+integer deviation per clause decided by `bands.below_tau`, which computes
+a `tau` bracket only where bit lengths cannot decide.
 """
 
 from collections import Counter
@@ -56,8 +57,9 @@ def empirical(run):
     return TransitionCounts(len(run), Counter(run), Counter(pairwise(run)))
 
 
-def chain_counts(source, x0, seed, stride):
-    """Counts of the run prefixes of length stride, 2*stride, ... of a chain.
+def chain_counts(source, x0, seed, stride, n_max):
+    """Counts of the run prefixes of length stride, 2*stride, ... <= n_max
+    of a chain.
 
     Returns (counts, pairs), `pairs` the chain's tuple of positive-mass
     transitions (see `chains.chain_blocks`).  At each prefix x_1..x_n,
@@ -68,7 +70,7 @@ def chain_counts(source, x0, seed, stride):
     step but the first, which leaves the start state x_0.  Raises BadStart
     at the call, before any state is drawn.
     """
-    blocks, pairs = chain_blocks(source, x0, seed)
+    blocks, pairs = chain_blocks(source, x0, seed, n_max)
     into = [[k for k, (_, b) in enumerate(pairs) if b == s] for s in source.states]
     in_bytes = _count_in_bytes(pairs, stride)
     return _checkpoint_counts(blocks, len(pairs), into, stride, in_bytes), pairs
@@ -93,10 +95,11 @@ def _popcounts(size):
     """count(piece): how often each of 0..size-1 occurs in the `bytes`
     `piece`.  One `translate` per group of eight makes step k of the group
     bit k mod 8 of its byte, and one `bit_count` per transition counts the
-    bits of its place in the whole piece, read as one int."""
+    bits of its place in the whole piece, read as one int; the last
+    transition's count is the piece's length less the others'."""
     groups = [
-        (bytes(1 << k - g if g <= k < g + 8 else 0 for k in range(256)), _MASKS[: size - g])
-        for g in range(0, size, 8)
+        (bytes(1 << k - g if g <= k < g + 8 else 0 for k in range(256)), _MASKS[: size - 1 - g])
+        for g in range(0, size - 1, 8)
     ]
 
     def count(piece):
@@ -104,6 +107,7 @@ def _popcounts(size):
         for table, masks in groups:
             bits = int.from_bytes(piece.translate(table), "little")
             counts += map(int.bit_count, map(bits.__and__, masks))
+        counts.append(len(piece) - sum(counts))
         return counts
 
     return count
@@ -269,7 +273,7 @@ def identify_chain_stream(hyp_list, source, x0, seed, n_max, stride=100):
     steps (see `chain_counts`), and each candidate is tested compiled
     against them (`_compile`); `identify_chain` makes the same decisions.
     """
-    counts, pairs = chain_counts(source, x0, seed, stride)
+    counts, pairs = chain_counts(source, x0, seed, stride, n_max)
     spans = _spans(source.states, pairs)
     compiled = {}
 

@@ -30,10 +30,12 @@ the prefix mass m, and the step rule is decided exactly, with no rounding
 margin.  The table never holds a mass: each measure's `log2_prefixes` row
 yields the int pair (floor(log2 m), ceil(log2 m)) of every prefix mass, and
 (-inf, -inf) at mass 0, where the model code and sigma are then +inf by
-plain arithmetic.  The table extends its rows with C-level iterators.
+plain arithmetic.  The table extends its rows with C-level iterators, and
+keeps of the maxima only the last one per measure and model count, since the
+step reads M_b only at its checkpoint n.
 """
 
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, repeat
 from math import inf, isqrt
 from operator import itemgetter, neg, sub
 
@@ -56,13 +58,15 @@ class SigmaTrace:
     """Lazy table of stage deficiencies for one data sequence and one list.
 
     Flat rows, each grown only as far as a query needs by C-level iterators
-    (`map`, `min`, `accumulate`), not a loop per prefix: per measure, floor
-    and ceil of log2 of each prefix mass (-inf at mass 0), split from its
+    (`map`, `min`), not a loop per prefix: per measure, floor and ceil of
+    log2 of each prefix mass (-inf at mass 0), split from its
     `log2_prefixes` pairs and shared by every position and model code; per
     model count c (the estimator's `model_count(n)` at stage n), khat: row 0
     the literal code, lowered to the run code over the data's initial run,
-    row c the min of row 0 and model codes 1..c (+inf at mass 0); and per
-    (measure, c), the running max of sigma = -ceil(log2 m) - khat.  The
+    row c the min of row 0 and model codes 1..c (+inf at mass 0).  Per
+    (measure, c) it keeps no row but one pair: the prefix length covered so
+    far and the max of sigma = -ceil(log2 m) - khat over it, carried past a
+    later checkpoint by one C-level `max` over the new prefixes.  The
     literal code prices every prefix, so khat is finite and sigma is +inf
     exactly at mass 0, by arithmetic.  Row 0 is built by dyadic segments
     of prefix lengths 2^k..2^(k+1)-1, over which the gamma code's length
@@ -78,7 +82,7 @@ class SigmaTrace:
         self._run = next((k for k, s in enumerate(x) if s != x[0]), len(x))  # initial run
         self._mass_rows = {}  # id(measure) -> (log2_prefixes row, floors, ceilings)
         self._khat_rows = {}  # model count -> khat per prefix length
-        self._max_rows = {}  # (id(measure), model count) -> running max sigma
+        self._maxima = {}  # (id(measure), model count) -> (prefix length, max sigma over it)
 
     def _masses(self, mu, j):
         """Floor and ceiling rows of log2 of mu's prefix masses, >= j long."""
@@ -131,15 +135,17 @@ class SigmaTrace:
         """max over 1 <= j <= n of the stage-n sigma at one position."""
         mu = self.hyp_list.get(pos)
         count = self.estimator.model_count(n)
-        # running[j] is the max over prefix lengths 1..j; running[0] = -inf
-        running = self._max_rows.setdefault((id(mu), count), [-inf])
-        start = len(running) - 1
+        covered, top = self._maxima.get((id(mu), count), (0, -inf))
+        start = covered
+        if n < covered:  # a look back, which only tests make: taken afresh, not kept
+            start, top = 0, -inf
         if start < n:
             hi = self._masses(mu, n)[1][start:n]
             khat = self._khat(count, n)[start:n]
-            sigmas = map(sub, map(neg, hi), khat)
-            running.extend(accumulate(sigmas, max, initial=running.pop()))
-        return running[n]
+            top = max(top, max(map(sub, map(neg, hi), khat)))
+            if n > covered:
+                self._maxima[id(mu), count] = n, top
+        return top
 
 
 def identify_measure_step(hyp_list, x, n, estimator, trace=None):

@@ -9,15 +9,17 @@ popcount, and "markov-8-states" (64 transitions, each index fits a byte)
 and "markov-17-states" (289 transitions) by a `Counter`.  The chain walk
 reads 8, 2 and 1 draws per table lookup on the targets of
 "markov-2-classes", "markov-4-states" and "markov-17-random", and
-"markov-17-random-long" runs the last over three folds of eight lane
-blocks.  The measure
+"markov-17-random-long" runs the last over three folds, of 8, 8 and 4
+lane blocks.  The measure
 configs reach non-dyadic prefix masses (the 3/4-1/4 i.i.d. measure) as
 well as dyadic ones, so a change to how `log2(1/mass)` enters the
 deficiency is caught too; "measure-all-rows" lists one measure of every
 family whose mass row is computed its own way, and runs it again under
 two narrower scheme sets of the estimator and with each of its first three
 measures as the target, so the chain-rule draw (the switch pair and the
-constant run) and the marked-run draw are pinned too.  "measure-fallback"
+constant run) and the marked-run draw are pinned too, and once more at a
+checkpoint per symbol ("measure-all-rows-stride-1"), where each running
+sigma maximum is carried one prefix at a time.  "measure-fallback"
 and "measure-duplicates" pin the measure step, which is decided per base
 measure: an input that no position ever passes, and a list that repeats
 two of its measures.
@@ -337,6 +339,14 @@ GOLDEN = {
         {**_ALL_ROWS_CFG, "target_index": 3},
         "892320efd8c509ac8c16efe0e5d174594c6780003045b38aeca2b969ffcd3b20",
         "ca181203967ecbc221318bae7d5b23e366e4f37c1413faea96f2fd8bbc52a792",
+    ),
+    # a checkpoint at every symbol: over the first checkpoints the model
+    # count goes 2, 3, 4, 5, so the running sigma maximum of each count
+    # starts from prefix 1, and every later step extends it by one prefix
+    "measure-all-rows-stride-1": (
+        {**_ALL_ROWS_CFG, "n_max": 300, "checkpoint": {"stride": 1}, "seeds": [1, 2, 3]},
+        "ad788c9eca925195fce0d3bf77295eab729cccac2b79065af5d441f74cbf821c",
+        "55b9905718fddcecf63d86df8204084ffa8d6e52241771e8c12179c8944e0249",
     ),
     # no interleaved position ever passes: the constant run gives "b" mass
     # 0, so the guess falls back to 1 at every checkpoint, after a visit to

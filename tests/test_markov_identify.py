@@ -118,7 +118,7 @@ def _strings(chain):
 @example(chain=dense_chain(17), seed=2**64 - 1, stride=1500, n_max=9000, start=16)
 def test_stream_counts_equal_empirical_at_every_checkpoint(chain, seed, stride, n_max, start):
     x0 = chain.states[start % len(chain.states)]
-    counts, pairs = chain_counts(chain, x0, seed, stride)
+    counts, pairs = chain_counts(chain, x0, seed, stride, n_max)
     run = run_chain(chain, x0, seed, n_max)
     for n in range(stride, n_max + 1, stride):
         (visits, trans), expected = next(counts), empirical(run[:n])
@@ -162,7 +162,7 @@ def test_chain_counts_memory_does_not_grow_with_the_stride(stride):
     # stride of 10**6 steps peaked at about 2 MiB
     tracemalloc.start()
     try:
-        counts, _ = chain_counts(chain_a(), 0, 1, stride)
+        counts, _ = chain_counts(chain_a(), 0, 1, stride, 10**6)
         for visits, _ in islice(counts, 10**6 // stride):
             pass
         peak = tracemalloc.get_traced_memory()[1]
@@ -351,7 +351,7 @@ def test_compiled_test_equals_chain_candidate_test(source, others, seed, stride,
 def test_compiled_test_equals_chain_candidate_test_on_any_tally(source, others, steps, first):
     """The same on arbitrary tallies of steps, small enough that deviations
     sit near the band and rows near the gate v*v >= n."""
-    _, pairs = chain_blocks(source, source.states[0], 0)
+    _, pairs = chain_blocks(source, source.states[0], 0, 0)
     tally, first = steps[: len(pairs)], first % len(pairs)
     tally[first] += 1
     trans = tally.copy()

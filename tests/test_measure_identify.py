@@ -433,6 +433,41 @@ def test_stream_memory_grows_linearly_in_n_max():
     assert _stream_peak_bytes(4000) <= 2.5 * _stream_peak_bytes(2000)
 
 
+def test_running_maxima_hold_constant_memory():
+    # the benchmark's sampled list, data from its uniform measure: with the
+    # mass and khat rows built to 2*10**4, the maxima of positions 1, 3 and
+    # 6 (bases 1, 2 and 3) at ten checkpoints hold one pair per measure; a
+    # running row per measure held about 620 KiB
+    base = _plain([all_a_measure(), _skewed_ab_measure(), uniform_ab_measure()])
+    x = draw_from_measure(uniform_ab_measure(), 1, 2 * 10**4).symbols
+    table = SigmaTrace(InterleavedList(base), x, default_estimator(base))
+    for pos in (1, 3, 6):
+        table.value(pos, len(x), len(x))
+    tracemalloc.start()
+    try:
+        for n in range(2000, len(x) + 1, 2000):
+            for pos in (1, 3, 6):
+                table.max_value(pos, n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 1024
+
+
+def test_running_maxima_forward_and_back():
+    # 15 lies below the prefixes already covered, and 30 is asked twice
+    base = _non_dyadic_list()
+    inter = InterleavedList(base)
+    est = default_estimator(base, extra_symbols="c")
+    x = tuple("abaabbbabaaabcabbaaabababbbaacab")
+    table = SigmaTrace(inter, x, est)
+    for n in (10, 20, 30, 15, 30):
+        for pos in (1, 3, 6, 10, 15, 21, 28):
+            mu = inter.get(pos)
+            expected = max(sigma_stage(mu, x, j, n, est) for j in range(1, n + 1))
+            assert table.max_value(pos, n) == expected
+
+
 def test_stream_empty_when_stride_exceeds_n_max():
     base = _plain([all_a_measure()])
     trace = identify_measure_stream(base, ("a",) * 10, seed=0, n_max=10, stride=50)

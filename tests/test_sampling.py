@@ -87,7 +87,7 @@ def test_stream_memory_does_not_grow_with_its_length():
     target = separated_pmf(6)
     chain = chain_a()
     assert _peak_bytes(lambda: iid_steps(target, 1)[0]) < 256 * 1024
-    assert _peak_bytes(lambda: (k for b in chain_blocks(chain, 0, 1)[0] for k in b)) < 256 * 1024
+    assert _peak_bytes(lambda: (k for b in chain_blocks(chain, 0, 1, 10**5)[0] for k in b)) < 256 * 1024
 
 
 def test_draws_are_reproducible():
@@ -468,7 +468,7 @@ def test_chain_walk_bisects_draws_in_split_cells(monkeypatch, rows):
 @settings(max_examples=40, deadline=None)
 @given(chain=chains_with_zeros(), seed=_seeds, n=st.integers(0, 200))
 def test_chain_blocks_index_the_transitions_of_the_run(chain, seed, n):
-    blocks, pairs = chain_blocks(chain, 0, seed)
+    blocks, pairs = chain_blocks(chain, 0, seed, n)
     assert pairs == tuple((s, t) for s in chain.states for t, m in chain.row(s) if m)
     run = (0,) + run_chain(chain, 0, seed, n)
     steps = islice((k for block in blocks for k in block), n)
@@ -479,10 +479,32 @@ def test_chain_blocks_index_the_transitions_of_the_run(chain, seed, n):
 def test_chain_blocks_are_lists_of_8192_steps(size):
     # `bytes` where every index fits a byte (4 and 256 transitions), lists
     # past that (289)
-    blocks, pairs = chain_blocks(dense_chain(size), 0, 1)
-    for block in islice(blocks, 2):
+    blocks, pairs = chain_blocks(dense_chain(size), 0, 1, 2 * 8192)
+    for block in blocks:
         assert type(block) is (bytes if len(pairs) <= 256 else list) and len(block) == 8192
         assert all(type(k) is int and 0 <= k < len(pairs) for k in block)
+
+
+@pytest.mark.parametrize(
+    "n, drawn", [(0, 0), (1, 1), (100, 1), (1024, 1), (1025, 2), (8192, 8), (8193, 9), (16500, 17)]
+)
+def test_chain_walk_draws_only_the_lane_blocks_its_steps_need(monkeypatch, n, drawn):
+    # each block holds the steps of up to eight lane blocks of 1024 draws,
+    # the last one as many as n still needs
+    lanes = sampling._lanes
+    counted = []
+
+    def counted_lanes(seed):
+        for block in lanes(seed):
+            counted.append(1)
+            yield block
+
+    monkeypatch.setattr(chains, "_lanes", counted_lanes)
+    assert len(run_chain(chain_a(), 0, 1, n)) == n
+    assert len(counted) == drawn
+    blocks, _ = chain_blocks(chain_a(), 0, 1, n)
+    folds, rest = divmod(drawn, 8)
+    assert [len(block) for block in blocks] == [8192] * folds + [1024 * rest] * (rest > 0)
 
 
 _measures = st.one_of(
