@@ -4,7 +4,9 @@ Each config runs through `run_experiment` and the sha256 of its
 `checkpoints.csv` and `summary.csv` is compared with a pinned value.  A
 change that alters which guess is emitted at any checkpoint, or how it is
 written, fails here.  "iid-families" and "iid-families-grid" list the
-simple and geometric pmfs.  The markov stream tallies "markov" by
+simple and geometric pmfs.  The i.i.d. steps are tallied by popcount over
+three blocks of 8192 in "iid-long", and by a `Counter` of list blocks in
+"iid-wide", whose 300 symbols no byte indexes.  The markov stream tallies "markov" by
 popcount, and "markov-8-states" (64 transitions, each index fits a byte)
 and "markov-17-states" (289 transitions) by a `Counter`.  The chain walk
 reads 8, 2 and 1 draws per table lookup on the targets of
@@ -26,6 +28,7 @@ two of its measures.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +59,12 @@ def _dense_markov(size, s):
 
 def _simple(term, size):
     return {"family": "simple_pmf", "params": {"term": term, "size": size}}
+
+
+def _wide(p0):
+    """A pmf on 0..299: mass p0 on 0 and the rest spread evenly over 1..299."""
+    rest = (1 - Fraction(p0)) / 299
+    return _pmf((0, p0), *((s, str(rest)) for s in range(1, 300)))
 
 
 def _iid_measure(*pairs):
@@ -113,6 +122,41 @@ GOLDEN = {
         },
         "b2dcec8fdcf8f2c765238d5884e673d720c98d48c5dc7d900948518d0a767c60",
         "b5091c3575d31fcd247f67ef3d67568698909fc6c922c187f89d06efaf0d6462",
+    ),
+    # over three blocks of steps of 8192, the last cut short, at a stride
+    # that divides no lane block of 1024 draws; three symbols, which are
+    # tallied by popcount at this stride
+    "iid-long": (
+        {
+            "mode": "iid",
+            "list": {
+                "items": [
+                    _pmf((0, "1/2"), (1, "3/10"), (2, "1/5")),
+                    _pmf((0, "23/50"), (1, "17/50"), (2, "1/5")),
+                    _pmf((0, "11/25"), (1, "9/25"), (2, "1/5")),
+                ]
+            },
+            "target_index": 2,
+            "n_max": 20000,
+            "checkpoint": {"stride": 300},
+            "seeds": [1, 2, 3],
+        },
+        "779cc8b5561d41fb83dfbef4ace09da85c8c96f39bd406eab6897c101745a893",
+        "829aa2dd627665641e3bb4bebee0626dd06e2d863755d1620eacce53914b277f",
+    ),
+    # 300 symbols, more than a byte indexes, so the steps are lists and a
+    # `Counter` tallies them
+    "iid-wide": (
+        {
+            "mode": "iid",
+            "list": {"items": [_wide("1/2"), _wide("9/20"), _simple("j", 300)]},
+            "target_index": 2,
+            "n_max": 6000,
+            "checkpoint": {"stride": 100},
+            "seeds": [1, 2, 3],
+        },
+        "dc033f7c55c02dd23b76e4e16d215bce99ba9a8085636f2c9e9a1d66e28c1379",
+        "1d0998e4dde8f0d1dd3de168c5300f5e236ca239375e52197dbc25feaf1d2bef",
     ),
     # the pmf families beside finite_pmf: a geometric target (infinite
     # support) among simple pmfs, and a list declared as a simple_pmf grid
