@@ -21,26 +21,24 @@ transitions.  The tables are built once per chain
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, islice
+from itertools import chain, count
 from math import gcd
 from operator import lshift, ne, rshift
 from typing import NamedTuple
 
 from .errors import BadStart, InvalidTransitionMatrix, NotErgodic, SingularSystem
 from .hypotheses import ONE, ZERO, HypothesisSpec, _frac_str
-from .sampling import _BLOCK_BYTES, _GOLDEN, _LANE_ONES, _LANES, _MASK, _lanes, _mix, _thresholds
+from .sampling import _BLOCK_BYTES, _BLOCK_STEPS, _GOLDEN, _LANE_ONES, _LANES, _MASK, _lanes, _mix
+from .sampling import _prefix, _thresholds
 
 # `_walk` reads the lane stream up to eight blocks at a time: (operator,
 # shift, mask) of block b moves bits 48-63 of each lane, the top two bytes
 # of its output, to bits 16b..16b+15, which serialise little-endian as
 # bytes 2b and 2b + 1 of the lane's 16.
-_BLOCK_STEPS = 8 * _LANES
 _FOLD = [
     (*((rshift, 48 - s) if s <= 48 else (lshift, s - 48)), (0xFFFF << s) * _LANE_ONES)
     for s in range(0, 128, 16)
 ]
-# `run_chain` names its chain `chain`, which hides itertools.chain
-_flatten = chain.from_iterable
 
 
 def _period(adj, n):
@@ -238,7 +236,7 @@ def _plan(chain):
 
 
 def _join_lists(parts):
-    return [*_flatten(parts)]
+    return [*chain.from_iterable(parts)]
 
 
 def _classes(chain):
@@ -334,5 +332,4 @@ def _walk(walk, table, seed, n):
 def run_chain(chain, x0, seed, n):
     """Run a chain n steps from x0; returns the state sequence x_1..x_n."""
     blocks, pairs = chain_blocks(chain, x0, seed, n)
-    targets = tuple(target for _, target in pairs)
-    return tuple(map(targets.__getitem__, islice(_flatten(blocks), n)))
+    return _prefix(blocks, tuple(target for _, target in pairs), n)

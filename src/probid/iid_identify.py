@@ -10,16 +10,14 @@ The emitted guess is the least passing index not exceeding min(n, length);
 when no index passes the step reports Undecided (None).
 """
 
-from collections import Counter
 from functools import lru_cache
-from itertools import islice
 
-from .bands import tau, within_band
+from .bands import checkpoint_tally, tau, within_band
 from .enumeration import checkpoint_trace
-from .sampling import iid_steps
+from .sampling import iid_blocks
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)  # an iid-dense sweep asks for 20000 (pmf, n) pairs
 def mass_cutoff(pmf, n):
     """Shortest support prefix whose tail mass is below 1/sqrt(n).
 
@@ -55,13 +53,12 @@ def identify_step(hyp_list, sample, n):
     return _least_passing(hyp_list, sample.counts, n)
 
 
-def iid_counts(pmf, seed, stride):
-    """Symbol counts of the sample prefixes of length stride, 2*stride, ...,
-    mapped from the tally of support indices in O(support drawn)."""
-    steps, symbols = iid_steps(pmf, seed)
-    tally = Counter()
-    while True:
-        tally.update(islice(steps, stride))
+def iid_counts(pmf, seed, stride, n_max):
+    """Symbol counts of the sample prefixes of length stride, 2*stride, ...
+    <= n_max, mapped from the `checkpoint_tally` of the draws' support
+    indices (see `sampling.iid_blocks`)."""
+    blocks, symbols = iid_blocks(pmf, seed, n_max)
+    for tally in checkpoint_tally(blocks, len(symbols), stride):
         yield {symbols[k]: c for k, c in tally.items()}
 
 
@@ -72,5 +69,5 @@ def identify_stream(hyp_list, target_pmf, seed, n_max, stride=100):
     run); checkpoint spacing does not affect limit semantics, only how
     often the guess is recorded.  The counts come from `iid_counts`.
     """
-    counts = iid_counts(target_pmf, seed, stride)
+    counts = iid_counts(target_pmf, seed, stride, n_max)
     return checkpoint_trace(lambda n: _least_passing(hyp_list, next(counts), n), n_max, stride)

@@ -10,20 +10,11 @@ full-run threshold; it separates chains that agree on the visited rows but
 weight them differently.  `chain_candidate_test` on the counts of
 `empirical` is the reference definition of both clauses.
 
-The stream never counts states pair by pair, nor steps one by one.  The
-sampler yields its steps, each an index into the chain's tuple of
-transitions `pairs`, in blocks of 8192 (the last may be shorter, as the
-walk draws no more than the run's n_max steps need): `bytes` where every
-index fits a byte, else lists.  At each checkpoint the stream adds the
-next `stride` steps to a tally vector over `pairs`, piece by piece as the
-blocks arrive, and reads the visit and transition vectors off it
-(`chain_counts`), in time proportional to the number of transitions rather
-than to the length of the run.  A chain with few transitions for its
-stride has each piece tallied by popcount (`_popcounts`): one `translate`
-and one `int.from_bytes` per group of eight transitions and one
-`bit_count` per transition but the last, passes in C that branch on no
-step; where those would cost more than a `Counter` (`_count_in_bytes`), a
-`Counter` tallies the piece.  Each candidate is compiled once per stream
+The stream never counts states pair by pair.  The walk yields its steps,
+indices into the chain's tuple of transitions `pairs`, and their running
+tally at each checkpoint (`bands.checkpoint_tally`, shared with the i.i.d.
+stream) gives the visit and transition vectors (`chain_counts`), in time
+proportional to the transitions, not to the run.  Each candidate is compiled once per stream
 against `pairs` (`_compile`): per source state, its row as integer
 numerators over one denominator in `pairs` order, the candidate
 transitions the source never takes, its stationary numerator, and whether
@@ -34,13 +25,13 @@ a `tau` bracket only where bit lengths cannot decide.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, pairwise, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from math import lcm
-from operator import add, sub
+from operator import sub
 from typing import NamedTuple
 
-from .bands import below_tau, tau, within_band
-from .chains import _BLOCK_STEPS, MarkovChain, chain_blocks
+from .bands import below_tau, checkpoint_tally, tau, within_band
+from .chains import MarkovChain, chain_blocks
 from .enumeration import checkpoint_trace
 
 
@@ -59,86 +50,27 @@ def empirical(run):
 
 def chain_counts(source, x0, seed, stride, n_max):
     """Counts of the run prefixes of length stride, 2*stride, ... <= n_max
-    of a chain.
-
-    Returns (counts, pairs), `pairs` the chain's tuple of positive-mass
-    transitions (see `chains.chain_blocks`).  At each prefix x_1..x_n,
-    `counts` yields the lists (visits, trans): visits[i] counts the visits
-    to source.states[i], and trans[k] the steps within x_1..x_n that take
-    pairs[k].  Each step (x_{t-1}, x_t), t = 1..n, enters its target state
-    once, so the tally of steps gives the visits; the transitions are every
-    step but the first, which leaves the start state x_0.  Raises BadStart
-    at the call, before any state is drawn.
+    of a chain, and `pairs`, its positive-mass transitions (see
+    `chains.chain_blocks`).  At each prefix x_1..x_n, `counts` yields the
+    lists (visits, trans): visits[i] counts the visits to source.states[i],
+    and trans[k] the steps within x_1..x_n that take pairs[k].  Each step
+    (x_{t-1}, x_t), t = 1..n, enters its target state once, so the tally of
+    the steps gives the visits; the transitions are every step but the
+    first, which leaves x_0.  Raises BadStart at the call, before any state
+    is drawn.
     """
     blocks, pairs = chain_blocks(source, x0, seed, n_max)
     into = [[k for k, (_, b) in enumerate(pairs) if b == s] for s in source.states]
-    in_bytes = _count_in_bytes(pairs, stride)
-    return _checkpoint_counts(blocks, len(pairs), into, stride, in_bytes), pairs
 
+    def counts():
+        block = next(blocks)
+        for tally in checkpoint_tally(chain((block,), blocks), len(pairs), stride):
+            trans = list(map(tally.get, range(len(pairs)), repeat(0)))
+            visits = [sum(map(trans.__getitem__, ks)) for ks in into]
+            trans[block[0]] -= 1
+            yield visits, trans
 
-def _count_in_bytes(pairs, stride):
-    """Whether popcounts (`_popcounts`) tally each checkpoint's steps faster
-    than a `Counter`.  Both cost time in proportion to the transitions per
-    piece of a block and per checkpoint, and the `Counter` also per step;
-    the rule is fitted to the crossovers measured on dense chains (2 vCPUs,
-    Python 3.11): about 24 transitions at stride 100, 30 at 300, 32 at 1000
-    and 39 at 10**4.  It holds for at most 39 transitions, whose steps the
-    walk yields as `bytes`."""
-    return len(pairs) * (stride + 100) <= 40 * stride
-
-
-# bit r of every byte of a piece, which is at most a block long
-_MASKS = [int.from_bytes(bytes([1 << r]) * _BLOCK_STEPS, "little") for r in range(8)]
-
-
-def _popcounts(size):
-    """count(piece): how often each of 0..size-1 occurs in the `bytes`
-    `piece`.  One `translate` per group of eight makes step k of the group
-    bit k mod 8 of its byte, and one `bit_count` per transition counts the
-    bits of its place in the whole piece, read as one int; the last
-    transition's count is the piece's length less the others'."""
-    groups = [
-        (bytes(1 << k - g if g <= k < g + 8 else 0 for k in range(256)), _MASKS[: size - 1 - g])
-        for g in range(0, size - 1, 8)
-    ]
-
-    def count(piece):
-        counts = []
-        for table, masks in groups:
-            bits = int.from_bytes(piece.translate(table), "little")
-            counts += map(int.bit_count, map(bits.__and__, masks))
-        counts.append(len(piece) - sum(counts))
-        return counts
-
-    return count
-
-
-def _checkpoint_counts(blocks, size, into, stride, in_bytes):
-    """The (visits, trans) of `chain_counts`.  Each piece of a block is
-    tallied as it arrives, so a stride of any length holds no more than a
-    block of steps."""
-    if in_bytes:
-        count = _popcounts(size)
-    else:
-
-        def count(piece):
-            return map(Counter(piece).get, range(size), repeat(0))
-
-    tally = [0] * size
-    block, at = next(blocks), 0
-    first = block[0]
-    while True:
-        need = stride
-        while need:
-            if at == len(block):
-                block, at = next(blocks), 0
-            piece = block[at : at + need]
-            at += len(piece)
-            need -= len(piece)
-            tally = list(map(add, tally, count(piece)))
-        trans = tally.copy()
-        trans[first] -= 1
-        yield [sum(map(tally.__getitem__, ks)) for ks in into], trans
+    return counts(), pairs
 
 
 def stationary(rows):

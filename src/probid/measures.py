@@ -13,7 +13,7 @@ from math import inf
 from .errors import BadSymbol, SumNotOne, ZeroMassPrefix
 from .exactnum import log2_bracket, log2_ratio_bracket
 from .hypotheses import _MAX_PMF_SIZE, ONE, ZERO, HypothesisSpec, has_symbol
-from .sampling import _sample_prefix, _steps, _table, _uniforms, draw_iid
+from .sampling import _blocks, _prefix, _sample_prefix, _table, _uniforms, draw_iid
 
 #: The `log2_prefixes` entry of a prefix of mass 0: log2 0 = -inf.
 MASS_ZERO = (-inf, -inf)
@@ -293,8 +293,7 @@ def draw_from_measure(mu, seed, n):
     if isinstance(mu, ProductMeasure):
         return draw_iid(mu.pmf, seed, n)
     if isinstance(mu, MarkedRunMeasure):
-        steps, symbols = _steps(((a, Fraction(1, mu.k)) for a in mu.alphabet), seed)
-        prefix = tuple(map(symbols.__getitem__, islice(steps, n)))
+        prefix = _prefix(*_blocks(((a, Fraction(1, mu.k)) for a in mu.alphabet), seed, n), n)
         if prefix[:1] == (mu.marker,):
             prefix = (mu.marker,) * n
         return _sample_prefix(prefix)

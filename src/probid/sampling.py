@@ -7,7 +7,7 @@ Python int of 128-bit lanes: the low word of lane k holds output k of the
 block, and the high word catches what a right shift leaks in from lane
 k+1 and the carry of a product; a mask clears it before every multiply.
 A stream holds a block or two (16 KiB each), never its whole length.
-`_uniforms` serialises each block little-endian and unpacks 1024 53-bit
+`_low_words` serialises a block little-endian and unpacks 1024 53-bit
 numerators; the chain walk (`chains.chain_blocks`) folds the top two bytes
 of the lanes of eight blocks into one int, serialises that, and re-mixes
 by `_mix` the few draws it needs whole.
@@ -18,10 +18,11 @@ exact cumulative mass reaches u.  Ties (u exactly on a boundary) resolve
 to the lower index; symbols of zero mass are never selected.
 
 One rule, `_thresholds`, turns masses into the integer thresholds
-floor(cum * 2**53) that z is bisected against.  `iid_steps` reads a pmf's
-table up to the first threshold >= 2**53 - 1, past which no draw reaches
-(53 entries for the geometric pmf), and maps a bisect in C over the
-uniforms; it yields steps, indices into the support.  The chain walk
+floor(cum * 2**53) that z is bisected against.  `iid_blocks` reads a
+pmf's table up to the first threshold >= 2**53 - 1, past which no draw
+reaches (53 entries for the geometric pmf), and maps a bisect in C over
+the numerators of the lane blocks n draws need; it yields steps, indices
+into the support, in blocks of 8192 as the chain walk does.  The chain walk
 lives in `chains` and the measure draws in `measures`, beside the models
 they draw from, so that a run compiles only its own regime's sampler;
 `run_chain` and `draw_from_measure` still resolve from this module.
@@ -46,6 +47,7 @@ _MIX2 = 0x94D049BB133111EB
 # x in every lane.
 _LANES = 1024
 _BLOCK_BYTES = 16 * _LANES
+_BLOCK_STEPS = 8 * _LANES  # a block of `iid_blocks` or `chains.chain_blocks`
 _LANE_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
 _LANE_MASK = _MASK * _LANE_ONES
 _LANE_STEP = (_LANES * _GOLDEN & _MASK) * _LANE_ONES
@@ -181,24 +183,34 @@ def _uniforms(seed):
     return chain.from_iterable(map(_low_words, _lanes(seed)))
 
 
-def iid_steps(pmf, seed):
-    """Endless i.i.d. draws from an exact pmf as (steps, symbols): step t is
-    the index of draw t in `symbols`, the support prefix draws can reach."""
+def iid_blocks(pmf, seed, n):
+    """(blocks, symbols): the first n i.i.d. draws (rounded up to 1024) from
+    an exact pmf as steps, indices into `symbols`, the support prefix draws
+    can reach.  A block holds 8192 steps, the last as many as n needs, as
+    `bytes` where every index fits a byte (256 symbols at most), else a list."""
     size = pmf.support_size
     positions = count(1) if size is None else range(1, size + 1)
-    return _steps(((s, pmf.mass(s)) for s in map(pmf.support, positions)), seed)
+    return _blocks(((s, pmf.mass(s)) for s in map(pmf.support, positions)), seed, n)
 
 
-def _steps(pairs, seed):
-    """`iid_steps` of the (symbol, mass) `pairs` of a pmf, in order."""
+def _blocks(pairs, seed, n):
+    """`iid_blocks` of the (symbol, mass) `pairs` of a pmf, in order."""
     symbols, thresholds = _table(pairs)
-    return map(partial(bisect_left, thresholds), _uniforms(seed)), symbols
+    part = bytes if len(symbols) <= 256 else list
+    step = partial(bisect_left, thresholds)
+    words = map(_low_words, islice(_lanes(seed), -(-n // _LANES)))
+    # a block per eight lane blocks of numerators, until an empty one
+    return iter(lambda: part(map(step, chain.from_iterable(islice(words, 8)))), part()), symbols
+
+
+def _prefix(blocks, symbols, n):
+    """The symbols that the first n steps of `blocks` index."""
+    return tuple(map(symbols.__getitem__, islice(chain.from_iterable(blocks), n)))
 
 
 def draw_iid(pmf, seed, n):
     """Draw n i.i.d. symbols from an exact pmf; returns a SamplePrefix."""
-    steps, symbols = iid_steps(pmf, seed)
-    return _sample_prefix(map(symbols.__getitem__, islice(steps, n)))
+    return _sample_prefix(_prefix(*iid_blocks(pmf, seed, n), n))
 
 
 # the chain walk and the measure draws, which moved beside their models and

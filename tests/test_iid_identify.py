@@ -1,5 +1,7 @@
 """The i.i.d. identification loop: cutoffs, candidate test, min-index rule."""
 
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -45,6 +47,23 @@ def test_mass_cutoff_geometric():
     assert mass_cutoff(g, 1) == (1,)  # 1/2 < 1
     assert mass_cutoff(g, 17) == (1, 2, 3)
     assert mass_cutoff(g, 64) == (1, 2, 3, 4)
+
+
+def test_mass_cutoff_cache_holds_at_most_its_bound():
+    # the cache is keyed by pmf objects: past its bound it drops the oldest,
+    # which is then freed
+    bound = mass_cutoff.cache_parameters()["maxsize"]
+    first = make_finite_pmf([(0, F(1))])
+    mass_cutoff(first, 1)
+    freed = weakref.ref(first)
+    del first
+    try:
+        for _ in range(bound):
+            mass_cutoff(make_finite_pmf([(0, F(1))]), 1)
+        assert mass_cutoff.cache_info().currsize == bound
+        assert freed() is None
+    finally:
+        mass_cutoff.cache_clear()
 
 
 def test_mass_cutoff_finite_support():
@@ -220,10 +239,19 @@ def test_stream_equals_step_at_every_checkpoint(seed, stride, n_max):
 @given(
     pmf=pmf_weights().map(weights_pmf) | st.just(make_geometric_pmf()),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
-    stride=st.integers(min_value=1, max_value=300),
-    n_max=st.integers(min_value=1, max_value=1500),
+    stride=st.integers(min_value=1, max_value=3000),
+    n_max=st.integers(min_value=1, max_value=17000),
 )
+# past two blocks of 8192 draws, at strides that divide no lane block of
+# 1024 (the first cuts a block at a checkpoint), tallied by popcount and
+# by a `Counter`
+@example(pmf=make_geometric_pmf(), seed=3, stride=300, n_max=16500)
+@example(pmf=weights_pmf([1, 2, 3]), seed=2**64 - 1, stride=1000, n_max=17000)
+@example(pmf=weights_pmf([1, 2, 3]), seed=5, stride=7, n_max=16600)
 def test_stream_counts_equal_draw_iid_at_every_checkpoint(pmf, seed, stride, n_max):
-    counts = iid_counts(pmf, seed, stride)
+    counts = iid_counts(pmf, seed, stride, n_max)
+    symbols = draw_iid(pmf, seed, n_max).symbols
+    expected = Counter()
     for n in range(stride, n_max + 1, stride):
-        assert next(counts) == dict(draw_iid(pmf, seed, n).counts)
+        expected.update(symbols[n - stride : n])
+        assert next(counts) == dict(expected)

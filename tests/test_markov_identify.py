@@ -11,17 +11,17 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import chain_3state, chain_a, chain_b, chains_with_zeros, dense_chain
-from probid.chains import _BLOCK_STEPS, MarkovChain, chain_blocks, run_chain
+from probid.bands import _by_popcount, _popcounts, checkpoint_tally
+from probid.chains import MarkovChain, chain_blocks, run_chain
 from probid.enumeration import HypothesisList
 from probid.errors import NotErgodic
 from probid.hypotheses import make_finite_pmf
 from probid.iid_identify import candidate_test
+from probid.sampling import _BLOCK_STEPS
 from probid.markov_identify import (
     TransitionCounts,
     _compile,
-    _checkpoint_counts,
     _compiled_test,
-    _count_in_bytes,
     _gated,
     _spans,
     chain_candidate_test,
@@ -130,30 +130,52 @@ def test_stream_counts_equal_empirical_at_every_checkpoint(chain, seed, stride, 
 def test_examples_straddle_the_tally_crossover():
     # the examples above exercise both tallies only while this holds
     sides = [(9, 97), (25, 97), (36, 1024), (49, 1024)]
-    assert [_count_in_bytes(range(t), stride) for t, stride in sides] == [True, False] * 2
+    assert [_by_popcount(t, stride) for t, stride in sides] == [True, False] * 2
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 256])
 @settings(max_examples=8, deadline=None)
-@given(
-    stride=st.integers(2, 3000).filter(lambda stride: 1024 % stride),
-    seed=st.integers(0, 2**32),
-    in_bytes=st.booleans(),
-)
-def test_popcount_tally_equals_counter(size, stride, seed, in_bytes):
-    # steps over two blocks and part of a third, cut by checkpoints that
-    # fall mid-block; both tallies against a `Counter` of the flat run
+@given(seed=st.integers(0, 2**32), cut=st.integers(0, _BLOCK_STEPS))
+def test_popcount_tally_equals_counter(size, seed, cut):
+    # a whole block and the two pieces a cut at any step makes of it, over
+    # groups of eight kinds, a group cut short and a byte's worth; kinds
+    # that do not occur have no entry
     rng = random.Random(seed)
-    steps = bytes(rng.choices(range(size), k=2 * _BLOCK_STEPS + 300))
-    blocks = iter([steps[i : i + _BLOCK_STEPS] for i in range(0, len(steps), _BLOCK_STEPS)])
-    counts = _checkpoint_counts(blocks, size, [[k] for k in range(size)], stride, in_bytes)
+    block = bytes(rng.choices(range(size), k=_BLOCK_STEPS))
+    count = _popcounts(size)
+    for piece in (block, block[:cut], block[cut:]):
+        assert count(piece) == dict(Counter(piece))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(1, 300),
+    stride=st.integers(1, 3000),
+    length=st.integers(0, 2 * _BLOCK_STEPS + 300),
+    seed=st.integers(0, 2**32),
+)
+# by popcount and by a `Counter`, on `bytes` blocks and lists, with
+# checkpoints that fall mid-block and on a block's end
+@example(size=4, stride=1000, length=2 * _BLOCK_STEPS + 300, seed=1)
+@example(size=39, stride=4096, length=2 * _BLOCK_STEPS + 300, seed=2)
+@example(size=40, stride=4096, length=2 * _BLOCK_STEPS + 300, seed=3)
+@example(size=300, stride=97, length=2 * _BLOCK_STEPS + 300, seed=4)
+def test_checkpoint_tally_equals_counter_of_the_flat_steps(size, stride, length, seed):
+    rng = random.Random(seed)
+    steps = rng.choices(range(size), k=length)
+    part = bytes if size <= 256 else list
+    blocks = [part(steps[i : i + _BLOCK_STEPS]) for i in range(0, length, _BLOCK_STEPS)]
+    tally = checkpoint_tally(blocks, size, stride)
     expected = Counter()
-    for n in range(stride, len(steps) + 1, stride):
+    for n in range(stride, length + 1, stride):
         expected.update(steps[n - stride : n])
-        visits, trans = next(counts)
-        assert visits == [expected[k] for k in range(size)]
-        trans[steps[0]] += 1
-        assert trans == visits
+        assert +next(tally) == expected
+
+
+def test_tally_examples_straddle_the_rule():
+    # the examples above exercise both sides of the rule only while this holds
+    sides = [(4, 1000), (39, 4096), (40, 4096), (300, 97)]
+    assert [_by_popcount(size, stride) for size, stride in sides] == [True, True, False, False]
 
 
 @pytest.mark.parametrize("stride", [10**4, 10**6])

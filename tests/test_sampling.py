@@ -40,7 +40,7 @@ from probid.measures import (
     make_mu_k,
     switch_pair_measure,
 )
-from probid.sampling import _GOLDEN, _MASK, Rng, SamplePrefix, _table, draw_iid, iid_steps
+from probid.sampling import _GOLDEN, _MASK, Rng, SamplePrefix, _table, draw_iid, iid_blocks
 
 F = Fraction
 
@@ -86,7 +86,7 @@ def test_stream_memory_does_not_grow_with_its_length():
     # 10**5 uniforms kept in a list would take about 4 MiB
     target = separated_pmf(6)
     chain = chain_a()
-    assert _peak_bytes(lambda: iid_steps(target, 1)[0]) < 256 * 1024
+    assert _peak_bytes(lambda: (k for b in iid_blocks(target, 1, 10**5)[0] for k in b)) < 256 * 1024
     assert _peak_bytes(lambda: (k for b in chain_blocks(chain, 0, 1, 10**5)[0] for k in b)) < 256 * 1024
 
 
@@ -268,7 +268,7 @@ def test_geometric_table_ends_at_the_largest_draw():
     symbols, thresholds = _table((j, g.mass(j)) for j in count(1))
     assert symbols == tuple(range(1, 54))
     assert thresholds[-1] == (1 << 53) - 1 > thresholds[-2]
-    assert iid_steps(g, 1)[1] == symbols
+    assert iid_blocks(g, 1, 0)[1] == symbols
 
 
 @pytest.mark.parametrize(
@@ -283,7 +283,7 @@ def test_table_stops_before_a_tail_no_draw_reaches(weights, reached):
     # the masses after `reached` sum to at most 2**-53, so no 53-bit draw
     # reaches them
     p = weights_pmf(weights)
-    symbols = iid_steps(p, 1)[1]
+    symbols = iid_blocks(p, 1, 0)[1]
     assert symbols == reached
     assert _table_pick(p.items(), (1 << 53) - 1) == symbols[-1]
     for seed in (0, 1, 2):
@@ -505,6 +505,29 @@ def test_chain_walk_draws_only_the_lane_blocks_its_steps_need(monkeypatch, n, dr
     blocks, _ = chain_blocks(chain_a(), 0, 1, n)
     folds, rest = divmod(drawn, 8)
     assert [len(block) for block in blocks] == [8192] * folds + [1024 * rest] * (rest > 0)
+
+
+@pytest.mark.parametrize("n, drawn", [(0, 0), (1, 1), (1024, 1), (1025, 2), (8193, 9), (16500, 17)])
+def test_iid_blocks_draw_only_the_lane_blocks_their_steps_need(monkeypatch, n, drawn):
+    # a block holds the draws of up to eight lane blocks of 1024, the last
+    # one as many as n still needs, bytes for 4 symbols and lists for 300
+    lanes = sampling._lanes
+    counted = []
+
+    def counted_lanes(seed):
+        for block in lanes(seed):
+            counted.append(1)
+            yield block
+
+    monkeypatch.setattr(sampling, "_lanes", counted_lanes)
+    assert len(draw_iid(separated_pmf(6), 1, n)) == n
+    assert len(counted) == drawn
+    folds, rest = divmod(drawn, 8)
+    for size, part in ((4, bytes), (300, list)):
+        blocks, symbols = iid_blocks(weights_pmf([1] * size), 1, n)
+        assert len(symbols) == size
+        steps = [len(block) for block in blocks if type(block) is part]
+        assert steps == [8192] * folds + [1024 * rest] * (rest > 0)
 
 
 _measures = st.one_of(
