@@ -128,9 +128,12 @@ def test_stream_counts_equal_empirical_at_every_checkpoint(chain, seed, stride, 
 
 
 def test_examples_straddle_the_tally_crossover():
-    # the examples above exercise both tallies only while this holds
-    sides = [(9, 97), (25, 97), (36, 1024), (49, 1024)]
-    assert [_by_popcount(t, stride) for t, stride in sides] == [True, False] * 2
+    # the examples of the stream and tally tests exercise both tallies only
+    # while this holds
+    by_popcount = [(9, 97), (36, 1024), (4, 1000), (39, 4096)]
+    by_counter = [(25, 97), (49, 1024), (40, 4096), (300, 97)]
+    assert all(_by_popcount(size, stride) for size, stride in by_popcount)
+    assert not any(_by_popcount(size, stride) for size, stride in by_counter)
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 256])
@@ -170,12 +173,6 @@ def test_checkpoint_tally_equals_counter_of_the_flat_steps(size, stride, length,
     for n in range(stride, length + 1, stride):
         expected.update(steps[n - stride : n])
         assert +next(tally) == expected
-
-
-def test_tally_examples_straddle_the_rule():
-    # the examples above exercise both sides of the rule only while this holds
-    sides = [(4, 1000), (39, 4096), (40, 4096), (300, 97)]
-    assert [_by_popcount(size, stride) for size, stride in sides] == [True, True, False, False]
 
 
 @pytest.mark.parametrize("stride", [10**4, 10**6])
