@@ -96,10 +96,9 @@ def _positive_int(value, path):
 _MAX_SEEDS = 1 << 16
 _MAX_SWITCH = 1 << 16  # the demo builds its whole history: 65536 take a second
 _MAX_MEASURE_N = 10**6  # a measure run draws n_max symbols; `SigmaTrace` rows are as long
-# An i.i.d. or markov run streams its draws in bounded memory, but an
-# i.i.d. run stops its stream after the lane blocks n_max needs by `islice`,
-# whose stop must fit a C ssize_t: a fixed 10**15 does on every 64-bit
-# platform, and would take years to draw.
+# An i.i.d. or markov run streams its draws in bounded memory.  The i.i.d.
+# sampler stops its lanes by `islice` at ceil(n_max / 1024), which must fit a
+# C ssize_t: 10**15 does on any 64-bit platform, and would take years to draw.
 _MAX_N = 10**15
 _MAX_SPECS = 1 << 16  # items or grid points; five keys of 100 values ask for 10^10
 # Finite symbols of all list items, repeats counted: four simple_pmf items of

@@ -14,13 +14,13 @@ The stream never counts states pair by pair.  The walk yields its steps,
 indices into the chain's tuple of transitions `pairs`, and their running
 tally at each checkpoint (`bands.checkpoint_tally`, shared with the i.i.d.
 stream) gives the visit and transition vectors (`chain_counts`), in time
-proportional to the transitions, not to the run.  Each candidate is compiled once per stream
-against `pairs` (`_compile`): per source state, its row as integer
-numerators over one denominator in `pairs` order, the candidate
-transitions the source never takes, its stationary numerator, and whether
-it lacks the state.  The vectors then feed both clauses directly, one
-integer deviation per clause decided by `bands.below_tau`, which computes
-a `tau` bracket only where bit lengths cannot decide.
+proportional to the transitions, not to the run.  Each candidate is
+compiled once per stream against `pairs` (`_compile`): per source state,
+its row as integer numerators over one denominator in `pairs` order, the
+candidate transitions the source never takes, its stationary numerator,
+and whether it lacks the state.  The vectors then feed both clauses
+directly, one integer deviation per clause decided by `bands.below_tau`,
+which computes a `tau` bracket only where bit lengths cannot decide.
 """
 
 from collections import Counter

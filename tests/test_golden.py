@@ -6,14 +6,13 @@ change that alters which guess is emitted at any checkpoint, or how it is
 written, fails here.  "iid-families" and "iid-families-grid" list the
 simple and geometric pmfs.  The i.i.d. steps are tallied by popcount over
 three blocks of 8192 in "iid-long", and by a `Counter` of list blocks in
-"iid-wide", whose 300 symbols no byte indexes.  The markov stream tallies "markov" by
-popcount, and "markov-8-states" (64 transitions, each index fits a byte)
-and "markov-17-states" (289 transitions) by a `Counter`.  The chain walk
-reads 8, 2 and 1 draws per table lookup on the targets of
+"iid-wide", whose 300 symbols no byte indexes.  The markov stream tallies
+"markov" by popcount, and "markov-8-states" (64 transitions, each index
+fits a byte) and "markov-17-states" (289 transitions) by a `Counter`.  The
+chain walk reads 8, 2 and 1 draws per table lookup on the targets of
 "markov-2-classes", "markov-4-states" and "markov-17-random", and
 "markov-17-random-long" runs the last over three folds, of 8, 8 and 4
-lane blocks.  The measure
-configs reach non-dyadic prefix masses (the 3/4-1/4 i.i.d. measure) as
+lane blocks.  The measure configs reach non-dyadic prefix masses (the 3/4-1/4 i.i.d. measure) as
 well as dyadic ones, so a change to how `log2(1/mass)` enters the
 deficiency is caught too; "measure-all-rows" lists one measure of every
 family whose mass row is computed its own way, and runs it again under

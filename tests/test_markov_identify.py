@@ -17,7 +17,6 @@ from probid.enumeration import HypothesisList
 from probid.errors import NotErgodic
 from probid.hypotheses import make_finite_pmf
 from probid.iid_identify import candidate_test
-from probid.sampling import _BLOCK_STEPS
 from probid.markov_identify import (
     TransitionCounts,
     _compile,
@@ -33,6 +32,7 @@ from probid.markov_identify import (
     stationary,
     _rows_pass,
 )
+from probid.sampling import _BLOCK_STEPS
 
 F = Fraction
 HALF = F(1, 2)
