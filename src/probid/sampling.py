@@ -18,14 +18,14 @@ exact cumulative mass reaches u.  Ties (u exactly on a boundary) resolve
 to the lower index; symbols of zero mass are never selected.
 
 One rule, `_thresholds`, turns masses into the integer thresholds
-floor(cum * 2**53) that z is bisected against.  `iid_blocks` reads a
-pmf's table up to the first threshold >= 2**53 - 1, past which no draw
-reaches (53 entries for the geometric pmf), and maps a bisect in C over
-the numerators of the lane blocks n draws need; it yields steps, indices
-into the support, in blocks of 8192 as the chain walk does.  The chain walk
-lives in `chains` and the measure draws in `measures`, beside the models
-they draw from, so that a run compiles only its own regime's sampler;
-`run_chain` and `draw_from_measure` still resolve from this module.
+floor(cum * 2**53) that z is bisected against, up to the first >= 2**53 - 1,
+past which no draw reaches (`_table`; 53 for the geometric pmf).  `draw_iid`
+maps a bisect in C over exactly n numerators of `_uniforms`; `iid_blocks`
+maps it over the lane blocks n draws need and yields steps, indices into
+the support, in blocks of 8192 as the chain walk does, for the identifier's
+tally.  The chain walk lives in `chains` and the measure draws in
+`measures`, beside their models, so that a run compiles only its own
+regime's sampler; `run_chain` and `draw_from_measure` resolve from here too.
 """
 
 from bisect import bisect_left
@@ -183,19 +183,19 @@ def _uniforms(seed):
     return chain.from_iterable(map(_low_words, _lanes(seed)))
 
 
+def _pairs(pmf):
+    """The (symbol, mass) pairs of an exact pmf, in support order."""
+    size = pmf.support_size
+    positions = count(1) if size is None else range(1, size + 1)
+    return ((s, pmf.mass(s)) for s in map(pmf.support, positions))
+
+
 def iid_blocks(pmf, seed, n):
     """(blocks, symbols): the first n i.i.d. draws (rounded up to 1024) from
     an exact pmf as steps, indices into `symbols`, the support prefix draws
     can reach.  A block holds 8192 steps, the last as many as n needs, as
     `bytes` where every index fits a byte (256 symbols at most), else a list."""
-    size = pmf.support_size
-    positions = count(1) if size is None else range(1, size + 1)
-    return _blocks(((s, pmf.mass(s)) for s in map(pmf.support, positions)), seed, n)
-
-
-def _blocks(pairs, seed, n):
-    """`iid_blocks` of the (symbol, mass) `pairs` of a pmf, in order."""
-    symbols, thresholds = _table(pairs)
+    symbols, thresholds = _table(_pairs(pmf))
     part = bytes if len(symbols) <= 256 else list
     step = partial(bisect_left, thresholds)
     words = map(_low_words, islice(_lanes(seed), -(-n // _LANES)))
@@ -203,14 +203,17 @@ def _blocks(pairs, seed, n):
     return iter(lambda: part(map(step, chain.from_iterable(islice(words, 8)))), part()), symbols
 
 
-def _prefix(blocks, symbols, n):
-    """The symbols that the first n steps of `blocks` index."""
-    return tuple(map(symbols.__getitem__, islice(chain.from_iterable(blocks), n)))
+def _draws(pairs, seed, n):
+    """The first n i.i.d. draws from the (symbol, mass) `pairs` of a pmf:
+    the bisect mapped over exactly n numerators of `_uniforms`."""
+    symbols, thresholds = _table(pairs)
+    step = partial(bisect_left, thresholds)
+    return tuple(map(symbols.__getitem__, map(step, islice(_uniforms(seed), n))))
 
 
 def draw_iid(pmf, seed, n):
     """Draw n i.i.d. symbols from an exact pmf; returns a SamplePrefix."""
-    return _sample_prefix(_prefix(*iid_blocks(pmf, seed, n), n))
+    return _sample_prefix(_draws(_pairs(pmf), seed, n))
 
 
 # the chain walk and the measure draws, which moved beside their models and

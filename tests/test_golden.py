@@ -32,6 +32,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import dense_weights, random_weights
+from probid.bands import tau
 from probid.harness import run_experiment
 
 
@@ -433,3 +434,12 @@ def test_golden_csv_digests(name, tmp_path):
     run_experiment(cfg, out_dir=str(tmp_path))
     assert _sha256(tmp_path / "checkpoints.csv") == checkpoints
     assert _sha256(tmp_path / "summary.csv") == summary
+
+
+def test_golden_iid_computes_few_tau_brackets(tmp_path):
+    # every band decision goes through `below_tau`, which computes a bracket
+    # only in a thin shell around the threshold: the 300 checkpoint sizes of
+    # "iid" need about one, where a bracket per size would take 300
+    tau.cache_clear()
+    run_experiment(GOLDEN["iid"][0], out_dir=str(tmp_path))
+    assert tau.cache_info().misses <= 10

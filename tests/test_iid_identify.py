@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import pmf_weights, separated_pmf, separated_pmf_list, weights_pmf
 from probid.bands import tau, within_band
 from probid.enumeration import HypothesisList, trace_from_checkpoints
-from probid.exactnum import Bracket
 from probid.hypotheses import make_finite_pmf, make_geometric_pmf
 from probid.iid_identify import candidate_test, identify_step, identify_stream, iid_counts, mass_cutoff
 from probid.sampling import SamplePrefix, draw_iid
@@ -82,39 +81,38 @@ _ALPHABET = range(5)
 
 @st.composite
 def _band_inputs(draw):
-    """Masses, tested symbols, counts (zero entries included), total and a
-    bracket: a tau bracket (tau(1) is [0, 0]), one whose lower end equals a
-    tested deviation exactly, or a free one."""
+    """Masses, tested symbols, counts (zero entries included) and a total;
+    sometimes one tested symbol's mass sits at the band's lower end, or
+    2**-30 to either side of it."""
     total = draw(st.integers(1, 300))
     fractions = st.fractions(0, 1, max_denominator=40)
     masses = draw(st.dictionaries(st.sampled_from(_ALPHABET), fractions))
     counts = draw(st.dictionaries(st.sampled_from(_ALPHABET), st.integers(0, total)))
     symbols = draw(st.lists(st.sampled_from(_ALPHABET), max_size=4))
-    kind = draw(st.sampled_from(["tau", "at_deviation", "free"]))
-    if kind == "tau":
-        return masses, symbols, counts, total, tau(draw(st.integers(1, 3000)))
-    lo = draw(fractions)
-    tested = set(symbols) | {a for a, c in counts.items() if c > 0}
-    if kind == "at_deviation" and tested:
-        a = draw(st.sampled_from(sorted(tested)))
-        lo = abs(masses.get(a, F(0)) - F(counts.get(a, 0), total))
-    return masses, symbols, counts, total, Bracket(lo, lo + draw(fractions))
+    tested = sorted(set(symbols) | {a for a, c in counts.items() if c > 0})
+    if tested and draw(st.booleans()):
+        a = draw(st.sampled_from(tested))
+        gap = tau(total).lo + draw(st.sampled_from([F(-1, 1 << 30), F(0), F(1, 1 << 30)]))
+        freq = F(counts.get(a, 0), total)
+        masses[a] = freq - gap if freq >= gap else freq + gap
+    return masses, symbols, counts, total
 
 
 @settings(max_examples=300, deadline=None)
 @given(_band_inputs())
-@example(({0: F(1)}, [0], {0: 1}, 1, tau(1)))  # exact fit still fails [0, 0]
-@example(({0: HALF, 1: HALF}, [0], {0: 3, 1: 1}, 4, Bracket(F(1, 4), F(1, 3))))  # at lo
-@example(({0: F(1), 1: F(1)}, [0], {0: 10, 1: 0}, 10, tau(10)))  # a zero count is not observed
+@example(({0: F(1)}, [0], {0: 1}, 1))  # exact fit still fails tau(1) = [0, 0]
+@example(({0: F(3, 4) - tau(4).lo, 1: F(1, 4)}, [0], {0: 3, 1: 1}, 4))  # at tau(4).lo: fails
+@example(({0: F(1), 1: F(1)}, [0], {0: 10, 1: 0}, 10))  # a zero count is not observed
 def test_within_band_matches_fraction_rule(inputs):
-    masses, symbols, counts, total, bracket = inputs
+    masses, symbols, counts, total = inputs
 
     def mass(a):
         return masses.get(a, F(0))
 
     tested = set(symbols) | {a for a, c in counts.items() if c > 0}
-    expected = all(abs(mass(a) - F(counts.get(a, 0), total)) < bracket.lo for a in tested)
-    assert within_band(mass, symbols, counts, total, bracket) is expected
+    lo = tau(total).lo
+    expected = all(abs(mass(a) - F(counts.get(a, 0), total)) < lo for a in tested)
+    assert within_band(mass, symbols, counts, total) is expected
 
 
 def test_candidate_test_at_hundred():
@@ -249,6 +247,8 @@ def test_stream_equals_step_at_every_checkpoint(seed, stride, n_max):
 @example(pmf=weights_pmf([1, 2, 3]), seed=2**64 - 1, stride=1000, n_max=17000)
 @example(pmf=weights_pmf([1, 2, 3]), seed=5, stride=7, n_max=16600)
 def test_stream_counts_equal_draw_iid_at_every_checkpoint(pmf, seed, stride, n_max):
+    # two paths: the blocks of `iid_blocks` and their tally, against the
+    # bisect that `draw_iid` maps over the uniforms directly
     counts = iid_counts(pmf, seed, stride, n_max)
     symbols = draw_iid(pmf, seed, n_max).symbols
     expected = Counter()
