@@ -14,8 +14,8 @@ bit lengths cannot decide it: with b the bit length of n, (b-1) ln 2 <=
 ln n < b ln 2, and two comparisons of integer squares against 64-bit bounds
 of ln 2 settle all but a thin shell around the threshold.  The markov
 stream decides every clause of its compiled candidates through it (see
-`markov_identify`), and `within_band`, the i.i.d. candidate test and the
-markov reference definition, each symbol.
+`markov_identify`), and `within_band`, the i.i.d. candidate test, each
+symbol.
 
 Both identifiers read one statistic at each checkpoint: the running counts
 of the steps drawn, support indices for a pmf and transition indices for a

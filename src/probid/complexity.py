@@ -27,15 +27,12 @@ every length here is an exact integer.
 The empty string is priced at 2 bits (tag only) by convention.  The model
 code's extra bit halves each codeword so that, within any one prefix
 length, a hypothesis spends at most half of its gamma-weighted budget
-2**-(2 + gamma(i)); the Kraft audit charges that full budget per model (the
-supremum any single decodable slice can reach) and enumerates the literal
-and run codewords exhaustively.
+2**-(2 + gamma(i)); the Kraft audit (`reference.kraft_audit`) charges that
+full budget per model (the supremum any single decodable slice can reach)
+and enumerates the literal and run codewords exhaustively.
 """
 
-from fractions import Fraction
 from typing import NamedTuple
-
-from .exactnum import log2_bracket
 
 _TAG_BITS = 2
 _DEFAULT_SCHEMES = ("literal", "run")
@@ -73,7 +70,9 @@ def model_bits(i, log2_lo):
 
 
 class ComplexityEstimator(NamedTuple):
-    """Scheme set, alphabet, and optional model measures for khat.
+    """Scheme set, alphabet, and optional model measures for khat, the
+    shortest admissible description (`reference.khat`; runs read it off
+    `measure_identify.SigmaTrace`'s rows).
 
     The literal code is always admitted; `schemes` decides whether the run
     and model codes join it.  `stage_cap` freezes the effective stage,
@@ -93,63 +92,3 @@ class ComplexityEstimator(NamedTuple):
         """How many model codes stage n admits: list measures 1..stage, from stage 2."""
         stage = self.stage(n)
         return min(stage, len(self.model_list)) if "model" in self.schemes and stage >= 2 else 0
-
-    def khat(self, x, n):
-        """Shortest admissible description length of x at stage n, in bits."""
-        if n < 1:
-            raise ValueError("stage must be >= 1")
-        x = tuple(x)
-        if not x:
-            return _TAG_BITS
-        b = symbol_bits(len(self.alphabet))
-        lengths = [literal_bits(len(x), b)]
-        if "run" in self.schemes and len(set(x)) == 1:
-            lengths.append(run_bits(len(x), b))
-        for i, mu in enumerate(self.model_list[: self.model_count(n)], start=1):
-            mass = mu.mass(x)
-            if mass > 0:
-                lengths.append(model_bits(i, log2_bracket(mass).lo))
-        return min(lengths)
-
-
-def khat(x, n, alphabet, model_list=(), schemes=_DEFAULT_SCHEMES):
-    """`ComplexityEstimator.khat` of an estimator with no stage cap."""
-    return ComplexityEstimator(alphabet, schemes, model_list).khat(x, n)
-
-
-def kraft_audit(estimator, length_cap):
-    """Sum of 2**-length over the estimator's descriptions up to length_cap.
-
-    Literal codewords (always admitted) and run codewords are enumerated
-    exhaustively (count times weight, both exact).  Each model hypothesis i
-    contributes its whole per-slice budget 2**-(2 + gamma(i) + 1) * 2, i.e.
-    2**-(2 + gamma(i)): within one prefix length the slack bit keeps its
-    codeword mass at or below half of that, and no decodable slice can
-    exceed the budget.  The total stays below 1 for every alphabet because each per-length literal
-    slice spends at most 2**-(2 + gamma(l)) and gamma itself is Kraft-tight.
-    """
-    if length_cap > 24:
-        raise ValueError("length cap above 24 is not enumerable at desk scale")
-    total = Fraction(0)
-    size = len(estimator.alphabet)
-    b = symbol_bits(size)
-    length = 1
-    while True:
-        bits = literal_bits(length, b)
-        if bits > length_cap:  # monotone in length, nothing longer fits
-            break
-        total += size**length * Fraction(1, 1 << bits)
-        length += 1
-    if "run" in estimator.schemes:
-        run = 1
-        while True:
-            bits = run_bits(run, b)
-            if bits > length_cap:
-                break
-            total += size * Fraction(1, 1 << bits)
-            run += 1
-    if "model" in estimator.schemes:
-        for i in range(1, len(estimator.model_list) + 1):
-            if model_bits(i, 0) <= length_cap:  # mass 1, the shortest
-                total += Fraction(1, 1 << (_TAG_BITS + gamma_length(i)))
-    return total

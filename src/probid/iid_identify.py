@@ -44,13 +44,9 @@ def candidate_test(pmf, counts, n):
 
 
 def _least_passing(hyp_list, counts, n):
-    return hyp_list.least_passing(n, lambda i, pmf: candidate_test(pmf, counts, n))
-
-
-def identify_step(hyp_list, sample, n):
     """Least passing index at size n, scanning i = 1..min(n, length);
     None (Undecided) when every scanned candidate fails."""
-    return _least_passing(hyp_list, sample.counts, n)
+    return hyp_list.least_passing(n, lambda i, pmf: candidate_test(pmf, counts, n))
 
 
 def iid_counts(pmf, seed, stride, n_max):

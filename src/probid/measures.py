@@ -153,6 +153,20 @@ class PathMixtureMeasure(MeasureBase):
         # ("switch", first_symbol, switch_after, second_symbol)
         return atom_path[1] if i < atom_path[2] else atom_path[3]
 
+    def same(self, other):
+        """The same total weight on each path, in any order and whatever the
+        alphabet lists; a switch path whose two symbols are equal is the run
+        of that symbol."""
+        return isinstance(other, PathMixtureMeasure) and self._weights() == other._weights()
+
+    def _weights(self):
+        weights = {}
+        for w, path in self.start:
+            if path[0] == "switch" and path[1] == path[3]:
+                path = ("run", path[1])
+            weights[path] = weights.get(path, ZERO) + w
+        return weights
+
     def step(self, state, i, a):
         alive = tuple((w, p) for w, p in state if self._symbol_at(p, i) == a)
         return alive, sum((w for w, _ in alive), ZERO)

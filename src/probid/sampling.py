@@ -1,8 +1,9 @@
 """Deterministic seeded sampling: the SplitMix64 stream and i.i.d. draws.
 
 The generator is SplitMix64, whose portable integer recurrence gives
-byte-identical streams on every platform.  `Rng` is the scalar reference.
-The samplers read the stream from `_lanes`, 1024 outputs at a time in one
+byte-identical streams on every platform: output i of the stream of a seed
+mixes the state seed + (i+1)*0x9E3779B97F4A7C15 mod 2**64 (`_mix`).  The
+samplers read the stream from `_lanes`, 1024 outputs at a time in one
 Python int of 128-bit lanes: the low word of lane k holds output k of the
 block, and the high word catches what a right shift leaks in from lane
 k+1 and the carry of a product; a mask clears it before every multiply.
@@ -61,34 +62,11 @@ _LOW_WORDS = Struct("<" + "Q8x" * _LANES)
 
 
 def _mix(state):
-    """The SplitMix64 output of one state; see `Rng` for the state of each
-    output.  The chain walk re-mixes a draw it needs whole by this."""
+    """The SplitMix64 output of one state.  The chain walk re-mixes a draw
+    it needs whole by this."""
     z = ((state ^ (state >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
-
-
-class Rng:
-    """SplitMix64 stream, one output per call.
-
-    This is the scalar reference: `_uniforms(seed)` must yield exactly
-    `Rng(seed).next53()` repeated, and the tests check that it does.
-    Output i of the stream mixes the state seed + (i+1)*_GOLDEN mod 2**64,
-    as lane i mod 1024 of block i // 1024 does in `_lanes`.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed):
-        self.state = seed & _MASK
-
-    def next64(self):
-        self.state = (self.state + _GOLDEN) & _MASK
-        return _mix(self.state)
-
-    def next53(self):
-        """Numerator of a dyadic uniform z/2**53 in [0, 1)."""
-        return self.next64() >> 11
 
 
 class SamplePrefix:
@@ -156,7 +134,7 @@ def _table(pairs):
 def _lanes(seed):
     """Endless blocks of the SplitMix64 stream of `seed`, one int per block.
 
-    Lane k of block b holds output 1024b + k of `Rng(seed).next64` before
+    Lane k of block b holds output 1024b + k of the stream before
     the mix's last step, `z ^ (z >> 31)` and the mask, which leave its top
     byte as it is.  An add of `_LANE_STEP` carries only into the high word
     of a lane, which the mask clears, so the lane states run on."""
@@ -176,8 +154,8 @@ def _low_words(lanes):
 def _uniforms(seed):
     """Endless 53-bit uniform numerators of the SplitMix64 stream of `seed`.
 
-    Equal to `Rng(seed).next53` called repeatedly, computed a block of
-    `_LANES` outputs per pass of big-integer operations.  The blocks are
+    The top 53 bits of each output, computed a block of `_LANES` outputs
+    per pass of big-integer operations.  The blocks are
     chained in C, so reading the stream runs no Python frame per output.
     """
     return chain.from_iterable(map(_low_words, _lanes(seed)))

@@ -12,16 +12,17 @@ import pytest
 from helpers import chain_3state, chain_a, chain_b, mixed_measure_list, separated_pmf
 from probid.bands import tau
 from probid.chains import run_chain
-from probid.complexity import ComplexityEstimator, khat, kraft_audit
+from probid.complexity import ComplexityEstimator
 from probid.enumeration import HypothesisList, InterleavedList
 from probid.harness import run_experiment
 from probid.hypotheses import make_finite_pmf
 from probid.iid_identify import identify_stream
-from probid.markov_identify import ergodic_mean, identify_chain_stream, stationary
+from probid.markov_identify import identify_chain_stream
 from probid.measure_identify import identify_measure_stream
 from probid.measures import make_black_swan_pair
 from probid.predict import black_swan_demo
-from probid.sampling import Rng, draw_iid
+from probid.reference import Rng, ergodic_mean, khat, kraft_audit, stationary
+from probid.sampling import draw_iid
 
 F = Fraction
 SEEDS = range(1, 101)
@@ -123,7 +124,7 @@ def test_a4_complexity_estimator():
         audit_ok = audit_ok and kraft_audit(
             ComplexityEstimator(alphabet=tuple(range(size))), 16
         ) <= 1
-    run_bits = khat(("a",) * 100, 1, ("a", "b"))
+    run_bits = khat(ComplexityEstimator(("a", "b")), ("a",) * 100, 1)
     est = ComplexityEstimator(
         alphabet=("a", "b"),
         schemes=("literal", "run", "model"),
@@ -134,7 +135,7 @@ def test_a4_complexity_estimator():
     for _ in range(1000):
         length = 1 + rng.next53() % 64
         x = tuple("ab"[rng.next53() % 2] for _ in range(length))
-        values = [est.khat(x, stage) for stage in (1, 2, 4, 8, 16)]
+        values = [khat(est, x, stage) for stage in (1, 2, 4, 8, 16)]
         monotone = monotone and all(a >= b for a, b in zip(values, values[1:]))
     _report(
         "A4 complexity-estimator",

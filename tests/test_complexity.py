@@ -12,15 +12,9 @@ from itertools import product
 import pytest
 
 from helpers import all_a_measure, mixed_measure_list, uniform_ab_measure
-from probid.complexity import (
-    ComplexityEstimator,
-    gamma_length,
-    khat,
-    kraft_audit,
-    symbol_bits,
-)
+from probid.complexity import ComplexityEstimator, gamma_length, symbol_bits
 from probid.exactnum import log2_bracket
-from probid.sampling import Rng
+from probid.reference import Rng, khat, kraft_audit
 
 F = Fraction
 
@@ -43,31 +37,34 @@ def test_ceil_log2_inv():
 
 
 def test_khat_run_of_hundred_is_sixteen_bits():
-    assert khat(("a",) * 100, 1, ("a", "b")) == 16  # 2 + gamma(100)=13 + 1
+    assert khat(ComplexityEstimator(("a", "b")), ("a",) * 100, 1) == 16  # 2 + gamma(100)=13 + 1
 
 
 def test_khat_single_symbol_and_empty():
-    assert khat(("a",), 1, ("a", "b")) == 4  # 2 + gamma(1) + 1
-    assert khat((), 3, ("a", "b")) == 2  # tag-only convention
+    est = ComplexityEstimator(("a", "b"))
+    assert khat(est, ("a",), 1) == 4  # 2 + gamma(1) + 1
+    assert khat(est, (), 3) == 2  # tag-only convention
 
 
 def test_khat_literal_bound_always_holds():
     rng = Rng(5)
     alphabet = ("a", "b", "c")
+    est = ComplexityEstimator(alphabet)
     b = symbol_bits(3)
     for _ in range(200):
         length = 1 + rng.next53() % 40
         x = tuple(alphabet[rng.next53() % 3] for _ in range(length))
-        assert khat(x, 7, alphabet) <= 2 + gamma_length(length) + length * b
+        assert khat(est, x, 7) <= 2 + gamma_length(length) + length * b
 
 
 def test_khat_model_scheme_engages_with_stage():
     models = (all_a_measure(), uniform_ab_measure())
     x = ("a", "b") * 50
     literal = 2 + gamma_length(100) + 100  # 115
-    assert khat(x, 1, ("a", "b"), models, ("literal", "run", "model")) == literal
+    est = ComplexityEstimator(("a", "b"), ("literal", "run", "model"), models)
+    assert khat(est, x, 1) == literal
     # stage 2 admits the uniform model: 2 + gamma(2) + 100 + 1 = 106
-    assert khat(x, 2, ("a", "b"), models, ("literal", "run", "model")) == 106
+    assert khat(est, x, 2) == 106
 
 
 def test_khat_stage_monotonicity_on_random_strings():
@@ -84,7 +81,7 @@ def test_khat_stage_monotonicity_on_random_strings():
         strings.append(tuple("ab"[rng.next53() % 2] for _ in range(length)))
     stages = (1, 2, 4, 8, 16)
     for x in strings:
-        values = [est.khat(x, n) for n in stages]
+        values = [khat(est, x, n) for n in stages]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -216,10 +213,10 @@ def test_kraft_audit_cap_validated():
 def test_run_scheme_discriminates_against_uniform_mass():
     # runs compress to O(log j) bits while the uniform model charges j bits,
     # so the deficiency of a non-typical model grows without bound
-    alphabet = ("a", "b")
+    est = ComplexityEstimator(("a", "b"))
     for j in (8, 32, 128, 512):
-        bits = khat(("a",) * j, 1, alphabet)
+        bits = khat(est, ("a",) * j, 1)
         assert bits == 2 + gamma_length(j) + 1
         assert j - bits >= j - (2 * j.bit_length() + 3)
-    gaps = [j - khat(("a",) * j, 1, alphabet) for j in (8, 32, 128, 512)]
+    gaps = [j - khat(est, ("a",) * j, 1) for j in (8, 32, 128, 512)]
     assert gaps == sorted(gaps) and gaps[-1] > gaps[0]

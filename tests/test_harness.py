@@ -148,6 +148,34 @@ def test_minimal_equal_index_finds_a_chain_written_in_another_state_order():
     assert [minimal_equal_index(hl, i) for i in (1, 2, 3)] == [1, 2, 1]
 
 
+def _run_of(alphabet, symbol):
+    return {"family": "constant_run", "params": {"alphabet": alphabet, "symbol": symbol}}
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        _run_of(["a", "b"], "a"),
+        {
+            "family": "switch_pair",
+            "params": {"alphabet": ["a", "b"], "run_symbol": "a", "switch_symbol": "a", "n_switch": 3},
+        },
+    ],
+    ids=["alphabet-reordered", "switch-to-itself"],
+)
+def test_a_path_mixture_written_another_way_is_the_same_model(first):
+    # a run ending on item 1, the same measure as the target, item 2, is correct
+    cfg = _measure_cfg(
+        list={"items": [first, _run_of(["b", "a"], "a")]},
+        n_max=200,
+        checkpoint={"stride": 50},
+        seeds=[1, 2],
+    )
+    records, summary = run_experiment(cfg)
+    assert [r.final_guess for r in records] == [1, 1]
+    assert summary.fraction_correct == 1.0
+
+
 # -- running -------------------------------------------------------------------
 
 
@@ -541,8 +569,10 @@ out = {"bare": loaded()}
 for mode, obj in json.loads(sys.argv[1]).items():
     forget_probid()
     from probid import harness
-    harness.ExperimentConfig.from_obj(obj)
+    cfg = harness.ExperimentConfig.from_obj(obj)
     out[mode] = loaded()
+    harness.run_experiment(cfg)
+    out[mode + " run"] = loaded()
 forget_probid()
 import probid.cli
 out["cli"] = loaded()
@@ -551,8 +581,9 @@ print(json.dumps(out))
 
 
 def test_parsing_a_config_imports_only_its_modes_modules():
-    # each config is parsed by a freshly imported probid, in one interpreter;
-    # a config loads the module of each model family it names, and no other
+    # each config is parsed by a freshly imported probid, in one interpreter,
+    # and then run; a config loads the module of each model family it names,
+    # and no other, and neither parsing nor running loads `reference`
     configs = {
         "iid": _iid_cfg(),
         "iid-simple": _iid_cfg(list={"family": "simple_pmf", "grid": {"term": ["j"], "size": [2, 3]}}),
@@ -583,7 +614,8 @@ def test_parsing_a_config_imports_only_its_modes_modules():
     }
     for mode in configs:
         assert own[mode] <= set(loaded[mode]), mode
-        assert not left_out[mode] & set(loaded[mode]), mode
+        for stage in (mode, mode + " run"):
+            assert not (left_out[mode] | {"reference"}) & set(loaded[stage]), stage
 
 
 _WORKER_RUN = """
@@ -646,31 +678,21 @@ _HYPOTHESES_NAMES = {
         "make_finite_pmf",
         "make_geometric_pmf",
     ),
-    "chains": ("MarkovChain",),
-    "measures": (
-        "MASS_ZERO",
-        "MarkedRunMeasure",
-        "MeasureBase",
-        "PathMixtureMeasure",
-        "ProductMeasure",
-        "constant_run_measure",
-        "make_black_swan_pair",
-        "make_iid_measure",
-        "make_mu_k",
-        "switch_pair_measure",
-    ),
-    "terms": ("make_simple_pmf", "parse_term"),
+    "measures": ("ProductMeasure",),
 }
 
 
 def test_package_names_resolve_to_their_home_modules():
     # each lending module resolves its names from their homes; `perfbench`
-    # reads the sampler and band names through `sampling` and `exactnum`
+    # reads the sampler and band names through `sampling` and `exactnum`, and
+    # the reference rules it checks against through the identifiers
     lenders = {
         "probid": probid._EXPORTS,
         "probid.hypotheses": _HYPOTHESES_NAMES,
         "probid.sampling": {"chains": ("run_chain",), "measures": ("draw_from_measure",)},
         "probid.exactnum": {"bands": ("tau",)},
+        "probid.markov_identify": {"reference": ("chain_candidate_test", "stationary")},
+        "probid.measure_identify": {"reference": ("sigma_stage",)},
     }
     for lender_name, table in lenders.items():
         lender = importlib.import_module(lender_name)

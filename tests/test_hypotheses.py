@@ -484,6 +484,19 @@ _DISTINCT = [
 ]
 
 
+def test_path_mixtures_are_the_same_when_their_path_weights_are():
+    # whatever order the alphabet lists, and a switch to the run's own symbol
+    # is that run
+    run = constant_run_measure(("a", "b"), "a")
+    assert _same(run, constant_run_measure(("b", "a"), "a"))
+    assert _same(run, switch_pair_measure(("a", "b"), "a", "a", 3))
+    assert _same(switch_pair_measure(("a", "b"), "a", "a", 1), switch_pair_measure(("a", "b"), "a", "a", 5))
+    assert _same(switch_pair_measure(("a", "b"), "a", "b", 2), switch_pair_measure(("b", "a"), "a", "b", 2))
+    assert not _same(run, constant_run_measure(("a", "b"), "b"))
+    assert not _same(switch_pair_measure(("a", "b"), "a", "b", 2), switch_pair_measure(("a", "b"), "a", "b", 3))
+    assert not _same(run, switch_pair_measure(("a", "b"), "a", "b", 3))
+
+
 @pytest.mark.parametrize("a", _DISTINCT, ids=lambda h: h.spec.family)
 @pytest.mark.parametrize("b", _DISTINCT, ids=lambda h: h.spec.family)
 def test_same_holds_between_equal_hypotheses_only(a, b):

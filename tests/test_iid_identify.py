@@ -10,7 +10,8 @@ from helpers import pmf_weights, separated_pmf, separated_pmf_list, weights_pmf
 from probid.bands import tau, within_band
 from probid.enumeration import HypothesisList, trace_from_checkpoints
 from probid.hypotheses import make_finite_pmf, make_geometric_pmf
-from probid.iid_identify import candidate_test, identify_step, identify_stream, iid_counts, mass_cutoff
+from probid.iid_identify import candidate_test, identify_stream, iid_counts, mass_cutoff
+from probid.reference import identify_step
 from probid.sampling import SamplePrefix, draw_iid
 
 F = Fraction

@@ -18,19 +18,21 @@ from probid.errors import NotErgodic
 from probid.hypotheses import make_finite_pmf
 from probid.iid_identify import candidate_test
 from probid.markov_identify import (
-    TransitionCounts,
     _compile,
     _compiled_test,
     _gated,
     _spans,
-    chain_candidate_test,
     chain_counts,
+    identify_chain_stream,
+)
+from probid.reference import (
+    TransitionCounts,
+    _rows_pass,
+    chain_candidate_test,
     empirical,
     ergodic_mean,
     identify_chain,
-    identify_chain_stream,
     stationary,
-    _rows_pass,
 )
 from probid.sampling import _BLOCK_STEPS
 

@@ -18,7 +18,6 @@ from probid.measure_identify import (
     default_estimator,
     identify_measure_step,
     identify_measure_stream,
-    sigma_stage,
 )
 from probid.measures import (
     constant_run_measure,
@@ -28,6 +27,7 @@ from probid.measures import (
     make_mu_k,
     switch_pair_measure,
 )
+from probid.reference import khat, measure_step, sigma_stage
 
 F = Fraction
 
@@ -157,7 +157,7 @@ def test_literal_is_admitted_without_being_listed(x, schemes, stage_cap):
     bare_table, listed_table = SigmaTrace(inter, x, bare), SigmaTrace(inter, x, listed)
     for n in range(1, len(x) + 1):
         for j in range(1, n + 1):
-            assert bare.khat(x[:j], n) == listed.khat(x[:j], n) < inf
+            assert khat(bare, x[:j], n) == khat(listed, x[:j], n) < inf
         for pos in filter(inter.has, range(1, n + 1)):
             assert bare_table.max_value(pos, n) == listed_table.max_value(pos, n)
             assert bare_table.value(pos, n, n) == listed_table.value(pos, n, n)
@@ -214,7 +214,8 @@ def test_sigma_nondecreasing_in_stage():
 def test_step_headed_by_matching_run_measure():
     base = _plain([all_a_measure(), uniform_ab_measure()])
     est = default_estimator(base)
-    assert identify_measure_step(base, ("a",) * 100, 10, est) == 1
+    assert measure_step([all_a_measure(), uniform_ab_measure()], ("a",) * 100, 10, est) == 1
+    assert identify_measure_step(InterleavedList(base), ("a",) * 100, 10, est) == 1
 
 
 def test_step_else_branch_returns_one():
@@ -223,16 +224,18 @@ def test_step_else_branch_returns_one():
     base = _plain([tiny])
     est = default_estimator(base)
     x = ("a",)
-    table = SigmaTrace(base, x, est)
+    inter = InterleavedList(base)
+    table = SigmaTrace(inter, x, est)
     assert table.max_value(1, 1) >= 1  # genuinely fails its bound
-    assert identify_measure_step(base, x, 1, est, trace=table) == 1
+    assert identify_measure_step(inter, x, 1, est, trace=table) == 1
+    assert measure_step([tiny], x, 1, est) == 1
 
 
 def test_step_alternating_input_prefers_uniform_model():
     base = _plain([all_a_measure(), uniform_ab_measure()])
     est = default_estimator(base)
     x = ("a", "b") * 50
-    assert identify_measure_step(base, x, 100, est) == 2
+    assert measure_step([all_a_measure(), uniform_ab_measure()], x, 100, est) == 2
     # the model code prices the uniform hypothesis at 106 bits for j = 100
     assert sigma_stage(uniform_ab_measure(), x, 100, 100, est) == 100 - 106
 
@@ -242,15 +245,19 @@ def test_step_reads_a_generator_once():
     base = _plain([all_a_measure(), uniform_ab_measure()])
     est = default_estimator(base)
     x = ("a", "b") * 50
-    assert identify_measure_step(base, (a for a in x), 100, est) == 2
-    assert identify_measure_step(base, iter(("a",) * 5), 5, est) == 1
+    inter = InterleavedList(base)
+    # positions 1, 2 hold the all-a measure, 3 the uniform one
+    assert identify_measure_step(inter, (a for a in x), 100, est) == 3
+    assert identify_measure_step(inter, iter(("a",) * 5), 5, est) == 1
 
 
 def test_step_requires_enough_data():
     base = _plain([all_a_measure()])
     est = default_estimator(base)
     with pytest.raises(ProbidError):
-        identify_measure_step(base, ("a",) * 5, 6, est)
+        identify_measure_step(InterleavedList(base), ("a",) * 5, 6, est)
+    with pytest.raises(ProbidError):
+        measure_step([all_a_measure()], ("a",) * 5, 6, est)
 
 
 def test_step_skips_invalid_interleaved_positions():
@@ -485,4 +492,4 @@ def test_step_total_and_at_least_one():
     est = default_estimator(base)
     x = ("b",) * 40  # typical for nothing in the list but the uniform
     for n in (1, 2, 5, 40):
-        assert identify_measure_step(_plain([all_a_measure()]), x, n, est) >= 1
+        assert identify_measure_step(InterleavedList(_plain([all_a_measure()])), x, n, est) >= 1

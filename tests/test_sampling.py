@@ -40,7 +40,8 @@ from probid.measures import (
     make_mu_k,
     switch_pair_measure,
 )
-from probid.sampling import _GOLDEN, _MASK, Rng, SamplePrefix, _table, draw_iid, iid_blocks
+from probid.reference import Rng
+from probid.sampling import _GOLDEN, _MASK, SamplePrefix, _table, draw_iid, iid_blocks
 
 F = Fraction
 
