@@ -37,12 +37,13 @@ _EXPORTS = {
     "enumeration": ("GuessTrace", "HypothesisList", "InterleavedList", "interleave_decode"),
     "exactnum": ("Bracket", "Rational"),
     "hypotheses": ("HypothesisSpec", "build_hypothesis", "make_finite_pmf", "make_geometric_pmf"),
-    "iid_identify": ("candidate_test", "identify_stream"),
+    "iid_identify": ("identify_stream",),
     "measure_identify": ("identify_measure_step", "identify_measure_stream"),
     "measures": ("draw_from_measure", "make_black_swan_pair", "make_iid_measure", "make_mu_k"),
     "predict": ("black_swan_demo", "predict_iid", "predict_markov", "predict_measure"),
     "reference": (
-        "Rng", "ergodic_mean", "identify_chain", "identify_step", "sigma_stage", "stationary",
+        "Rng", "candidate_test", "ergodic_mean", "identify_chain", "identify_step",
+        "sigma_stage", "stationary",
     ),
     "sampling": ("SamplePrefix", "draw_iid"),
     "terms": ("make_simple_pmf",),

@@ -12,10 +12,9 @@ deviation d/scale passes at size n iff d/scale < tau(n).lo.
 `below_tau` makes every such decision, and computes the bracket only where
 bit lengths cannot decide it: with b the bit length of n, (b-1) ln 2 <=
 ln n < b ln 2, and two comparisons of integer squares against 64-bit bounds
-of ln 2 settle all but a thin shell around the threshold.  The markov
-stream decides every clause of its compiled candidates through it (see
-`markov_identify`), and `within_band`, the i.i.d. candidate test, each
-symbol.
+of ln 2 settle all but a thin shell around the threshold.  Both streams
+compile candidates against the indices they count (`_against`) and hand it
+the largest integer deviation of a clause (`_deviation`).
 
 Both identifiers read one statistic at each checkpoint: the running counts
 of the steps drawn, support indices for a pmf and transition indices for a
@@ -32,7 +31,8 @@ load this module.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
+from operator import sub
 
 from .errors import ProbidError
 from .exactnum import Bracket
@@ -135,18 +135,23 @@ def below_tau(d, scale, n):
     return d * lo.denominator < lo.numerator * scale
 
 
-def within_band(mass, symbols, counts, total):
-    """True iff |mass(a) - c/total| < tau(total).lo for every a in `symbols`
-    and every a with a positive count c = counts[a], each decided by
-    `below_tau` on |q.num*total - c*q.den| over q.den*total."""
-    checked = set(symbols)
-    checked.update(a for a, c in counts.items() if c > 0)
-    for a in checked:
-        q = mass(a)
-        den = q.denominator
-        if not below_tau(abs(q.numerator * total - counts.get(a, 0) * den), den * total, total):
-            return False
-    return True
+def _against(masses, keys):
+    """The dict `masses` as (numerators, denominator, never): the numerator
+    of each key in `keys` (0 where `masses` lacks it) over the least common
+    denominator, and the largest numerator among the keys of `masses` not
+    in `keys` (0 if none)."""
+    den = lcm(*(q.denominator for q in masses.values()))
+    nums = {a: q.numerator * (den // q.denominator) for a, q in masses.items()}
+    known = set(keys)
+    never = max((c for a, c in nums.items() if a not in known), default=0)
+    return [nums.get(a, 0) for a in keys], den, never
+
+
+def _deviation(nums, den, never, counts, total):
+    """Numerator over den * total of the largest |num/den - count/total|,
+    the masses never counted included."""
+    gaps = map(sub, map(total.__mul__, nums), map(den.__mul__, counts))
+    return max(never * total, max(map(abs, gaps)))
 
 
 def _by_popcount(size, stride):

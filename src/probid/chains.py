@@ -161,9 +161,6 @@ class MarkovChain:
         i = self._index[state]
         return [(s, self.rows[i][k]) for k, s in enumerate(self.states)]
 
-    def stationary_mass(self, state):
-        return self.pi[self._index[state]]
-
     def same(self, other):
         """The same set of states and the same row out of each, as a mapping
         from next state to probability, whatever order the states are in."""

@@ -14,20 +14,21 @@ indices into the chain's tuple of transitions `pairs`, and their running
 tally at each checkpoint (`bands.checkpoint_tally`, shared with the i.i.d.
 stream) gives the visit and transition vectors (`chain_counts`), in time
 proportional to the transitions, not to the run.  Each candidate is
-compiled once per stream against `pairs` (`_compile`): per source state,
-its row as integer numerators over one denominator in `pairs` order, the
-candidate transitions the source never takes, its stationary numerator,
-and whether it lacks the state.  The vectors then feed both clauses
-directly, one integer deviation per clause decided by `bands.below_tau`,
-which computes a `tau` bracket only where bit lengths cannot decide.
+compiled once per stream against `pairs` (`_compile`), as the i.i.d.
+stream compiles pmfs against the target's support: per source state, its
+row as integer numerators over one denominator in `pairs` order
+(`bands._against`), the candidate transitions the source never takes, its
+stationary numerator, and whether it lacks the state.  The vectors then
+feed both clauses directly, one integer deviation per clause
+(`bands._deviation`) decided by `bands.below_tau`, which computes a `tau`
+bracket only where bit lengths cannot decide.
 """
 
+from functools import cache
 from itertools import accumulate, chain, repeat
-from math import lcm
-from operator import sub
 
 from . import _lend
-from .bands import below_tau, checkpoint_tally, tau  # tau: perfbench's tracer wraps it
+from .bands import _against, _deviation, below_tau, checkpoint_tally, tau  # perfbench wraps tau
 from .chains import chain_blocks
 from .enumeration import checkpoint_trace
 
@@ -57,26 +58,14 @@ def chain_counts(source, x0, seed, stride, n_max):
     return counts(), pairs
 
 
-def _against(masses, keys):
-    """The dict `masses` as (numerators, denominator, never): the numerator
-    of each key in `keys` (0 where `masses` lacks it) over the least common
-    denominator, and the largest numerator among the keys of `masses` not
-    in `keys` (0 if none)."""
-    den = lcm(*(q.denominator for q in masses.values()))
-    nums = {a: q.numerator * (den // q.denominator) for a, q in masses.items()}
-    known = set(keys)
-    never = max((c for a, c in nums.items() if a not in known), default=0)
-    return [nums.get(a, 0) for a in keys], den, never
-
-
 def _compile(chain, states, spans, pairs):
     """A candidate as integers against the source's `pairs`.
 
     Returns (lacks, rows, pi).  `lacks` holds the indices of the source
     `states` the candidate lacks; rows[i] is None for those and otherwise
     the candidate's row out of states[i] against the targets of
-    pairs[spans[i][0]:spans[i][1]] (see `_against`); pi is its stationary
-    distribution against `states`.  A target or state the candidate lacks
+    pairs[spans[i][0]:spans[i][1]] (see `bands._against`); pi is its
+    stationary distribution against `states`.  A target or state the candidate lacks
     gets numerator 0: reaching it fails the candidate through `lacks`.
     """
     rows = [
@@ -87,13 +76,6 @@ def _compile(chain, states, spans, pairs):
     ]
     pi = _against(dict(zip(chain.states, chain.pi)), states)
     return tuple(i for i, row in enumerate(rows) if row is None), rows, pi
-
-
-def _deviation(nums, den, never, counts, total):
-    """Numerator over den * total of the largest |num/den - count/total|,
-    the masses never counted included."""
-    gaps = map(sub, map(total.__mul__, nums), map(den.__mul__, counts))
-    return max(never * total, max(map(abs, gaps)))
 
 
 def _spans(states, pairs):
@@ -139,18 +121,14 @@ def identify_chain_stream(hyp_list, source, x0, seed, n_max, stride=100):
     """
     counts, pairs = chain_counts(source, x0, seed, stride, n_max)
     spans = _spans(source.states, pairs)
-    compiled = {}
+    compiled = cache(lambda chain: _compile(chain, source.states, spans, pairs))
 
     def step(n):
         visits, trans = next(counts)
         gated = _gated(spans, visits, trans, n)
-
-        def passes(i, chain):
-            if i not in compiled:
-                compiled[i] = _compile(chain, source.states, spans, pairs)
-            return _compiled_test(compiled[i], visits, trans, gated, n)
-
-        return hyp_list.least_passing(n, passes)
+        return hyp_list.least_passing(
+            n, lambda i, chain: _compiled_test(compiled(chain), visits, trans, gated, n)
+        )
 
     return checkpoint_trace(step, n_max, stride)
 

@@ -17,10 +17,11 @@ tests hold every fast path to.  No run imports this module.
   x_1..x_j admitted at stage n.
 
 Both band rules are exact `Fraction` comparisons against `bands.tau(n).lo`
-and read none of `below_tau`, `mass_cutoff`, `within_band`, the tallies or
-`least_passing`, so they check those independently.  `reference_trace`
-runs a parsed config's seed by these rules alone and returns what
-`harness._run_single` records of it.
+on symbol and state counts, and read none of `below_tau`, `mass_cutoff`,
+the compiled tests, the tallies or `least_passing`, so they check those
+independently; the i.i.d. rule is also `probid.candidate_test`.
+`reference_trace` runs a parsed config's seed by these rules alone and
+returns what `harness._run_single` records of it.
 """
 
 from collections import Counter
@@ -116,14 +117,14 @@ def cutoff(pmf, n):
     return symbols
 
 
-def iid_test(pmf, counts, n):
+def candidate_test(pmf, counts, n):
     """The i.i.d. rule on the symbol counts of a size-n sample."""
     return _band(pmf.mass, cutoff(pmf, n), counts, n)
 
 
 def identify_step(hyp_list, sample, n):
-    """Least index <= n passing `iid_test` on the sample, None if none does."""
-    return _least(hyp_list, n, lambda pmf: iid_test(pmf, sample.counts, n))
+    """Least index <= n passing `candidate_test` on the sample, None if none does."""
+    return _least(hyp_list, n, lambda pmf: candidate_test(pmf, sample.counts, n))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +165,8 @@ def chain_candidate_test(chain, counts):
     the stationary clauses hold."""
     if counts.n < 1 or not all(map(chain.has_state, counts.visits)):
         return False
-    return _rows_pass(chain, counts) and _band(
-        chain.stationary_mass, chain.states, counts.visits, counts.n
-    )
+    pi = dict(zip(chain.states, chain.pi))
+    return _rows_pass(chain, counts) and _band(pi.get, chain.states, counts.visits, counts.n)
 
 
 def identify_chain(hyp_list, run, n):
@@ -294,7 +294,7 @@ def _iid_guesses(cfg, rng, ns):
     x = [_pick(_masses(target), rng.next53()) for _ in range(cfg.n_max)]
     for n in ns:
         counts = Counter(x[:n])
-        yield _least(cfg.hypotheses, n, lambda pmf: iid_test(pmf, counts, n))
+        yield _least(cfg.hypotheses, n, lambda pmf: candidate_test(pmf, counts, n))
 
 
 def _markov_guesses(cfg, rng, ns):

@@ -6,7 +6,9 @@ change that alters which guess is emitted at any checkpoint, or how it is
 written, fails here.  "iid-families" and "iid-families-grid" list the
 simple and geometric pmfs.  The i.i.d. steps are tallied by popcount over
 three blocks of 8192 in "iid-long", and by a `Counter` of list blocks in
-"iid-wide", whose 300 symbols no byte indexes.  The markov stream tallies
+"iid-wide", whose 300 symbols no byte indexes.  "iid-stride-1" records a
+guess at every n from 1, where the cutoff set decides at n = 2, with a
+geometric candidate against a finite target.  The markov stream tallies
 "markov" by popcount, and "markov-8-states" (64 transitions, each index
 fits a byte) and "markov-17-states" (289 transitions) by a `Counter`.  The
 chain walk reads 8, 2 and 1 draws per table lookup on the targets of
@@ -157,6 +159,29 @@ GOLDEN = {
         },
         "dc033f7c55c02dd23b76e4e16d215bce99ba9a8085636f2c9e9a1d66e28c1379",
         "1d0998e4dde8f0d1dd3de168c5300f5e236ca239375e52197dbc25feaf1d2bef",
+    ),
+    # a checkpoint per draw, from n = 1, where every candidate fails, on:
+    # the first candidate passes at n = 2 on the counts {0: 1, 2: 1} of seed
+    # 3 only because symbol 1, of mass 3/5 > tau(2).lo, lies outside its
+    # cutoff; the geometric candidate lacks the target's symbol 0 and has
+    # every symbol past 2 off the target's support
+    "iid-stride-1": (
+        {
+            "mode": "iid",
+            "list": {
+                "items": [
+                    _pmf((0, "3/10"), (1, "3/5"), (2, "1/10")),
+                    {"family": "geometric_pmf"},
+                    _pmf((0, "2/5"), (1, "1/5"), (2, "2/5")),
+                ]
+            },
+            "target_index": 3,
+            "n_max": 400,
+            "checkpoint": {"stride": 1},
+            "seeds": {"count": 4, "base": 1},
+        },
+        "e82ae76fdc778d01f8d1313dd8d36ea8307cc72e749fa9d448c36920f11e907d",
+        "a37a95ce7169c29d29e502f5e5ceb24d707db4daed2c74ea73b0701e6a3b615b",
     ),
     # the pmf families beside finite_pmf: a geometric target (infinite
     # support) among simple pmfs, and a list declared as a simple_pmf grid

@@ -7,12 +7,13 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import pmf_weights, separated_pmf, separated_pmf_list, weights_pmf
-from probid.bands import tau, within_band
+from probid.bands import checkpoint_tally, tau
 from probid.enumeration import HypothesisList, trace_from_checkpoints
 from probid.hypotheses import make_finite_pmf, make_geometric_pmf
-from probid.iid_identify import candidate_test, identify_stream, iid_counts, mass_cutoff
-from probid.reference import identify_step
-from probid.sampling import SamplePrefix, draw_iid
+from probid.iid_identify import _compile, identify_stream, mass_cutoff
+from probid.reference import candidate_test, cutoff, identify_step
+from probid.sampling import SamplePrefix, draw_iid, iid_blocks
+from probid.terms import make_simple_pmf
 
 F = Fraction
 HALF = F(1, 2)
@@ -34,7 +35,7 @@ def test_observed_support():
 
 def test_cutoff_set_union():
     g = make_geometric_pmf()
-    assert mass_cutoff(g, 100) == (1, 2, 3, 4)
+    assert cutoff(g, 100) == [1, 2, 3, 4]
     assert candidate_test(g, _sample((1,) * 50 + (2,) * 25 + (3,) * 12 + (4,) * 13).counts, 100)
     # 9 lies past the cutoff prefix but is observed, so it is tested too
     assert not candidate_test(g, _sample((1,) * 50 + (2,) * 25 + (9,) * 25).counts, 100)
@@ -43,10 +44,8 @@ def test_cutoff_set_union():
 def test_mass_cutoff_geometric():
     g = make_geometric_pmf()
     # tail after m symbols is 2**-m; need tail < 1/sqrt(n), exactly
-    assert mass_cutoff(g, 16) == (1, 2, 3)  # 1/8 < 1/4 while 1/4 is not < 1/4
-    assert mass_cutoff(g, 1) == (1,)  # 1/2 < 1
-    assert mass_cutoff(g, 17) == (1, 2, 3)
-    assert mass_cutoff(g, 64) == (1, 2, 3, 4)
+    for n, m in ((16, 3), (1, 1), (17, 3), (64, 4)):  # at 16, 1/4 is not < 1/4
+        assert mass_cutoff(g, n) == len(cutoff(g, n)) == m
 
 
 def test_mass_cutoff_cache_holds_at_most_its_bound():
@@ -68,52 +67,99 @@ def test_mass_cutoff_cache_holds_at_most_its_bound():
 
 def test_mass_cutoff_finite_support():
     p = make_finite_pmf([(0, F(9, 10)), (1, F(1, 10))])
-    for n in (1, 100, 10**6):
-        assert len(mass_cutoff(p, n)) <= 2
-    assert mass_cutoff(p, 10**6) == (0, 1)
-    # boundary is strict: tail 1/10 at n=100 gives tail^2*n = 1, not < 1
-    assert mass_cutoff(p, 100) == (0, 1)
-    # at n=99 the first symbol suffices: tail^2*n = 99/100 < 1
-    assert mass_cutoff(p, 99) == (0,)
+    # the walk ends at full size; the boundary is strict: tail 1/10 at n=100
+    # gives tail^2*n = 1, not < 1, and at n=99 the first symbol suffices
+    for n, m in ((1, 1), (99, 1), (100, 2), (10**6, 2)):
+        assert mass_cutoff(p, n) == len(cutoff(p, n)) == m
 
 
-_ALPHABET = range(5)
+def _support_subset(draw, pmf):
+    """A finite pmf on a nonempty strict subset of the support of `pmf`
+    (of its first seven symbols when it is infinite), of random weights."""
+    size = pmf.support_size or 7
+    chosen = draw(st.lists(st.integers(1, size), min_size=1, max_size=size - 1, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(chosen), max_size=len(chosen)))
+    return make_finite_pmf([(pmf.support(j), F(w, sum(weights))) for j, w in zip(chosen, weights)])
+
+
+_PMFS = st.one_of(
+    pmf_weights().filter(lambda w: len(w) > 1).map(weights_pmf),
+    st.builds(make_simple_pmf, st.sampled_from(["j", "2^j", "j*j+1"]), st.integers(2, 6)),
+    st.just(make_geometric_pmf()),
+)
 
 
 @st.composite
-def _band_inputs(draw):
-    """Masses, tested symbols, counts (zero entries included) and a total;
-    sometimes one tested symbol's mass sits at the band's lower end, or
-    2**-30 to either side of it."""
-    total = draw(st.integers(1, 300))
-    fractions = st.fractions(0, 1, max_denominator=40)
-    masses = draw(st.dictionaries(st.sampled_from(_ALPHABET), fractions))
-    counts = draw(st.dictionaries(st.sampled_from(_ALPHABET), st.integers(0, total)))
-    symbols = draw(st.lists(st.sampled_from(_ALPHABET), max_size=4))
-    tested = sorted(set(symbols) | {a for a, c in counts.items() if c > 0})
-    if tested and draw(st.booleans()):
-        a = draw(st.sampled_from(tested))
-        gap = tau(total).lo + draw(st.sampled_from([F(-1, 1 << 30), F(0), F(1, 1 << 30)]))
-        freq = F(counts.get(a, 0), total)
-        masses[a] = freq - gap if freq >= gap else freq + gap
-    return masses, symbols, counts, total
+def _compiled_cases(draw):
+    """(candidate, target, checkpoints): two pmfs, often one on a strict
+    subset of the other's support, and 1-4 (n, tally) pairs at growing n,
+    each tally a nonempty map of indices into the target's `symbols` to
+    positive counts, at random or near the candidate's masses.  Sometimes
+    the candidate puts a mass at the band's lower end, or 2**-30 to either
+    side of it, on an observed symbol."""
+    candidate, target = draw(_PMFS), draw(_PMFS)
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            candidate, target = target, _support_subset(draw, target)
+        else:
+            target = _support_subset(draw, candidate)
+    symbols = iid_blocks(target, 0, 0)[1]
+    ns = sorted(draw(st.sets(st.integers(1, 2000), min_size=1, max_size=4)))
+    index = st.integers(0, len(symbols) - 1)
+    checkpoints = []
+    for n in ns:
+        # often near the candidate's own frequencies, so that it can pass
+        near = {k: round(n * candidate.mass(a)) for k, a in enumerate(symbols)}
+        near = {k: c + draw(st.integers(0, 2)) for k, c in near.items() if c}
+        if not near or draw(st.booleans()):
+            near = draw(st.dictionaries(index, st.integers(1, n), min_size=1))
+        checkpoints.append((n, near))
+    if draw(st.booleans()):
+        n, tally = checkpoints[0]
+        k = draw(st.sampled_from(sorted(tally)))
+        gap = tau(n).lo + draw(st.sampled_from([F(-1, 1 << 30), F(0), F(1, 1 << 30)]))
+        freq = F(tally[k], n)
+        q = freq - gap if freq >= gap else freq + gap
+        if 0 < q < 1:
+            other = symbols[k + 1] if k + 1 < len(symbols) else "off"
+            candidate = make_finite_pmf([(symbols[k], q), (other, 1 - q)])
+    return candidate, target, checkpoints
 
 
-@settings(max_examples=300, deadline=None)
-@given(_band_inputs())
-@example(({0: F(1)}, [0], {0: 1}, 1))  # exact fit still fails tau(1) = [0, 0]
-@example(({0: F(3, 4) - tau(4).lo, 1: F(1, 4)}, [0], {0: 3, 1: 1}, 4))  # at tau(4).lo: fails
-@example(({0: F(1), 1: F(1)}, [0], {0: 10, 1: 0}, 10))  # a zero count is not observed
-def test_within_band_matches_fraction_rule(inputs):
-    masses, symbols, counts, total = inputs
+_TRIPLE = make_finite_pmf([(0, F(2, 5)), (1, F(1, 5)), (2, F(2, 5))])
+_POINT = make_finite_pmf([(0, F(1))])
+_PAST_CUTOFF = make_finite_pmf([(0, F(3, 10)), (1, F(3, 5)), (2, F(1, 10))])
 
-    def mass(a):
-        return masses.get(a, F(0))
 
-    tested = set(symbols) | {a for a, c in counts.items() if c > 0}
-    lo = tau(total).lo
-    expected = all(abs(mass(a) - F(counts.get(a, 0), total)) < lo for a in tested)
-    assert within_band(mass, symbols, counts, total) is expected
+def _edge(delta):
+    """A pmf on 0, 1 at tau(4).lo + delta from the frequencies 3/4, 1/4."""
+    gap = tau(4).lo + delta
+    return make_finite_pmf([(0, F(3, 4) - gap), (1, F(1, 4) + gap)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_compiled_cases())
+@example((_POINT, _POINT, [(1, {0: 1})]))  # an exact fit fails tau(1) = [0, 0]
+# passes only because symbol 1, of mass 3/5 > tau(2).lo, is past the cutoff
+@example((_PAST_CUTOFF, _TRIPLE, [(2, {0: 1, 2: 1})]))
+# a geometric candidate against a finite target: 0 is observed but no
+# symbol of the candidate, and 3, 4, ... lie off the target
+@example((make_geometric_pmf(), _TRIPLE, [(4, {0: 2, 2: 2}), (9, {1: 5, 2: 4}), (300, {1: 200})]))
+# the target's observed symbol 2 is missing from the candidate
+@example((weights_pmf([1, 1]), _TRIPLE, [(100, {0: 45, 1: 45, 2: 10}), (200, {0: 80, 2: 50})]))
+# both symbols at the band's lower end, which fails, and 2**-30 to either side
+@example((_edge(F(0)), _TRIPLE, [(4, {0: 3, 1: 1})]))
+@example((_edge(F(-1, 1 << 30)), _TRIPLE, [(4, {0: 3, 1: 1})]))
+@example((_edge(F(1, 1 << 30)), _TRIPLE, [(4, {0: 3, 1: 1})]))
+def test_compiled_test_matches_candidate_test(case):
+    # the compiled test on index counts against the reference rule on the
+    # symbol counts they stand for, one compiled candidate along growing n
+    candidate, target, checkpoints = case
+    symbols = iid_blocks(target, 0, 0)[1]
+    passes = _compile(symbols, candidate)
+    for n, tally in checkpoints:
+        counts = {symbols[k]: c for k, c in tally.items()}
+        assert passes(Counter(tally), n) is candidate_test(candidate, counts, n), n
 
 
 def test_candidate_test_at_hundred():
@@ -250,9 +296,10 @@ def test_stream_equals_step_at_every_checkpoint(seed, stride, n_max):
 def test_stream_counts_equal_draw_iid_at_every_checkpoint(pmf, seed, stride, n_max):
     # two paths: the blocks of `iid_blocks` and their tally, against the
     # bisect that `draw_iid` maps over the uniforms directly
-    counts = iid_counts(pmf, seed, stride, n_max)
+    blocks, support = iid_blocks(pmf, seed, n_max)
+    tallies = checkpoint_tally(blocks, len(support), stride)
     symbols = draw_iid(pmf, seed, n_max).symbols
     expected = Counter()
     for n in range(stride, n_max + 1, stride):
         expected.update(symbols[n - stride : n])
-        assert next(counts) == dict(expected)
+        assert {support[k]: c for k, c in next(tallies).items()} == expected

@@ -16,7 +16,6 @@ from probid.chains import MarkovChain, chain_blocks, run_chain
 from probid.enumeration import HypothesisList
 from probid.errors import NotErgodic
 from probid.hypotheses import make_finite_pmf
-from probid.iid_identify import candidate_test
 from probid.markov_identify import (
     _compile,
     _compiled_test,
@@ -28,6 +27,7 @@ from probid.markov_identify import (
 from probid.reference import (
     TransitionCounts,
     _rows_pass,
+    candidate_test,
     chain_candidate_test,
     empirical,
     ergodic_mean,

@@ -6,8 +6,8 @@ against `tau(n).lo`, the deficiency of every position from `sigma_stage`,
 and the least index `same` as the target.  The property runs small random
 configs of all three modes through it and through `harness._run_single`
 and asks for equal records, so it guards the lane stream, the chain walk,
-the checkpoint tally, the compiled chain test, `below_tau`, `mass_cutoff`,
-the scan, `SigmaTrace` and the per-base measure step at once.
+the checkpoint tally, the compiled i.i.d. and chain tests, `below_tau`,
+`mass_cutoff`, the scan, `SigmaTrace` and the per-base measure step at once.
 """
 
 from fractions import Fraction
