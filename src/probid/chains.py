@@ -161,14 +161,10 @@ class MarkovChain:
         i = self._index[state]
         return [(s, self.rows[i][k]) for k, s in enumerate(self.states)]
 
-    def same(self, other):
-        """The same set of states and the same row out of each, as a mapping
-        from next state to probability, whatever order the states are in."""
-        return (
-            isinstance(other, MarkovChain)
-            and self._index.keys() == other._index.keys()
-            and all(dict(self.row(s)) == dict(other.row(s)) for s in self.states)
-        )
+    @property
+    def canonical(self):
+        """Each state with its positive transitions, whatever order the states are in."""
+        return "markov", {s: {t: p for t, p in self.row(s) if p} for s in self.states}
 
     def __repr__(self):
         return "MarkovChain(states=%r)" % (self.states,)

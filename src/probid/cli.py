@@ -33,7 +33,7 @@ def _read_json(path):
         raise IoError(str(exc))
     try:
         return json.loads(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigInvalid("", "not valid JSON: %s" % exc)
 
 

@@ -24,18 +24,7 @@ from typing import NamedTuple
 from .errors import IndexOutOfRange
 
 
-class _Enumeration:
-    """The least-passing-index scan: a walk over the indices in order."""
-
-    def least_passing(self, n, passes):
-        """Least i <= scan_bound(n) with passes(i, hypothesis at i) true, else None."""
-        for i in range(1, self.scan_bound(n) + 1):
-            if self.has(i) and passes(i, self.get(i)):
-                return i
-        return None
-
-
-class HypothesisList(_Enumeration):
+class HypothesisList:
     """Stable 1-based enumeration of hypotheses of one kind."""
 
     def __init__(self, kind, items=None, generator=None, length=None):
@@ -59,14 +48,18 @@ class HypothesisList(_Enumeration):
             self._cache[i] = self._generator(i)
         return self._cache[i]
 
-    def has(self, i):
-        return 1 <= i and (self.length is None or i <= self.length)
-
     def scan_bound(self, n):
         """Largest index the identifiers may inspect at sample size n."""
         if self.length is None:
             return n
         return min(n, self.length)
+
+    def least_passing(self, n, passes):
+        """Least i <= scan_bound(n) with passes(hypothesis at i) true, else None."""
+        for i in range(1, self.scan_bound(n) + 1):
+            if passes(self.get(i)):
+                return i
+        return None
 
     def __len__(self):
         if self.length is None:
@@ -87,7 +80,7 @@ def interleave_decode(pos):
     return pos - d * (d - 1) // 2
 
 
-class InterleavedList(_Enumeration):
+class InterleavedList:
     """View of a list in which every element occurs infinitely often.
 
     Over a finite base of length L, positions whose decoded base index
@@ -99,7 +92,6 @@ class InterleavedList(_Enumeration):
     def __init__(self, inner):
         self.inner = inner
         self.kind = inner.kind
-        self.length = None  # positions are unbounded
 
     def decode(self, pos):
         return interleave_decode(pos)
@@ -110,9 +102,6 @@ class InterleavedList(_Enumeration):
     def has(self, pos):
         b = interleave_decode(pos)
         return self.inner.length is None or b <= self.inner.length
-
-    def scan_bound(self, n):
-        return n
 
 
 class GuessTrace(NamedTuple):

@@ -310,12 +310,9 @@ def _build_list(mode, specs, path, symbol_types):
 
 
 def minimal_equal_index(hyp_list, target_index):
-    """The answer a run must reach: the least index `same` as the target."""
-    target = hyp_list.get(target_index)
-    for i in range(1, target_index + 1):
-        if hyp_list.get(i).same(target):
-            return i
-    return target_index
+    """The answer a run must reach: the least index of the target's model."""
+    target = hyp_list.get(target_index).canonical
+    return next(i for i in range(1, target_index + 1) if hyp_list.get(i).canonical == target)
 
 
 # ---------------------------------------------------------------------------

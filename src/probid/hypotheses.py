@@ -7,8 +7,9 @@ outward-rounded brackets of the irrational thresholds (see `exactnum`).
 A hypothesis carries a `HypothesisSpec`, a finite JSON-safe description
 (family tag plus rational parameters) that reconstructs it losslessly, and
 the `kind` of `HypothesisList` it joins: "pmf", "markov" or "measure".
-Its `same(other)` decides whether another hypothesis is the same model,
-which settles the right answer of a run (`harness.minimal_equal_index`).
+Its `canonical` form, a plain value tagged by family, is `==` another's
+exactly when the two are one model (`harness.minimal_equal_index`); no
+`__eq__` or `__hash__` reads it, as caches key on hypothesis objects.
 The pmfs are defined here, Markov chains in `chains`, measures in
 `measures` and the `simple_pmf` term language in `terms`; a family's
 module is imported the first time a spec names it.
@@ -104,12 +105,13 @@ class FinitePmf:
     def items(self):
         return [(s, self._masses[s]) for s in self._order]
 
-    def same(self, other):
-        """Extensional equality: the same mass on every symbol."""
-        return isinstance(other, FinitePmf) and self._masses == other._masses
+    @property
+    def canonical(self):
+        """The mass of each symbol, in any order: the dict itself, not a copy."""
+        return "pmf", self._masses
 
     def __repr__(self):
-        return "FinitePmf(%s)" % (self.spec.params["probs"],)
+        return "FinitePmf(%s)" % (self.spec.params,)
 
 
 class GeometricPmf:
@@ -140,8 +142,7 @@ class GeometricPmf:
             return ZERO
         return ONE - Fraction(1, 1 << m)
 
-    def same(self, other):
-        return isinstance(other, GeometricPmf)
+    canonical = "geometric_pmf", None
 
     def __repr__(self):
         return "GeometricPmf()"
@@ -186,6 +187,15 @@ def _int_param(params, name):
     return value
 
 
+def _pmf_spec(params):
+    """A product measure's `pmf`, refused unless it names a pmf family before
+    it is built: products nested hundreds deep would recurse past the limit."""
+    spec, pmfs = params["pmf"], ("finite_pmf", "simple_pmf", "geometric_pmf")
+    if not isinstance(spec, dict) or spec.get("family") not in pmfs:
+        raise BadSymbol("pmf must name one of %s" % ", ".join(pmfs))
+    return spec
+
+
 # family -> (the module that defines it, a function of that module and the
 # spec's params that builds it); the module is imported the first time a
 # spec names the family
@@ -200,7 +210,7 @@ _FAMILIES = {
         "chains",
         lambda m, p: m.MarkovChain(p["states"], [[_parse_frac(v) for v in r] for r in p["rows"]]),
     ),
-    "iid_measure": ("measures", lambda m, p: m.make_iid_measure(build_hypothesis(p["pmf"]))),
+    "iid_measure": ("measures", lambda m, p: m.make_iid_measure(build_hypothesis(_pmf_spec(p)))),
     "marked_run": (
         "measures",
         lambda m, p: m.make_mu_k(_int_param(p, "k"), _int_param(p, "marker")),

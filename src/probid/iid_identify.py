@@ -79,6 +79,6 @@ def identify_stream(hyp_list, target_pmf, seed, n_max, stride=100):
 
     def step(n):
         tally = next(tallies)
-        return hyp_list.least_passing(n, lambda i, pmf: compiled(pmf)(tally, n))
+        return hyp_list.least_passing(n, lambda pmf: compiled(pmf)(tally, n))
 
     return checkpoint_trace(step, n_max, stride)

@@ -127,7 +127,7 @@ def identify_chain_stream(hyp_list, source, x0, seed, n_max, stride=100):
         visits, trans = next(counts)
         gated = _gated(spans, visits, trans, n)
         return hyp_list.least_passing(
-            n, lambda i, chain: _compiled_test(compiled(chain), visits, trans, gated, n)
+            n, lambda chain: _compiled_test(compiled(chain), visits, trans, gated, n)
         )
 
     return checkpoint_trace(step, n_max, stride)

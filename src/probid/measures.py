@@ -28,24 +28,19 @@ class MeasureBase:
     mass of the extended prefix.  Once a prefix has mass 0, so does every
     extension.  Masses and conditionals are derived from `step` alone.
 
-    Each family also defines `log2_prefixes(symbols)`: for a sequence, it
-    yields the plain int pair (floor(log2 m), ceil(log2 m)) of the mass m
-    of symbols[:1], symbols[:2], ..., and `MASS_ZERO` = (-inf, -inf) where
-    m is 0, without building any m it can avoid.
+    Each family also defines `canonical`, equal for two measures exactly
+    when they give every word the same mass, and `log2_prefixes(symbols)`:
+    for a sequence, it yields the plain int pair (floor(log2 m), ceil(log2
+    m)) of the mass m of symbols[:1], symbols[:2], ..., and `MASS_ZERO` =
+    (-inf, -inf) where m is 0, without building any m it can avoid.
     """
 
     kind = "measure"
     alphabet = ()
-    spec = None
     start = None
 
     def step(self, state, i, a):
         raise NotImplementedError
-
-    def same(self, other):
-        """Extensional equality of measures is undecidable; spec equality is
-        the decidable stand-in for the shipped families."""
-        return self.spec == other.spec
 
     def _prefix_state(self, prefix):
         """(state, mass) of a whole prefix."""
@@ -84,9 +79,12 @@ class ProductMeasure(MeasureBase):
         mass = state * self.pmf.mass(a)
         return mass, mass
 
-    def same(self, other):
-        """Equal exactly when the pmfs are, in any symbol order."""
-        return isinstance(other, ProductMeasure) and self.pmf.same(other.pmf)
+    @property
+    def canonical(self):
+        """The run of its symbol for a point mass, else the pmf's masses."""
+        if len(self.alphabet) == 1:
+            return _run_form(self.alphabet[0])
+        return "product", self.pmf.canonical
 
     def log2_prefixes(self, symbols):
         return _product_row(self._ratios, symbols)
@@ -136,7 +134,7 @@ class PathMixtureMeasure(MeasureBase):
     exactly because exactly one continuation keeps an atom alive.
     """
 
-    def __init__(self, alphabet, atoms, spec=None):
+    def __init__(self, alphabet, atoms, spec):
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise BadSymbol("alphabet has repeats")
@@ -144,7 +142,7 @@ class PathMixtureMeasure(MeasureBase):
         if total != 1:
             raise SumNotOne("atom weights sum to %s" % total)
         self.start = tuple(atoms)  # the atoms whose path extends the prefix
-        self.spec = spec or HypothesisSpec("path_mixture", {})
+        self.spec = spec
 
     def _symbol_at(self, atom_path, i):
         kind = atom_path[0]
@@ -153,19 +151,16 @@ class PathMixtureMeasure(MeasureBase):
         # ("switch", first_symbol, switch_after, second_symbol)
         return atom_path[1] if i < atom_path[2] else atom_path[3]
 
-    def same(self, other):
-        """The same total weight on each path, in any order and whatever the
-        alphabet lists; a switch path whose two symbols are equal is the run
-        of that symbol."""
-        return isinstance(other, PathMixtureMeasure) and self._weights() == other._weights()
-
-    def _weights(self):
+    @property
+    def canonical(self):
+        """The total weight on each path, whatever the alphabet lists; a
+        switch path whose two symbols are equal is the run of that symbol."""
         weights = {}
         for w, path in self.start:
             if path[0] == "switch" and path[1] == path[3]:
                 path = ("run", path[1])
             weights[path] = weights.get(path, ZERO) + w
-        return weights
+        return "paths", weights
 
     def step(self, state, i, a):
         alive = tuple((w, p) for w, p in state if self._symbol_at(p, i) == a)
@@ -182,6 +177,11 @@ class PathMixtureMeasure(MeasureBase):
                     pair = log2_bracket(mass) if mass else MASS_ZERO
                 state = alive
             yield pair
+
+
+def _run_form(symbol):
+    """The form of the run of `symbol`, also a point-mass product's and k = 1 marked run's."""
+    return "paths", {("run", symbol): ONE}
 
 
 def constant_run_measure(alphabet, symbol):
@@ -258,6 +258,13 @@ class MarkedRunMeasure(MeasureBase):
         self.alphabet = tuple(range(1, k + 1))
         self._symbols = frozenset(self.alphabet)
         self.spec = HypothesisSpec("marked_run", {"k": k, "marker": marker})
+
+    @property
+    def canonical(self):
+        """The run of the marker when k = 1, else (k, marker)."""
+        if self.k == 1:
+            return _run_form(self.marker)
+        return "marked_run", (self.k, self.marker)
 
     def step(self, state, i, a):
         if state == "dead" or a not in self._symbols:

@@ -346,7 +346,8 @@ def reference_trace(cfg, seed):
     correct = None
     if cfg.target_index is not None:
         hyps, t = cfg.hypotheses, cfg.target_index
-        expected = next(i for i in range(1, t + 1) if hyps.get(i).same(hyps.get(t)))
+        target = hyps.get(t).canonical
+        expected = next(i for i in range(1, t + 1) if hyps.get(i).canonical == target)
         # a measure guess is a position of the interleaved list
         correct = (_bases(final)[-1] if cfg.mode == "measure" else final) == expected
     return rows, converged, final, correct

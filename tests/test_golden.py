@@ -25,7 +25,8 @@ checkpoint per symbol ("measure-all-rows-stride-1"), where each running
 sigma maximum is carried one prefix at a time.  "measure-fallback"
 and "measure-duplicates" pin the measure step, which is decided per base
 measure: an input that no position ever passes, and a list that repeats
-two of its measures.
+two of its measures.  "measure-one-run-two-families" lists the run of 1
+as a constant run and as a marked run on {1}, one model in two families.
 """
 
 import hashlib
@@ -445,6 +446,25 @@ GOLDEN = {
         },
         "41b033d91eb9dfa2359fa3ce18b997c57a8e69cd62dc6f70588d385de1f5d5bd",
         "3e672445563922cf3994c7b3ae1f21d6964f9b063321d2584f2ce7b6a1a0cadb",
+    ),
+    # the run of 1 written twice: the target, item 2, is one model with item
+    # 1, so the runs that end on item 1 are correct
+    "measure-one-run-two-families": (
+        {
+            "mode": "measure",
+            "list": {
+                "items": [
+                    {"family": "constant_run", "params": {"alphabet": [1], "symbol": 1}},
+                    {"family": "marked_run", "params": {"k": 1, "marker": 1}},
+                ]
+            },
+            "target_index": 2,
+            "n_max": 200,
+            "checkpoint": {"stride": 50},
+            "seeds": [1, 2],
+        },
+        "2def2313d0eebc6b4a6a5388b13e0336b209a67fd116a078a3030b54915747c8",
+        "b7f3a120084264b199b2d82a519438fc72dc75be029cfe22d8bd05072db3219a",
     ),
 }
 

@@ -152,21 +152,27 @@ def _run_of(alphabet, symbol):
     return {"family": "constant_run", "params": {"alphabet": alphabet, "symbol": symbol}}
 
 
+_SWITCH_A_TO_A = {
+    "family": "switch_pair",
+    "params": {"alphabet": ["a", "b"], "run_symbol": "a", "switch_symbol": "a", "n_switch": 3},
+}
+
+
 @pytest.mark.parametrize(
-    "first",
+    "first, second",
     [
-        _run_of(["a", "b"], "a"),
-        {
-            "family": "switch_pair",
-            "params": {"alphabet": ["a", "b"], "run_symbol": "a", "switch_symbol": "a", "n_switch": 3},
-        },
+        (_run_of(["a", "b"], "a"), _run_of(["b", "a"], "a")),
+        (_SWITCH_A_TO_A, _run_of(["b", "a"], "a")),
+        # the run of 1 written in two other families
+        (_run_of([1], 1), {"family": "marked_run", "params": {"k": 1, "marker": 1}}),
+        (_run_of([1], 1), {"family": "iid_measure", "params": {"pmf": _pmf_spec((1, 1))}}),
     ],
-    ids=["alphabet-reordered", "switch-to-itself"],
+    ids=["alphabet-reordered", "switch-to-itself", "marked-run-on-one-symbol", "point-mass-product"],
 )
-def test_a_path_mixture_written_another_way_is_the_same_model(first):
+def test_a_path_mixture_written_another_way_is_the_same_model(first, second):
     # a run ending on item 1, the same measure as the target, item 2, is correct
     cfg = _measure_cfg(
-        list={"items": [first, _run_of(["b", "a"], "a")]},
+        list={"items": [first, second]},
         n_max=200,
         checkpoint={"stride": 50},
         seeds=[1, 2],
@@ -898,6 +904,9 @@ def test_cli_demo_and_stationary(tmp_path, capsys):
     assert "config invalid: chain: file does not describe a Markov chain" in capsys.readouterr().err
     bad.write_text("{")
     assert cli.main(["stationary", "--chain", str(bad)]) == 2
+    bad.write_text("[" * 100000)
+    assert cli.main(["stationary", "--chain", str(bad)]) == 2
+    assert "config invalid: : not valid JSON: maximum recursion depth exceeded" in capsys.readouterr().err
     assert cli.main(["stationary", "--chain", str(tmp_path / "missing.json")]) == 3
 
 
@@ -922,6 +931,8 @@ _BAD_FIRST_PMFS = [
     ("term longer than 256 tokens", _term_item("+".join(["j"] * 3000))),
     ("size must be an integer", _term_item("j", size=True)),
 ]
+
+
 _MARKED_HUGE = {"family": "marked_run", "params": {"k": 10**9, "marker": 1}}
 _BAD_FIRST_MEASURES = [
     ("k must be an integer", {"family": "marked_run", "params": {"k": True, "marker": 1}}),
@@ -993,6 +1004,45 @@ def test_cli_rejects_bad_config_with_field_path(tmp_path, capsys, cfg, path):
     for command in (["validate", "--config", config], ["run", "--config", config]):
         assert cli.main(command) == 2
         assert "config invalid: %s" % path in capsys.readouterr().err
+
+
+def _nested_products(depth):
+    """A measure config whose one item is a product measure of a product
+    measure ... `depth` deep, written as text, since `json.dumps` recurses."""
+    pmf = json.dumps(_pmf_spec(("a", "1/2"), ("b", "1/2")))
+    item = '{"family": "iid_measure", "params": {"pmf": ' * depth + pmf + "}}" * depth
+    return json.dumps(_measure_cfg(list={"items": ["ITEM"]})).replace('"ITEM"', item).encode()
+
+
+# exit status and standard error of `cli.main` validate and run on each config
+_VALIDATE_AND_RUN = """
+import contextlib, io, json, sys
+from probid import cli
+out = []
+for config in sys.argv[1:]:
+    for command in ("validate", "run"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            out.append((config, cli.main([command, "--config", config]), err.getvalue()))
+print(json.dumps(out))
+"""
+
+
+def test_cli_refuses_configs_nested_past_the_recursion_limit(tmp_path):
+    # each ended in a RecursionError traceback (products at 450 deep exited 2
+    # with an AttributeError); a fresh interpreter has the console script's
+    # shallow stack, which the 490 products need to parse at all
+    cases = {"deep_json": (b"[" * 100000, "config invalid: : not valid JSON: maximum recursion depth exceeded")}
+    for depth in (2, 450, 490):
+        cases["products_%d" % depth] = (
+            _nested_products(depth),
+            "config invalid: list.items[0]: pmf must name one of",
+        )
+    paths = {_write_cfg(tmp_path, cfg, name + ".json"): why for name, (cfg, why) in cases.items()}
+    results = json.loads(_fresh_python(_VALIDATE_AND_RUN, *paths))
+    assert len(results) == 2 * len(cases)
+    for config, status, err in results:
+        assert status == 2 and paths[config] in err, (config, err)
 
 
 @pytest.mark.parametrize("start", [True, 1.0], ids=["true", "1.0"])

@@ -1,11 +1,13 @@
 """Model families: exactness, normalization, measure equalities, specs."""
 
 import json
+import time
 from fractions import Fraction
+from itertools import product
 from math import gcd, inf
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from probid.chains import MarkovChain
 from probid.errors import (
@@ -60,8 +62,8 @@ def test_finite_pmf_rejects_bad_input():
 def test_extensional_equality_ignores_order_and_spec():
     a = make_finite_pmf([(0, F(2, 5)), (1, F(3, 5))])
     b = make_finite_pmf([(1, F(3, 5)), (0, F(2, 5))])
-    assert a.same(b) and a.spec != b.spec
-    assert not a.same(make_geometric_pmf())
+    assert a.canonical == b.canonical and a.spec != b.spec
+    assert a.canonical != make_geometric_pmf().canonical
 
 
 # -- simple (term-defined) pmfs ----------------------------------------------
@@ -447,16 +449,15 @@ def test_spec_round_trip_through_json(hyp):
     wire = json.dumps(hyp.spec.to_obj())
     rebuilt = build_hypothesis(HypothesisSpec.from_obj(json.loads(wire)))
     assert rebuilt.spec == hyp.spec
-    assert rebuilt.same(hyp)
+    assert rebuilt.canonical == hyp.canonical
 
 
 # -- equality of hypotheses -------------------------------------------------------
 
 
 def _same(a, b):
-    """a.same(b), checked to equal b.same(a)."""
-    assert a.same(b) == b.same(a)
-    return a.same(b)
+    """Whether a and b are one model: their forms are equal."""
+    return a.canonical == b.canonical
 
 
 def test_simple_and_finite_pmfs_of_equal_masses_are_the_same():
@@ -500,6 +501,100 @@ def test_path_mixtures_are_the_same_when_their_path_weights_are():
 @pytest.mark.parametrize("a", _DISTINCT, ids=lambda h: h.spec.family)
 @pytest.mark.parametrize("b", _DISTINCT, ids=lambda h: h.spec.family)
 def test_same_holds_between_equal_hypotheses_only(a, b):
-    # so a product measure is never the same as a path mixture or a marked run
+    # so a product measure of two or more symbols is never the same as a
+    # path mixture or a marked run
     assert _same(a, b) == (a is b)
     assert _same(a, build_hypothesis(b.spec)) == (a is b)
+
+
+def test_switch_pair_forms_compare_in_microseconds():
+    # a form does not grow with n_switch, which no cap bounds in a list item
+    a = switch_pair_measure(("a", "b"), "a", "b", 10**9)
+    b = switch_pair_measure(("b", "a"), "a", "b", 10**9)
+    c = switch_pair_measure(("a", "b"), "a", "b", 10**9 + 1)
+    start = time.perf_counter()
+    for _ in range(1000):
+        assert _same(a, b) and not _same(a, c)
+    assert time.perf_counter() - start < 0.1  # 100 us a loop, far above the few us it takes
+
+
+# -- canonical forms against brute force -----------------------------------------
+
+def _draw_pmf(draw, symbols):
+    """A finite pmf on `symbols` with small integer weights."""
+    weights = [draw(st.integers(1, 3)) for _ in symbols]
+    return make_finite_pmf([(s, F(w, sum(weights))) for s, w in zip(symbols, weights)])
+
+
+@st.composite
+def _small_pmfs(draw):
+    kind = draw(st.sampled_from(("finite", "simple", "geometric")))
+    if kind == "geometric":
+        return make_geometric_pmf()
+    if kind == "simple":
+        return make_simple_pmf(draw(st.sampled_from(("1", "j"))), draw(st.integers(1, 3)))
+    return _draw_pmf(draw, draw(st.permutations((1, 2, 3)))[: draw(st.integers(1, 3))])
+
+
+_ROWS = ((HALF, HALF), (F(1, 4), F(3, 4)), (F(0), F(1)), (F(1), F(0)))
+
+
+@st.composite
+def _small_chains(draw):
+    states = draw(st.permutations((0, 1)))[: draw(st.integers(1, 2))]
+    if len(states) == 1:
+        return MarkovChain(states, [[F(1)]])
+    try:
+        return MarkovChain(states, [draw(st.sampled_from(_ROWS)) for _ in states])
+    except NotErgodic:
+        assume(False)
+
+
+@st.composite
+def _small_measures(draw):
+    """Measures on {1, 2}: point-mass products, switches to their own symbol
+    and marked runs with k = 1 among them."""
+    kind = draw(st.sampled_from(("product", "run", "switch", "marked")))
+    alphabet = tuple(draw(st.permutations((1, 2))))
+    a, b = draw(st.sampled_from(alphabet)), draw(st.sampled_from(alphabet))
+    if kind == "product":
+        return make_iid_measure(_draw_pmf(draw, alphabet[: draw(st.integers(1, 2))]))
+    if kind == "run":
+        return constant_run_measure(alphabet, a)
+    if kind == "switch":
+        return switch_pair_measure(alphabet, a, b, draw(st.integers(1, 3)))
+    k = draw(st.integers(1, 2))
+    return make_mu_k(k, draw(st.integers(1, k)))
+
+
+def _masses(h, length):
+    """h's mass on every word it is defined on, up to `length` symbols: a
+    pmf's on symbols 1..4, a chain's on each step out of states 0 and 1 (None
+    out of a state it lacks), a measure's on every word over {1, 2}."""
+    if h.kind == "pmf":
+        return [h.mass(s) for s in range(1, 5)]
+    if h.kind == "markov":
+        rows = {s: dict(h.row(s)) for s in h.states}
+        return [rows[s].get(t, 0) if s in rows else None for s in (0, 1) for t in (0, 1)]
+    return [h.mass(w) for n in range(length + 1) for w in product((1, 2), repeat=n)]
+
+
+_RUN_OF_1 = constant_run_measure((1,), 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pair=st.tuples(_small_pmfs(), _small_pmfs())
+    | st.tuples(_small_chains(), _small_chains())
+    | st.tuples(_small_measures(), _small_measures())
+)
+@example(pair=(make_finite_pmf([(2, F(2, 3)), (1, F(1, 3))]), make_simple_pmf("j", 2)))
+@example(pair=(_RUN_OF_1, make_mu_k(1, 1)))
+@example(pair=(_RUN_OF_1, make_iid_measure(make_finite_pmf([(1, F(1))]))))
+@example(pair=(_RUN_OF_1, switch_pair_measure((2, 1), 1, 1, 3)))
+def test_forms_are_equal_iff_the_masses_are(pair):
+    # words up to max n_switch + 2 symbols tell apart two switch pairs that
+    # switch at different points, and all other measures by two symbols
+    a, b = pair
+    length = max(h.spec.params.get("n_switch", 0) for h in pair) + 2
+    assert (a.canonical == b.canonical) == (_masses(a, length) == _masses(b, length))
