@@ -32,20 +32,20 @@ def _lend(namespace, table):
 
 # module -> the public names it defines
 _EXPORTS = {
-    "bands": ("tau",),
     "chains": ("MarkovChain", "run_chain"),
     "enumeration": ("GuessTrace", "HypothesisList", "InterleavedList", "interleave_decode"),
     "exactnum": ("Bracket", "Rational"),
-    "hypotheses": ("HypothesisSpec", "build_hypothesis", "make_finite_pmf", "make_geometric_pmf"),
+    "hypotheses": ("HypothesisSpec", "build_hypothesis"),
     "iid_identify": ("identify_stream",),
     "measure_identify": ("identify_measure_step", "identify_measure_stream"),
     "measures": ("draw_from_measure", "make_black_swan_pair", "make_iid_measure", "make_mu_k"),
+    "pmfs": ("SamplePrefix", "draw_iid", "make_finite_pmf", "make_geometric_pmf"),
     "predict": ("black_swan_demo", "predict_iid", "predict_markov", "predict_measure"),
     "reference": (
         "Rng", "candidate_test", "ergodic_mean", "identify_chain", "identify_step",
         "sigma_stage", "stationary",
     ),
-    "sampling": ("SamplePrefix", "draw_iid"),
+    "tau_bracket": ("tau",),
     "terms": ("make_simple_pmf",),
 }
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

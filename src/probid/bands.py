@@ -3,7 +3,7 @@ and the running counts they hold to it.
 
 Those loops decide strict inequalities such as |q(a) - freq(a)| <
 sqrt(ln n / n).  The left side is an exact rational but the threshold is
-irrational, so `tau` evaluates it as a rational interval
+irrational, so `tau_bracket.tau` evaluates it as a rational interval
 (`exactnum.Bracket`) of width below 2**-20 with outward rounding.
 Comparing a rational against a bracket is then exact and platform
 independent; a value inside the bracket counts as a failure, so a
@@ -12,7 +12,9 @@ deviation d/scale passes at size n iff d/scale < tau(n).lo.
 `below_tau` makes every such decision, and computes the bracket only where
 bit lengths cannot decide it: with b the bit length of n, (b-1) ln 2 <=
 ln n < b ln 2, and two comparisons of integer squares against 64-bit bounds
-of ln 2 settle all but a thin shell around the threshold.  Both streams
+of ln 2 settle all but a thin shell around the threshold.  Only a
+decision in the shell imports `tau_bracket`, so a run that makes none
+compiles no bracket series.  Both streams
 compile candidates against the indices they count (`_against`) and hand it
 the largest integer deviation of a clause (`_deviation`).
 
@@ -29,89 +31,13 @@ load this module.
 """
 
 from collections import Counter
-from fractions import Fraction
-from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 from operator import sub
 
-from .errors import ProbidError
-from .exactnum import Bracket
 from .sampling import _BLOCK_STEPS
-
-#: Guaranteed maximum width of the brackets `tau` produces.
-BRACKET_EPS = Fraction(1, 1 << 20)
-
-_ZERO = Fraction(0)
-_THIRD = Fraction(1, 3)
 
 #: ln 2 to 64 bits: _LN2_LO / 2**64 < ln 2 < (_LN2_LO + 1) / 2**64.
 _LN2_LO = 0xB17217F7D1CF79AB
-
-
-def _atanh_twice(z, eps):
-    """Bracket 2*atanh(z) = ln((1+z)/(1-z)) for rational 0 < z <= 1/3.
-
-    Partial sums of 2*sum z^(2i+1)/(2i+1) are exact lower bounds; the tail
-    after truncation is below 2*z^(2t+3)/(2t+3) * 1/(1-z^2) <= next_term*9/8
-    because z^2 <= 1/9.
-    """
-    zz = z * z
-    power = z
-    total = _ZERO
-    i = 0
-    while True:
-        total += power / (2 * i + 1)
-        i += 1
-        power *= zz
-        tail = Fraction(9, 4) * power / (2 * i + 1)  # 2 * 9/8 * next term
-        if tail < eps:
-            return 2 * total, 2 * total + tail
-
-
-@lru_cache(maxsize=256)  # one eps per bit length of n, for two widths
-def _ln2(eps):
-    # ln 2 = 2*atanh(1/3)
-    return _atanh_twice(_THIRD, eps)
-
-
-def ln_bracket(n, eps=BRACKET_EPS):
-    """Bracket the natural logarithm of an integer n >= 2, width < eps.
-
-    With n = 2**e * m, 1 <= m < 2, ln n = e ln 2 + 2*atanh((m-1)/(m+1)),
-    each half bracketed to eps/2; m = 1 adds nothing.
-    """
-    e = n.bit_length() - 1
-    part = eps / 2
-    l2lo, l2hi = _ln2(part / e)
-    if n == 1 << e:
-        return Bracket(e * l2lo, e * l2hi)
-    m = Fraction(n, 1 << e)
-    mlo, mhi = _atanh_twice((m - 1) / (m + 1), part)
-    return Bracket(e * l2lo + mlo, e * l2hi + mhi)
-
-
-def _sqrt_steps(q, bits):
-    """floor(sqrt(q) * 2**bits): a / 2**bits <= sqrt(q) < (a + 1) / 2**bits."""
-    scaled = q * (1 << (2 * bits))
-    return isqrt(scaled.numerator // scaled.denominator)
-
-
-@lru_cache(maxsize=1 << 15)  # perfbench reads cache_info(); `below_tau` asks for few n
-def tau(n):
-    """Bracket of sqrt(ln n / n), the per-sample frequency threshold.
-
-    Total for n >= 1; tau(1) is exactly [0, 0] since ln 1 = 0.  The bracket
-    width stays below 2**-20: ln n is bracketed to 2**-24, dividing by n
-    shrinks that further, and the square root is taken on an outward dyadic
-    grid of step 2**-24 at both endpoints.
-    """
-    if n < 1:
-        raise ProbidError("tau needs n >= 1")
-    if n == 1:
-        return Bracket(_ZERO, _ZERO)
-    lo, hi = ln_bracket(n, Fraction(1, 1 << 24))
-    steps_lo, steps_hi = _sqrt_steps(lo / n, 24), _sqrt_steps(hi / n, 24)
-    return Bracket(Fraction(steps_lo, 1 << 24), Fraction(steps_hi + 1, 1 << 24))
 
 
 def below_tau(d, scale, n):
@@ -131,6 +57,8 @@ def below_tau(d, scale, n):
         return True
     if d * d * n << 64 >= b * (_LN2_LO + 1) * square:
         return False
+    from .tau_bracket import tau
+
     lo = tau(n).lo
     return d * lo.denominator < lo.numerator * scale
 

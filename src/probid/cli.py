@@ -24,8 +24,9 @@ def write_plot_script(out_dir):
     _write_file(out_dir, "plot.gp", PLOT_SCRIPT)
 
 
-def _read_json(path):
-    """The JSON value in the file at `path`, for configs and chain files."""
+def _read_json(path, flag):
+    """The JSON value in the file at `path`, for configs and chain files;
+    a refusal names `flag`, the option that gave the path."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -34,11 +35,11 @@ def _read_json(path):
     try:
         return json.loads(data)
     except (ValueError, RecursionError) as exc:
-        raise ConfigInvalid("", "not valid JSON: %s" % exc)
+        raise ConfigInvalid(flag, "not valid JSON: %s" % exc)
 
 
 def load_config_file(path):
-    return ExperimentConfig.from_obj(_read_json(path))
+    return ExperimentConfig.from_obj(_read_json(path, "--config"))
 
 
 def _build_parser():
@@ -99,7 +100,7 @@ def _cmd_demo(args):
 
 
 def _cmd_stationary(args):
-    obj = _read_json(args.chain)
+    obj = _read_json(args.chain, "--chain")
     try:
         chain = build_hypothesis(obj if "family" in obj else {"family": "markov", "params": obj})
     except Exception as exc:

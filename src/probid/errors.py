@@ -58,12 +58,12 @@ class EmptyInput(ProbidError):
 
 
 class ConfigInvalid(ProbidError):
-    """Experiment configuration rejected; `path` names the offending field."""
+    """Experiment configuration rejected; `path` names the offending field,
+    or is empty when the fault is the config as a whole."""
 
     def __init__(self, path, message=""):
         self.path = path
-        text = path if not message else "%s: %s" % (path, message)
-        super().__init__(text)
+        super().__init__(": ".join(filter(None, (path, message))))
 
 
 class IoError(ProbidError):

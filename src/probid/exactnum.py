@@ -8,9 +8,10 @@ unreduced numerator and denominator.  That is all the description lengths
 need, since every other term they are compared with is an integer (see
 `complexity` and `measure_identify`).
 
-The bracket of the irrational band sqrt(ln n / n), `tau`, and the tests
-against it are in `bands`, which only the i.i.d. and markov identifiers
-load; `tau` still resolves from this module.
+The bracket of the irrational band sqrt(ln n / n), `tau`, is in
+`tau_bracket`, which `bands.below_tau` imports only where bit lengths
+cannot decide; `tau` still resolves from this module.  A markov run loads
+neither module.
 
 Rationals are `fractions.Fraction` (arbitrary precision, normalized with a
 positive denominator), re-exported as `Rational`.
@@ -66,5 +67,5 @@ def log2_ratio_bracket(num, den, twos=0):
     return e, e if num == den else e + 1
 
 
-# the band bracket, which moved to `bands` and resolves from here too
-__getattr__ = _lend(globals(), {"bands": ("tau",)})
+# the band bracket, which moved to `tau_bracket` and resolves from here too
+__getattr__ = _lend(globals(), {"tau_bracket": ("tau",)})

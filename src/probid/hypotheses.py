@@ -1,4 +1,4 @@
-"""Computable probability models: specs, pmfs, and `build_hypothesis`.
+"""Computable probability models: specs and `build_hypothesis`.
 
 Every shipped family is exact: masses are `Fraction`s evaluated with error
 0.  The identifiers consume exact values only; they compare them against
@@ -10,18 +10,17 @@ the `kind` of `HypothesisList` it joins: "pmf", "markov" or "measure".
 Its `canonical` form, a plain value tagged by family, is `==` another's
 exactly when the two are one model (`harness.minimal_equal_index`); no
 `__eq__` or `__hash__` reads it, as caches key on hypothesis objects.
-The pmfs are defined here, Markov chains in `chains`, measures in
-`measures` and the `simple_pmf` term language in `terms`; a family's
-module is imported the first time a spec names it.
+The pmfs and their sampler are defined in `pmfs`, Markov chains in
+`chains`, measures in `measures` and the `simple_pmf` term language in
+`terms`; a family's module is imported the first time a spec names it.
 """
 
 import importlib
 from fractions import Fraction
-from itertools import accumulate
 from typing import NamedTuple
 
 from . import _lend
-from .errors import BadSymbol, IndexOutOfRange, NonpositiveMass, SumNotOne
+from .errors import BadSymbol
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -47,114 +46,6 @@ class HypothesisSpec(NamedTuple):
     @staticmethod
     def from_obj(obj):
         return HypothesisSpec(obj["family"], dict(obj.get("params", {})))
-
-
-# ---------------------------------------------------------------------------
-# Probability mass functions
-# ---------------------------------------------------------------------------
-
-
-class FinitePmf:
-    """Exact pmf on a finite ordered support; all masses strictly positive."""
-
-    kind = "pmf"
-
-    def __init__(self, probs, spec=None):
-        order = []
-        masses = {}
-        for symbol, value in probs:
-            q = Fraction(value)
-            if q <= 0:
-                raise NonpositiveMass("mass of %r is %s" % (symbol, q))
-            if symbol in masses:
-                raise BadSymbol("duplicate symbol %r" % (symbol,))
-            order.append(symbol)
-            masses[symbol] = q
-        self._cums = tuple(accumulate(masses.values()))
-        total = self._cums[-1] if self._cums else ZERO
-        if total != 1:
-            raise SumNotOne("masses sum to %s" % total)
-        self._order = tuple(order)
-        self._masses = masses
-        self.spec = spec or HypothesisSpec(
-            "finite_pmf",
-            {"probs": [[s, _frac_str(masses[s])] for s in order]},
-        )
-
-    @property
-    def support_size(self):
-        return len(self._order)
-
-    def support(self, j):
-        """Symbol at 1-based support position j."""
-        if not 1 <= j <= len(self._order):
-            raise IndexOutOfRange("support position %d" % j)
-        return self._order[j - 1]
-
-    def mass(self, symbol):
-        return self._masses.get(symbol, ZERO)
-
-    def prefix_mass(self, m):
-        """Exact total mass of the first m support symbols."""
-        if m <= 0:
-            return ZERO
-        if m >= len(self._cums):
-            return ONE
-        return self._cums[m - 1]
-
-    def items(self):
-        return [(s, self._masses[s]) for s in self._order]
-
-    @property
-    def canonical(self):
-        """The mass of each symbol, in any order: the dict itself, not a copy."""
-        return "pmf", self._masses
-
-    def __repr__(self):
-        return "FinitePmf(%s)" % (self.spec.params,)
-
-
-class GeometricPmf:
-    """Exact pmf p(j) = 2**-j on support 1, 2, 3, ...
-
-    Infinite support with a closed-form prefix mass 1 - 2**-m, which is what
-    the tail cutoffs of the i.i.d. identifier consume.
-    """
-
-    kind = "pmf"
-    support_size = None
-
-    def __init__(self):
-        self.spec = HypothesisSpec("geometric_pmf", {})
-
-    def support(self, j):
-        if j < 1:
-            raise IndexOutOfRange("support position %d" % j)
-        return j
-
-    def mass(self, symbol):
-        if isinstance(symbol, int) and symbol >= 1:
-            return Fraction(1, 1 << symbol)
-        return ZERO
-
-    def prefix_mass(self, m):
-        if m <= 0:
-            return ZERO
-        return ONE - Fraction(1, 1 << m)
-
-    canonical = "geometric_pmf", None
-
-    def __repr__(self):
-        return "GeometricPmf()"
-
-
-def make_finite_pmf(probs):
-    """Exact pmf from (symbol, rational mass) pairs summing to 1."""
-    return FinitePmf(probs)
-
-
-def make_geometric_pmf():
-    return GeometricPmf()
 
 
 # Building a pmf costs microseconds and hundreds of bytes per symbol, so an
@@ -201,11 +92,11 @@ def _pmf_spec(params):
 # spec names the family
 _FAMILIES = {
     "finite_pmf": (
-        "hypotheses",
+        "pmfs",
         lambda m, p: m.make_finite_pmf([(s, _parse_frac(v)) for s, v in p["probs"]]),
     ),
     "simple_pmf": ("terms", lambda m, p: m.make_simple_pmf(p["term"], _int_param(p, "size"))),
-    "geometric_pmf": ("hypotheses", lambda m, p: m.make_geometric_pmf()),
+    "geometric_pmf": ("pmfs", lambda m, p: m.make_geometric_pmf()),
     "markov": (
         "chains",
         lambda m, p: m.MarkovChain(p["states"], [[_parse_frac(v) for v in r] for r in p["rows"]]),

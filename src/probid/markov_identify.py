@@ -28,7 +28,7 @@ from functools import cache
 from itertools import accumulate, chain, repeat
 
 from . import _lend
-from .bands import _against, _deviation, below_tau, checkpoint_tally, tau  # perfbench wraps tau
+from .bands import _against, _deviation, below_tau, checkpoint_tally
 from .chains import chain_blocks
 from .enumeration import checkpoint_trace
 
@@ -133,6 +133,9 @@ def identify_chain_stream(hyp_list, source, x0, seed, n_max, stride=100):
     return checkpoint_trace(step, n_max, stride)
 
 
-# the reference rules that perfbench's tracer and stationary check read from
-# here; they live in `reference`, which no run imports
-__getattr__ = _lend(globals(), {"reference": ("chain_candidate_test", "stationary")})
+# the band bracket and the reference rules, which perfbench's tracer and
+# stationary check read from here; `below_tau` loads the bracket, and no run
+# imports `reference`
+__getattr__ = _lend(
+    globals(), {"reference": ("chain_candidate_test", "stationary"), "tau_bracket": ("tau",)}
+)

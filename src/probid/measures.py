@@ -13,7 +13,7 @@ from math import inf
 from .errors import BadSymbol, SumNotOne, ZeroMassPrefix
 from .exactnum import log2_bracket, log2_ratio_bracket
 from .hypotheses import _MAX_PMF_SIZE, ONE, ZERO, HypothesisSpec, has_symbol
-from .sampling import _draws, _sample_prefix, _table, _uniforms, draw_iid
+from .pmfs import _draws, _sample_prefix, _table, _uniforms, draw_iid
 
 #: The `log2_prefixes` entry of a prefix of mass 0: log2 0 = -inf.
 MASS_ZERO = (-inf, -inf)

@@ -16,7 +16,7 @@ tests hold every fast path to.  No run imports this module.
   -ceil(log2 mu_i(x_1..x_j)) less khat, the shortest description of
   x_1..x_j admitted at stage n.
 
-Both band rules are exact `Fraction` comparisons against `bands.tau(n).lo`
+Both band rules are exact `Fraction` comparisons against `tau(n).lo`
 on symbol and state counts, and read none of `below_tau`, `mass_cutoff`,
 the compiled tests, the tallies or `least_passing`, so they check those
 independently; the i.i.d. rule is also `probid.candidate_test`.
@@ -30,7 +30,6 @@ from itertools import count, islice, pairwise
 from math import inf
 from typing import NamedTuple
 
-from .bands import tau
 from .chains import MarkovChain
 from .complexity import (
     _TAG_BITS,
@@ -44,13 +43,14 @@ from .complexity import (
 from .errors import ProbidError
 from .exactnum import log2_bracket
 from .sampling import _GOLDEN, _MASK, _mix
+from .tau_bracket import tau
 
 
 class Rng:
     """SplitMix64 stream, one output per call.
 
     Output i of the stream mixes the state seed + (i+1)*_GOLDEN mod 2**64;
-    `sampling._uniforms(seed)` must yield exactly `Rng(seed).next53()`
+    `pmfs._uniforms(seed)` must yield exactly `Rng(seed).next53()`
     repeated, and the tests check that it does.
     """
 

@@ -6,7 +6,8 @@ loads this module (see `hypotheses.build_hypothesis`).
 from fractions import Fraction
 
 from .errors import BadSymbol, NonpositiveMass, ProbidError, ZeroDenominator
-from .hypotheses import _MAX_PMF_SIZE, FinitePmf, HypothesisSpec
+from .hypotheses import _MAX_PMF_SIZE, HypothesisSpec
+from .pmfs import FinitePmf
 
 # Terms are integer functions of one variable j built from constants, j,
 # +, * and ^ (a constant on either side of ^ is the intended use, as in

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from probid.chains import MarkovChain
 from probid.enumeration import HypothesisList
-from probid.hypotheses import make_finite_pmf
 from probid.measures import constant_run_measure, make_iid_measure, make_mu_k
+from probid.pmfs import make_finite_pmf
 
 F = Fraction
 

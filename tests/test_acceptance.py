@@ -10,19 +10,18 @@ from fractions import Fraction
 import pytest
 
 from helpers import chain_3state, chain_a, chain_b, mixed_measure_list, separated_pmf
-from probid.bands import tau
 from probid.chains import run_chain
 from probid.complexity import ComplexityEstimator
 from probid.enumeration import HypothesisList, InterleavedList
 from probid.harness import run_experiment
-from probid.hypotheses import make_finite_pmf
 from probid.iid_identify import identify_stream
 from probid.markov_identify import identify_chain_stream
 from probid.measure_identify import identify_measure_stream
 from probid.measures import make_black_swan_pair
+from probid.pmfs import draw_iid, make_finite_pmf
 from probid.predict import black_swan_demo
 from probid.reference import Rng, ergodic_mean, khat, kraft_audit, stationary
-from probid.sampling import draw_iid
+from probid.tau_bracket import tau
 
 F = Fraction
 SEEDS = range(1, 101)

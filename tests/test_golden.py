@@ -35,8 +35,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import dense_weights, random_weights
-from probid.bands import tau
 from probid.harness import run_experiment
+from probid.tau_bracket import tau
 
 
 def _pmf(*pairs):

@@ -27,6 +27,7 @@ from probid.harness import (
     run_experiment,
     summarize,
 )
+from probid.tau_bracket import tau
 
 F = Fraction
 
@@ -566,6 +567,13 @@ import json, sys
 def loaded():
     return sorted(m[len("probid."):] for m in sys.modules if m.startswith("probid."))
 
+def lines():
+    total = 0
+    for name in [m for m in sys.modules if m.split(".")[0] == "probid"]:
+        with open(sys.modules[name].__file__, "rb") as source:
+            total += source.read().count(b"\\n")
+    return total
+
 def forget_probid():
     for name in [m for m in sys.modules if m.split(".")[0] == "probid"]:
         del sys.modules[name]
@@ -577,13 +585,27 @@ for mode, obj in json.loads(sys.argv[1]).items():
     from probid import harness
     cfg = harness.ExperimentConfig.from_obj(obj)
     out[mode] = loaded()
+    out[mode + " lines"] = lines()
     harness.run_experiment(cfg)
     out[mode + " run"] = loaded()
+forget_probid()
+from probid.bands import below_tau
+# decisions that bit lengths settle at n = 100
+out["decided"] = [below_tau(0, 1, 100), below_tau(1, 1, 100)], loaded()
 forget_probid()
 import probid.cli
 out["cli"] = loaded()
 print(json.dumps(out))
 """
+
+# an i.i.d. config whose run makes one band decision in the shell, where
+# bit lengths cannot decide it (at n = 100, seed 3)
+_IID_SHELL = _iid_cfg(
+    list={"items": [_pmf_spec((0, "7/10"), (1, "3/10")), _pmf_spec((0, "1/2"), (1, "1/2"))]},
+    n_max=100,
+    checkpoint={"stride": 100},
+    seeds=[3],
+)
 
 
 def test_parsing_a_config_imports_only_its_modes_modules():
@@ -592,6 +614,7 @@ def test_parsing_a_config_imports_only_its_modes_modules():
     # and no other, and neither parsing nor running loads `reference`
     configs = {
         "iid": _iid_cfg(),
+        "iid-shell": _IID_SHELL,
         "iid-simple": _iid_cfg(list={"family": "simple_pmf", "grid": {"term": ["j"], "size": [2, 3]}}),
         "markov": _markov_cfg(),
         "measure": _measure_cfg(),
@@ -602,26 +625,70 @@ def test_parsing_a_config_imports_only_its_modes_modules():
     # the demo command imports predict, and the stationary command chains
     assert not {"predict", "chains", "measures", "terms"} & set(loaded["cli"])
     own = {
-        "iid": {"iid_identify", "bands"},
-        "iid-simple": {"iid_identify", "bands", "terms"},
+        "iid": {"iid_identify", "bands", "pmfs"},
+        "iid-shell": {"iid_identify", "bands", "pmfs"},
+        "iid-simple": {"iid_identify", "bands", "pmfs", "terms"},
         "markov": {"markov_identify", "bands", "chains"},
         "measure": {"measure_identify", "complexity", "measures"},
         "demo": {"predict", "measures"},
     }
     families = {"chains", "measures", "terms"}
-    # the chain walk is in `chains`, the measure draws in `measures`, and the
-    # band machinery of the i.i.d. and markov tests in `bands`
+    # the chain walk is in `chains`, the pmfs and their draws in `pmfs`, the
+    # measure draws in `measures`, and the band machinery of the i.i.d. and
+    # markov tests in `bands`, which loads `tau_bracket` only for a decision
+    # that bit lengths leave open: the "iid" and "markov" runs make none
+    bracket = {"exactnum", "tau_bracket"}
+    not_iid = {"markov_identify", "measure_identify", "complexity", "predict"} | families
     left_out = {
-        "iid": {"markov_identify", "measure_identify", "complexity", "predict"} | families,
+        "iid": not_iid | bracket,
+        "iid-shell": not_iid,
         "iid-simple": {"chains", "measures"},
-        "markov": {"iid_identify", "measure_identify", "complexity", "predict", "measures", "terms"},
-        "measure": {"iid_identify", "markov_identify", "predict", "bands", "chains", "terms"},
-        "demo": {"iid_identify", "markov_identify", "measure_identify", "complexity", "bands", "chains", "terms"},
+        "markov": {"iid_identify", "measure_identify", "complexity", "predict", "measures", "terms", "pmfs"} | bracket,
+        "measure": {"iid_identify", "markov_identify", "predict", "bands", "chains", "terms", "tau_bracket"},
+        "demo": {"iid_identify", "markov_identify", "measure_identify", "complexity", "bands", "chains", "terms"}
+        | {"tau_bracket"},
     }
     for mode in configs:
         assert own[mode] <= set(loaded[mode]), mode
         for stage in (mode, mode + " run"):
             assert not (left_out[mode] | {"reference"}) & set(loaded[stage]), stage
+    # the shell decision of the "iid-shell" run loads the bracket, and
+    # decisions that bit lengths settle do not
+    assert bracket <= set(loaded["iid-shell run"])
+    decided, after = loaded["decided"]
+    assert decided == [True, False] and not bracket & set(after)
+    # the lines of `src/probid` a parsed config compiles
+    assert loaded["markov lines"] <= 1650
+    assert loaded["iid lines"] <= 1480
+    assert loaded["measure lines"] <= 1960
+
+
+# each (d, scale, n) of argv[1] decided by `below_tau` with `tau_bracket`
+# unloaded first, and whether the call loaded it
+_BELOW_TAU_FIRST = """
+import json, sys
+from probid.bands import below_tau
+out = []
+for d, scale, n in json.loads(sys.argv[1]):
+    sys.modules.pop("probid.tau_bracket", None)
+    out.append((below_tau(d, scale, n), "probid.tau_bracket" in sys.modules))
+print(json.dumps(out))
+"""
+
+
+def test_below_tau_loads_the_bracket_for_each_shell_decision():
+    # in a fresh interpreter, before any bracket is computed, a deviation at
+    # tau(n).lo and 2**-30 on either side lies in the shell that bit lengths
+    # leave open: each call imports `tau_bracket` and decides d/scale < lo
+    cases = []
+    for n in (2, 3, 100, 1000, 4096, 12345, 10**6):
+        lo = tau(n).lo
+        for x in (lo - F(1, 1 << 30), lo, lo + F(1, 1 << 30)):
+            cases.append((x.numerator, x.denominator, n))
+    decided = json.loads(_fresh_python(_BELOW_TAU_FIRST, json.dumps(cases)))
+    for (d, scale, n), (passed, loaded) in zip(cases, decided):
+        assert loaded, (d, scale, n)
+        assert passed == (F(d, scale) < tau(n).lo), (d, scale, n)
 
 
 _WORKER_RUN = """
@@ -671,33 +738,26 @@ def test_rebinding_a_harness_name_takes_effect(monkeypatch, name, obj):
     assert len(calls) == len(cfg.seeds)
 
 
-# every public name `probid.hypotheses` defined before its chain, measure
-# and term families moved out, by the module that defines it now
+# every public name `probid.hypotheses` defines, and the measure class
+# that perfbench's tracer wraps through it; the pmfs are read from `pmfs`
 _HYPOTHESES_NAMES = {
-    "hypotheses": (
-        "FinitePmf",
-        "GeometricPmf",
-        "HypothesisSpec",
-        "ONE",
-        "ZERO",
-        "build_hypothesis",
-        "make_finite_pmf",
-        "make_geometric_pmf",
-    ),
+    "hypotheses": ("HypothesisSpec", "ONE", "ZERO", "build_hypothesis"),
     "measures": ("ProductMeasure",),
 }
 
 
 def test_package_names_resolve_to_their_home_modules():
     # each lending module resolves its names from their homes; `perfbench`
-    # reads the sampler and band names through `sampling` and `exactnum`, and
-    # the reference rules it checks against through the identifiers
+    # reads the sampler and band names through `sampling` and `exactnum`,
+    # wraps `tau` in both identifiers, and reads the reference rules it
+    # checks against through the identifiers
     lenders = {
         "probid": probid._EXPORTS,
         "probid.hypotheses": _HYPOTHESES_NAMES,
-        "probid.sampling": {"chains": ("run_chain",), "measures": ("draw_from_measure",)},
-        "probid.exactnum": {"bands": ("tau",)},
-        "probid.markov_identify": {"reference": ("chain_candidate_test", "stationary")},
+        "probid.sampling": {"pmfs": ("draw_iid",), "chains": ("run_chain",), "measures": ("draw_from_measure",)},
+        "probid.exactnum": {"tau_bracket": ("tau",)},
+        "probid.iid_identify": {"tau_bracket": ("tau",)},
+        "probid.markov_identify": {"reference": ("chain_candidate_test", "stationary"), "tau_bracket": ("tau",)},
         "probid.measure_identify": {"reference": ("sigma_stage",)},
     }
     for lender_name, table in lenders.items():
@@ -906,7 +966,7 @@ def test_cli_demo_and_stationary(tmp_path, capsys):
     assert cli.main(["stationary", "--chain", str(bad)]) == 2
     bad.write_text("[" * 100000)
     assert cli.main(["stationary", "--chain", str(bad)]) == 2
-    assert "config invalid: : not valid JSON: maximum recursion depth exceeded" in capsys.readouterr().err
+    assert "config invalid: --chain: not valid JSON: maximum recursion depth exceeded" in capsys.readouterr().err
     assert cli.main(["stationary", "--chain", str(tmp_path / "missing.json")]) == 3
 
 
@@ -961,7 +1021,13 @@ _BAD_FIRST_MEASURES = [
     + [(_iid_cfg(list={"items": [_pmf_spec((0, "1/2"), (1, "1/2")), item]}), "list.items[1]") for item in _BAD_ITEMS]
     + [(_iid_cfg(list={"family": "simple_pmf", "grid": {"term": ["j"], "size": [2, "3"]}}), "list.grid[1]")]
     + [(_iid_cfg(output=5), "output"), (_iid_cfg(output=["out"]), "output")]
-    + [(b'{"mode": "iid\xff"}', ": not valid JSON")]
+    # a file that is no JSON names the flag that gave it (this case keeps
+    # the id it had when the refusal named no field)
+    + [
+        pytest.param(
+            b'{"mode": "iid\xff"}', "--config: not valid JSON", id='{"mode": "iid\xff"}-: not valid JSON'
+        )
+    ]
     + [
         (_iid_cfg(list={"items": [item, _pmf_spec((0, "1/2"), (1, "1/2"))]}), "list.items[0]: " + why)
         for why, item in _BAD_FIRST_PMFS
@@ -995,7 +1061,9 @@ _BAD_FIRST_MEASURES = [
             _measure_cfg(list={"items": [_measure_cfg()["list"]["items"][0], _MARKED_HUGE]}),
             "list.items[1]: k 1000000000 past 65536 symbols",
         )
-    ],
+    ]
+    # so is a truncated file, and a config that is no object names no field
+    + [(b'{"mode": ', "--config: not valid JSON"), (b"[1, 2]", "config must be an object")],
     ids=lambda v: v if isinstance(v, str) else None,
 )
 def test_cli_rejects_bad_config_with_field_path(tmp_path, capsys, cfg, path):
@@ -1032,7 +1100,7 @@ def test_cli_refuses_configs_nested_past_the_recursion_limit(tmp_path):
     # each ended in a RecursionError traceback (products at 450 deep exited 2
     # with an AttributeError); a fresh interpreter has the console script's
     # shallow stack, which the 490 products need to parse at all
-    cases = {"deep_json": (b"[" * 100000, "config invalid: : not valid JSON: maximum recursion depth exceeded")}
+    cases = {"deep_json": (b"[" * 100000, "config invalid: --config: not valid JSON: maximum recursion depth exceeded")}
     for depth in (2, 450, 490):
         cases["products_%d" % depth] = (
             _nested_products(depth),

@@ -19,7 +19,7 @@ from probid.errors import (
     ZeroDenominator,
 )
 from probid.exactnum import log2_bracket
-from probid.hypotheses import HypothesisSpec, build_hypothesis, make_finite_pmf, make_geometric_pmf
+from probid.hypotheses import HypothesisSpec, build_hypothesis
 from probid.measures import (
     MASS_ZERO,
     constant_run_measure,
@@ -28,6 +28,7 @@ from probid.measures import (
     make_mu_k,
     switch_pair_measure,
 )
+from probid.pmfs import make_finite_pmf, make_geometric_pmf
 from probid.terms import make_simple_pmf, parse_term
 
 F = Fraction

@@ -7,12 +7,12 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import pmf_weights, separated_pmf, separated_pmf_list, weights_pmf
-from probid.bands import checkpoint_tally, tau
+from probid.bands import checkpoint_tally
 from probid.enumeration import HypothesisList, trace_from_checkpoints
-from probid.hypotheses import make_finite_pmf, make_geometric_pmf
 from probid.iid_identify import _compile, identify_stream, mass_cutoff
+from probid.pmfs import SamplePrefix, draw_iid, iid_blocks, make_finite_pmf, make_geometric_pmf
 from probid.reference import candidate_test, cutoff, identify_step
-from probid.sampling import SamplePrefix, draw_iid, iid_blocks
+from probid.tau_bracket import tau
 from probid.terms import make_simple_pmf
 
 F = Fraction

@@ -15,7 +15,6 @@ from probid.bands import _by_popcount, _popcounts, checkpoint_tally
 from probid.chains import MarkovChain, chain_blocks, run_chain
 from probid.enumeration import HypothesisList
 from probid.errors import NotErgodic
-from probid.hypotheses import make_finite_pmf
 from probid.markov_identify import (
     _compile,
     _compiled_test,
@@ -24,6 +23,7 @@ from probid.markov_identify import (
     chain_counts,
     identify_chain_stream,
 )
+from probid.pmfs import make_finite_pmf
 from probid.reference import (
     TransitionCounts,
     _rows_pass,

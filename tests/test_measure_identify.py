@@ -12,7 +12,6 @@ from helpers import all_a_measure, mixed_measure_list, uniform_ab_measure
 from probid.complexity import ComplexityEstimator
 from probid.enumeration import HypothesisList, InterleavedList
 from probid.errors import ProbidError
-from probid.hypotheses import make_finite_pmf
 from probid.measure_identify import (
     SigmaTrace,
     default_estimator,
@@ -27,6 +26,7 @@ from probid.measures import (
     make_mu_k,
     switch_pair_measure,
 )
+from probid.pmfs import make_finite_pmf
 from probid.reference import khat, measure_step, sigma_stage
 
 F = Fraction

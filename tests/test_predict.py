@@ -6,8 +6,8 @@ import pytest
 
 from helpers import chain_a, uniform_ab_pmf
 from probid.errors import EmptyHistory, UnknownState, ZeroMassPrefix
-from probid.hypotheses import make_finite_pmf, make_geometric_pmf
 from probid.measures import make_black_swan_pair, make_iid_measure, make_mu_k
+from probid.pmfs import make_finite_pmf, make_geometric_pmf
 from probid.predict import (
     REST,
     black_swan_demo,

@@ -24,11 +24,9 @@ from helpers import (
     uniform_ab_pmf,
     weights_pmf,
 )
-from probid import chains, sampling
-from probid.bands import tau
+from probid import chains, pmfs, sampling
 from probid.chains import MarkovChain, chain_blocks, run_chain
 from probid.errors import BadStart, ZeroMassPrefix
-from probid.hypotheses import make_finite_pmf, make_geometric_pmf
 from probid.measures import (
     MarkedRunMeasure,
     ProductMeasure,
@@ -40,8 +38,10 @@ from probid.measures import (
     make_mu_k,
     switch_pair_measure,
 )
+from probid.pmfs import SamplePrefix, _table, draw_iid, iid_blocks, make_finite_pmf, make_geometric_pmf
 from probid.reference import Rng
-from probid.sampling import _GOLDEN, _MASK, SamplePrefix, _table, draw_iid, iid_blocks
+from probid.sampling import _GOLDEN, _MASK
+from probid.tau_bracket import tau
 
 F = Fraction
 
@@ -60,13 +60,13 @@ def test_splitmix64_reference_stream():
 @pytest.mark.parametrize("seed", [0, 1, -1, (1 << 64) - 1, (1 << 64) + 3, 1 << 70])
 @pytest.mark.parametrize("k", [0, 1, 1023, 1024, 1025, 3 * 1024 + 5])
 def test_lane_packed_stream_equals_scalar_rng(seed, k):
-    assert list(islice(sampling._uniforms(seed), k)) == _uniforms(seed, k)
+    assert list(islice(pmfs._uniforms(seed), k)) == _uniforms(seed, k)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(-(1 << 80), 1 << 80), k=st.integers(0, 2 * 1024 + 3))
 def test_lane_packed_stream_equals_scalar_rng_on_any_seed(seed, k):
-    assert list(islice(sampling._uniforms(seed), k)) == _uniforms(seed, k)
+    assert list(islice(pmfs._uniforms(seed), k)) == _uniforms(seed, k)
 
 
 def _peak_bytes(stream):
@@ -458,10 +458,10 @@ def test_chain_walk_bisects_draws_in_split_cells(monkeypatch, rows):
     blocks = [_lane_block(draws[i : i + 1024]) for i in range(0, len(draws), 1024)]
     words = {(i + 1) * _GOLDEN & _MASK: z << 11 for i, z in enumerate(draws)}
     mixed = []
-    monkeypatch.setattr(sampling, "_lanes", lambda seed: iter(blocks))
+    monkeypatch.setattr(pmfs, "_lanes", lambda seed: iter(blocks))
     monkeypatch.setattr(chains, "_lanes", lambda seed: iter(blocks))
     monkeypatch.setattr(chains, "_mix", lambda state: mixed.append(state) or words[state])
-    assert list(islice(sampling._uniforms(0), len(draws))) == draws
+    assert list(islice(pmfs._uniforms(0), len(draws))) == draws
     assert run_chain(chain, 0, 0, len(draws)) == _oracle_run(chain, draws)
     assert mixed
 
@@ -520,7 +520,7 @@ def test_iid_blocks_draw_only_the_lane_blocks_their_steps_need(monkeypatch, n, d
             counted.append(1)
             yield block
 
-    monkeypatch.setattr(sampling, "_lanes", counted_lanes)
+    monkeypatch.setattr(pmfs, "_lanes", counted_lanes)
     assert len(draw_iid(separated_pmf(6), 1, n)) == n
     assert len(counted) == drawn
     folds, rest = divmod(drawn, 8)
